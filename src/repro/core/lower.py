@@ -16,6 +16,13 @@ MpiExchange           the shuffle exchange induced by ``groupBy('__pid')``
                       optionally compressed to one 64-bit word)
 ===================  =====================================================
 
+Every Spark schema comes from the plan's static types (paper Section 3.2):
+the input relations' Spark schemas seed the rank plan's type propagation
+(``Plan.op_types``); each exchange's collection type, plus ``__pid``, is
+its pre-exchange schema, and the NestedMap root field's type is the
+nested-plan schema. Lowering therefore runs no Spark job; an operator whose
+type cannot be inferred (a ``Map`` without ``declared_type``) is rejected.
+
 Everything else is platform-agnostic and reused verbatim:
 
 * each *pre-exchange pipeline* (scan/filter/map/projection + pid +
@@ -44,18 +51,29 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import interp, vectorized
 from repro.core.ops.base import ExecContext, SubOperator, concat_batches
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
 from repro.core.ops.orchestration import NestedMap, ParameterLookup
-from repro.core.ops.processing import Filter, Map, ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
+from repro.core.ops.processing import ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
-from repro.core.types import RowVector
+from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType
 
-_SAMPLE_ROWS = 200
 _NATIVE_AGGS = {"sum": F.sum, "min": F.min, "max": F.max, "count": F.count}
+
+#: the one atom <-> Spark type mapping: input relations are typed through
+#: it, and every schema the lowering declares is built from it
+_SPARK_TYPES = {
+    INT64: T.LongType(),
+    FLOAT64: T.DoubleType(),
+    STR: T.StringType(),
+    DATE: T.TimestampType(),
+    BOOL: T.BooleanType(),
+}
+_ATOMS = {spark_type: atom for atom, spark_type in _SPARK_TYPES.items()}
 
 
 @dataclass
@@ -65,12 +83,19 @@ class Lowered:
     spark: SparkSession
     #: one pre-exchange DataFrame per side, carrying ``__pid``
     pre: List[DataFrame]
-    #: the lowered LocalHistogram+MpiHistogram stage per side
-    histograms: List[DataFrame]
     #: the NestedMap output (flattened inner results, post-shuffle)
     inner: DataFrame
+    #: the final result's schema, from the plan's static types
+    schema: T.StructType
     #: post ops (rank- then driver-level) still to apply, application order
     post_ops: List[SubOperator] = field(default_factory=list)
+
+    @property
+    def histograms(self) -> List[DataFrame]:
+        """The lowered LocalHistogram+MpiHistogram stage per side. Built
+        on read: the result does not need it (the shuffle partitions by
+        ``__pid`` itself)."""
+        return [df.groupBy("__pid").count() for df in self.pre]
 
     def result(self) -> DataFrame:
         """Apply the lowered post-aggregation chain and return the final
@@ -89,7 +114,9 @@ class Lowered:
             pdf = df.toPandas()
             for op in pending:
                 pdf = _apply_chain([op], pdf, "vectorized")
-            df = self.spark.createDataFrame(pdf)
+            # createDataFrame matches pandas columns to the schema by position
+            pdf = pdf.reindex(columns=self.schema.fieldNames())
+            df = self.spark.createDataFrame(pdf, schema=self.schema)
         return df
 
 
@@ -98,59 +125,50 @@ def lower_distributed_plan(
     plan: Plan,
     relations: Dict[str, DataFrame],
     engine: str = "vectorized",
-    inner_schema: Optional[str] = None,
 ) -> Lowered:
     """Compile a canonical distributed plan (see ``repro.modular``) into
     Spark stages over the given input DataFrames.
 
-    ``inner_schema`` (DDL string) overrides sample-based schema inference
-    for the nested-plan output — needed when the query is selective enough
-    that a sample partition aggregates to an empty frame."""
+    Every schema comes from the plan's static types, seeded with the input
+    relations' Spark schemas, so lowering runs no Spark job. A type the
+    plan cannot infer (a ``Map`` without ``declared_type``) on the lowered
+    path raises ``TypeError`` naming the operator."""
     if engine not in ("vectorized", "interpreted"):
         raise ValueError(f"unknown engine {engine!r}")
     me, driver_ops = _split_top(plan)
-    nm1, exchanges, rank_ops = _split_rank(me.nested_plan)
+    rank_plan = me.nested_plan
+    nm1, exchanges, rank_ops = _split_rank(rank_plan)
     inner_plan = nm1.nested_plan
     inner_field = _root_field(inner_plan)
 
-    pre_dfs: List[DataFrame] = []
-    pre_samples: List[pd.DataFrame] = []
-    for ex in exchanges:
-        pre_ops, rel_name = _pre_chain(ex)
+    chains = [_pre_chain(ex) for ex in exchanges]
+    for _, rel_name in chains:
         if rel_name not in relations:
             raise KeyError(f"plan reads relation {rel_name!r}, not provided")
-        src = relations[rel_name]
-        sample = _sample_through(src, pre_ops, ex, engine)
-        schema = spark.createDataFrame(sample).schema
+    rank_param = TupleType([
+        (name, RowVectorType(_tuple_type(name, relations[name].schema)))
+        for name in dict.fromkeys(name for _, name in chains)
+    ])
+    types = rank_plan.op_types(rank_param)
+
+    pre_dfs: List[DataFrame] = []
+    for ex, (pre_ops, rel_name) in zip(exchanges, chains):
+        wire = _collection(_require(rank_plan, types, ex), ex.data_field)
+        schema = _struct(wire, T.StructField("__pid", T.LongType()))
         fn = _make_pre_fn(pre_ops, ex, engine)
-        pre_dfs.append(src.mapInPandas(fn, schema=schema))
-        pre_samples.append(sample)
+        pre_dfs.append(relations[rel_name].mapInPandas(fn, schema=schema))
 
-    histograms = [df.groupBy("__pid").count() for df in pre_dfs]
+    nested_schema = _struct(_collection(_require(rank_plan, types, nm1), inner_field))
+    inner_df = _lower_nested(spark, pre_dfs, exchanges, inner_plan, inner_field, nested_schema, engine)
 
-    if inner_schema is None:
-        inner_sample = _run_inner(
-            inner_plan, inner_field, 0,
-            [(ex, s.drop(columns="__pid")) for ex, s in zip(exchanges, pre_samples)],
-            "vectorized",
-        )
-        if len(inner_sample):
-            schema = spark.createDataFrame(inner_sample).schema
-        else:
-            # sampled partitions may join/filter to nothing — derive the
-            # schema from the (typed) empty frame's dtypes instead
-            schema = _schema_from_dtypes(inner_sample)
-    else:
-        from pyspark.sql.types import StructType
-
-        schema = StructType.fromDDL(inner_schema)
-    inner_df = _lower_nested(spark, pre_dfs, exchanges, inner_plan, inner_field, schema, engine)
-
+    # the driver plan reads the per-rank inputs as one collection field
+    top_param = TupleType([(me.upstreams[0].field, RowVectorType(rank_param))])
+    result_type = _require(plan, plan.op_types(top_param), plan.root)
     return Lowered(
         spark=spark,
         pre=pre_dfs,
-        histograms=histograms,
         inner=inner_df,
+        schema=_struct(result_type),
         post_ops=rank_ops + driver_ops,
     )
 
@@ -160,10 +178,63 @@ def run_distributed_on_spark(
     plan: Plan,
     relations: Dict[str, DataFrame],
     engine: str = "vectorized",
-    inner_schema: Optional[str] = None,
 ) -> DataFrame:
     """One-call convenience: lower and produce the final DataFrame."""
-    return lower_distributed_plan(spark, plan, relations, engine, inner_schema).result()
+    return lower_distributed_plan(spark, plan, relations, engine).result()
+
+
+# ---------------------------------------------------------------------------
+# static types -> Spark schemas
+# ---------------------------------------------------------------------------
+
+def _tuple_type(relation: str, schema: T.StructType) -> TupleType:
+    """The tuple type of an input relation, from its Spark schema."""
+    fields = []
+    for f in schema.fields:
+        if f.dataType not in _ATOMS:
+            raise TypeError(
+                f"relation {relation!r} column {f.name!r} has Spark type "
+                f"{f.dataType.simpleString()}, which maps to no atom"
+            )
+        fields.append((f.name, _ATOMS[f.dataType]))
+    return TupleType(fields)
+
+
+def _struct(t: TupleType, *extra: T.StructField) -> T.StructType:
+    """The Spark schema of tuples of type ``t`` (atoms only)."""
+    fields = []
+    for name, item in t.fields:
+        if item not in _SPARK_TYPES:
+            raise TypeError(f"field {name!r} of type {item!r} has no Spark type")
+        fields.append(T.StructField(name, _SPARK_TYPES[item]))
+    return T.StructType(fields + list(extra))
+
+
+def _collection(t: TupleType, name: str) -> TupleType:
+    """The tuple type inside collection field ``name`` of ``t``."""
+    item = t.field_type(name)
+    if not isinstance(item, RowVectorType):
+        raise TypeError(f"field {name!r} is not a collection: {item!r}")
+    return item.tuple_type
+
+
+def _require(plan: Plan, types: Dict[SubOperator, Optional[TupleType]], op: SubOperator) -> TupleType:
+    """``op``'s static type; if it is unknown, raise naming the operator
+    where the unknown type starts (descending into nested plans)."""
+    if types[op] is not None:
+        return types[op]
+    while True:
+        untyped = [u for u in op.upstreams if types[u] is None]
+        if untyped:
+            op = untyped[0]
+        elif hasattr(op, "nested_plan"):
+            plan, types = op.nested_plan, op.nested_plan.op_types(types[op.upstreams[0]])
+            op = plan.root
+        else:
+            raise TypeError(
+                f"cannot lower plan {plan.name!r}: its {type(op).__name__} has no "
+                "static output type (give it a declared_type)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +310,6 @@ def _root_field(inner_plan: Plan) -> str:
     return root.field
 
 
-def _schema_from_dtypes(pdf: pd.DataFrame):
-    """Spark schema from pandas dtypes (usable on empty frames)."""
-    from pyspark.sql import types as T
-
-    mapping = {"i": T.LongType(), "u": T.LongType(), "f": T.DoubleType(),
-               "b": T.BooleanType(), "M": T.TimestampType()}
-    fields = [
-        T.StructField(c, mapping.get(pdf[c].dtype.kind, T.StringType()))
-        for c in pdf.columns
-    ]
-    if not fields:
-        raise ValueError(
-            "nested-plan sample produced an empty, column-less frame; pass "
-            "inner_schema explicitly"
-        )
-    return T.StructType(fields)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -300,19 +353,6 @@ def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str) -
                 yield _pid_and_compress(out, ex)
 
     return fn
-
-
-def _sample_through(
-    src: DataFrame, pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str
-) -> pd.DataFrame:
-    """Schema probe: run the pipeline on a small sample. Filters never
-    change the schema, so they are skipped to keep the sample non-empty."""
-    sample = src.limit(_SAMPLE_ROWS).toPandas()
-    ops = [op for op in pre_ops if not isinstance(op, Filter)]
-    out = _apply_chain(ops, sample, "vectorized")
-    if not len(out):
-        raise ValueError("cannot derive schema from an empty input relation")
-    return _pid_and_compress(out, ex)
 
 
 def _decompress_wire(pdf: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:

@@ -61,21 +61,23 @@ class Plan:
             out.append(seen)
         return out
 
+    def op_types(
+        self, param_type: Optional[TupleType] = None
+    ) -> Dict[SubOperator, Optional[TupleType]]:
+        """Static output type of every operator of this plan (None where
+        dynamic). ``param_type`` types the ParameterLookups that declare
+        none."""
+        types: Dict[SubOperator, Optional[TupleType]] = {}
+        for op in self._ops:
+            if isinstance(op, ParameterLookup):
+                types[op] = op.declared_type or param_type
+            else:
+                types[op] = op.out_type([types[u] for u in op.upstreams])
+        return types
+
     def out_type(self, param_type: Optional[TupleType] = None) -> Optional[TupleType]:
         """Best-effort static type propagation (None where dynamic)."""
-        memo: Dict[SubOperator, Optional[TupleType]] = {}
-
-        def typ(op: SubOperator) -> Optional[TupleType]:
-            if op in memo:
-                return memo[op]
-            if isinstance(op, ParameterLookup):
-                t = op.declared_type or param_type
-            else:
-                t = op.out_type([typ(u) for u in op.upstreams])
-            memo[op] = t
-            return t
-
-        return typ(self.root)
+        return self.op_types(param_type)[self.root]
 
     def render(self) -> str:
         """Compact textual rendering of the DAG (for docs and debugging)."""

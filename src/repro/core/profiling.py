@@ -68,11 +68,11 @@ class Profiler:
                 try:
                     item = next(gen)
                 except StopIteration:
-                    self.pop()
                     return
                 finally:
-                    pass
-                self.pop()
+                    # also when the operator raises, so its phase does not
+                    # absorb the thread's later time
+                    self.pop()
                 yield item
 
         return inner()

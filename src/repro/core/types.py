@@ -14,6 +14,8 @@ batch analogue of the paper's C-array-of-C-structs).
 Typing is *best-effort*: operators whose output type depends on opaque user
 functions (``Map``) may declare their output type explicitly or propagate
 ``None`` (unknown), in which case downstream static checks are skipped.
+The Spark lowering derives its schemas from these types, so it rejects
+plans whose lowered operators have unknown types.
 """
 from __future__ import annotations
 

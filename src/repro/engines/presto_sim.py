@@ -30,6 +30,5 @@ def run_presto_sim(
     names (lineitem/orders/part) to DataFrames."""
     relations = {field: tables[name] for field, name in query.table_map.items()}
     return run_distributed_on_spark(
-        spark, query.build_plan(cfg), relations,
-        engine="interpreted", inner_schema=query.inner_schema,
+        spark, query.build_plan(cfg), relations, engine="interpreted"
     )

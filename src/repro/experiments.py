@@ -285,9 +285,7 @@ def fig9_tpch(spark, sf: float = 0.1, repeat: int = 3, queries: Optional[Sequenc
             relations = {f: tables[t] for f, t in q.table_map.items()}
             plan = q.build_plan(cfg)
             t_mod = timeit(
-                lambda: run_distributed_on_spark(
-                    spark, plan, relations, inner_schema=q.inner_schema
-                ).collect(),
+                lambda: run_distributed_on_spark(spark, plan, relations).collect(),
                 repeat,
             )
             # the interpreted engine is 1-2 orders of magnitude slower; a

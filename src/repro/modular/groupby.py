@@ -24,6 +24,7 @@ from repro.core.ops import (
     RowScan,
 )
 from repro.core.ops.base import SubOperator
+from repro.core.types import INT64, TupleType
 from repro.modular.common import JoinConfig, local_partition_side, network_partition, rank_input
 
 
@@ -42,7 +43,8 @@ def _decompress_map(cfg: JoinConfig, pl: ParameterLookup, data: SubOperator, val
         k, v = spec.decompress(pdf[spec.out_field].to_numpy(), int(p["net_pid"]))
         return pd.DataFrame({cfg.key: k, value_field: v})
 
-    return ParametrizedMap(param, data, row_fn=row_fn, batch_fn=batch_fn)
+    typ = TupleType([(cfg.key, INT64), (value_field, INT64)])
+    return ParametrizedMap(param, data, row_fn=row_fn, batch_fn=batch_fn, declared_type=typ)
 
 
 def groupby_inner2_plan(

@@ -38,6 +38,7 @@ from repro.core.ops import (
     Zip,
 )
 from repro.core.ops.base import SubOperator
+from repro.core.types import INT64, TupleType
 from repro.modular.common import JoinConfig, local_partition_side, network_partition, rank_input
 
 PostHook = Callable[[SubOperator], SubOperator]
@@ -60,7 +61,8 @@ def _split_word_map(spec, value_field: str) -> Map:
         w = int(t[spec.out_field])
         return {"k_hi": w >> spec.p_bits, value_field: w & ((1 << spec.p_bits) - 1)}
 
-    return lambda up: Map(up, row_fn=row, batch_fn=batch)
+    typ = TupleType([("k_hi", INT64), (value_field, INT64)])
+    return lambda up: Map(up, row_fn=row, batch_fn=batch, declared_type=typ)
 
 
 def join_inner2_plan(
@@ -91,7 +93,9 @@ def join_inner2_plan(
         spec = cfg.spec(value_fields[0])
         pid_field = f"net_pid_{suffixes[0]}"
         param = Projection(pl, [pid_field])
-        keep = [vf for vf in value_fields] if join_type == "inner" else [value_fields[1]]
+        # BuildProbe's output fields, with the restored key in place of k_hi
+        keep = [value_fields[1]] if join_type in ("semi", "anti") else list(value_fields)
+        typ = TupleType([(cfg.key, INT64)] + [(vf, INT64) for vf in keep])
 
         def row_fn(t: dict, p: dict) -> dict:
             k = (int(t["k_hi"]) << spec.f_bits) | int(p[pid_field])
@@ -103,7 +107,7 @@ def join_inner2_plan(
             cols.update({c: pdf[c] for c in pdf.columns if c != "k_hi"})
             return pd.DataFrame(cols)
 
-        out = ParametrizedMap(param, out, row_fn=row_fn, batch_fn=batch_fn)
+        out = ParametrizedMap(param, out, row_fn=row_fn, batch_fn=batch_fn, declared_type=typ)
 
     if probe_post is not None:
         out = probe_post(out)

@@ -10,8 +10,10 @@ join result. Each query here carries
   pipelines (``pre_scan``), the generic distributed join of Fig. 3, and the
   query's post-aggregation inserted at every nesting level via the
   ``probe_post``/``pair_post``/``rank_post``/``driver_post`` hooks;
-* ``table_map`` — which input relation feeds which plan field;
-* ``inner_schema`` — the nested-plan output schema for the Spark lowering.
+* ``table_map`` — which input relation feeds which plan field.
+
+Every ``Map`` declares its output type, so the Spark lowering derives all
+of its schemas from the plan (``repro.core.lower``).
 
 Predicate constants are the official TPC-H ones, evaluated over the
 synthetic TPC-H-lite generators of ``repro.synth_data`` (substitution
@@ -28,6 +30,7 @@ import pandas as pd
 from repro.core import Plan
 from repro.core.ops import Filter, Map, Reduce, ReduceByKey
 from repro.core.ops.base import SubOperator
+from repro.core.types import FLOAT64, INT64, STR, Atom, TupleType
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
 
@@ -39,16 +42,16 @@ class TpchQuery:
     #: plan input field -> synthetic table name (lineitem/orders/part)
     table_map: Dict[str, str]
     build_plan: Callable[[JoinConfig], Plan]
-    inner_schema: str
 
 
-def _map(up: SubOperator, batch_fn, row_fn=None) -> Map:
-    """Map with a vectorized kernel and a derived row fallback."""
-    if row_fn is None:
-        def row_fn(t):  # noqa: E306
-            out = batch_fn(pd.DataFrame([t]))
-            return {c: out[c].iloc[0] for c in out.columns}
-    return Map(up, row_fn=row_fn, batch_fn=batch_fn)
+def _map(up: SubOperator, batch_fn, fields: Sequence[Tuple[str, Atom]]) -> Map:
+    """Map with a vectorized kernel, a derived row fallback and the
+    declared output type ``fields``."""
+    def row_fn(t):
+        out = batch_fn(pd.DataFrame([t]))
+        return {c: out[c].iloc[0] for c in out.columns}
+
+    return Map(up, row_fn=row_fn, batch_fn=batch_fn, declared_type=TupleType(fields))
 
 
 def _filter(up: SubOperator, batch_pred) -> Filter:
@@ -81,7 +84,7 @@ def q4_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "L":  # build side: matching lineitem order keys
             op = _filter(op, lambda pdf: (pdf["l_commitdate"] < pdf["l_receiptdate"]).to_numpy())
-            return _map(op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"]}))
+            return _map(op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"]}), [("k", INT64)])
         op = _filter(
             op,
             lambda pdf: (
@@ -90,7 +93,8 @@ def q4_plan(cfg: JoinConfig) -> Plan:
             ).to_numpy(),
         )
         return _map(
-            op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]})
+            op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
+            [("k", INT64), ("o_orderpriority", STR)],
         )
 
     def count_rows(op: SubOperator) -> SubOperator:
@@ -100,6 +104,7 @@ def q4_plan(cfg: JoinConfig) -> Plan:
                 {"o_orderpriority": pdf["o_orderpriority"],
                  "order_count": np.ones(len(pdf), dtype=np.int64)}
             ),
+            [("o_orderpriority", STR), ("order_count", INT64)],
         )
         return _rk(counted)
 
@@ -140,7 +145,8 @@ def q12_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "O":  # build side
             return _map(
-                op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]})
+                op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
+                [("k", INT64), ("o_orderpriority", STR)],
             )
         op = _filter(
             op,
@@ -153,7 +159,8 @@ def q12_plan(cfg: JoinConfig) -> Plan:
             ).to_numpy(),
         )
         return _map(
-            op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"], "l_shipmode": pdf["l_shipmode"]})
+            op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"], "l_shipmode": pdf["l_shipmode"]}),
+            [("k", INT64), ("l_shipmode", STR)],
         )
 
     def classify(op: SubOperator) -> SubOperator:
@@ -167,7 +174,10 @@ def q12_plan(cfg: JoinConfig) -> Plan:
                 }
             )
 
-        return _rk(_map(op, kernel))
+        return _rk(_map(
+            op, kernel,
+            [("l_shipmode", STR), ("high_line_count", INT64), ("low_line_count", INT64)],
+        ))
 
     def _rk(op: SubOperator) -> ReduceByKey:
         return ReduceByKey(
@@ -215,7 +225,8 @@ def q14_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "P":  # build side
             return _map(
-                op, lambda pdf: pd.DataFrame({"k": pdf["p_partkey"], "p_type": pdf["p_type"]})
+                op, lambda pdf: pd.DataFrame({"k": pdf["p_partkey"], "p_type": pdf["p_type"]}),
+                [("k", INT64), ("p_type", STR)],
             )
         op = _filter(
             op,
@@ -225,7 +236,8 @@ def q14_plan(cfg: JoinConfig) -> Plan:
             ).to_numpy(),
         )
         return _map(
-            op, lambda pdf: pd.DataFrame({"k": pdf["l_partkey"], "rev": _revenue(pdf)})
+            op, lambda pdf: pd.DataFrame({"k": pdf["l_partkey"], "rev": _revenue(pdf)}),
+            [("k", INT64), ("rev", FLOAT64)],
         )
 
     def split_revenue(op: SubOperator) -> SubOperator:
@@ -234,7 +246,9 @@ def q14_plan(cfg: JoinConfig) -> Plan:
             rev = pdf["rev"].to_numpy()
             return pd.DataFrame({"promo_rev": np.where(promo, rev, 0.0), "total_rev": rev})
 
-        return _sum2(["promo_rev", "total_rev"])(_map(op, kernel))
+        return _sum2(["promo_rev", "total_rev"])(
+            _map(op, kernel, [("promo_rev", FLOAT64), ("total_rev", FLOAT64)])
+        )
 
     def ratio(op: SubOperator) -> SubOperator:
         summed = _sum2(["promo_rev", "total_rev"])(op)
@@ -243,6 +257,7 @@ def q14_plan(cfg: JoinConfig) -> Plan:
             lambda pdf: pd.DataFrame(
                 {"promo_revenue": 100.0 * pdf["promo_rev"] / pdf["total_rev"]}
             ),
+            [("promo_revenue", FLOAT64)],
         )
 
     return distributed_join_plan(
@@ -315,6 +330,7 @@ def q19_plan(cfg: JoinConfig) -> Plan:
                     {"k": pdf["p_partkey"], "p_brand": pdf["p_brand"],
                      "p_container": pdf["p_container"], "p_size": pdf["p_size"]}
                 ),
+                [("k", INT64), ("p_brand", STR), ("p_container", STR), ("p_size", INT64)],
             )
         op = _filter(
             op,
@@ -328,11 +344,12 @@ def q19_plan(cfg: JoinConfig) -> Plan:
             lambda pdf: pd.DataFrame(
                 {"k": pdf["l_partkey"], "l_quantity": pdf["l_quantity"], "rev": _revenue(pdf)}
             ),
+            [("k", INT64), ("l_quantity", FLOAT64), ("rev", FLOAT64)],
         )
 
     def residual(op: SubOperator) -> SubOperator:
         filtered = _filter(op, _q19_joined_pred)
-        projected = _map(filtered, lambda pdf: pd.DataFrame({"revenue": pdf["rev"]}))
+        projected = _map(filtered, lambda pdf: pd.DataFrame({"revenue": pdf["rev"]}), [("revenue", FLOAT64)])
         return _sum1(projected)
 
     def _sum1(op: SubOperator) -> Reduce:
@@ -355,24 +372,20 @@ QUERIES: Tuple[TpchQuery, ...] = (
         name="Q4", sql=Q4_SQL,
         table_map={"L": "lineitem", "O": "orders"},
         build_plan=q4_plan,
-        inner_schema="o_orderpriority string, order_count long",
     ),
     TpchQuery(
         name="Q12", sql=Q12_SQL,
         table_map={"O": "orders", "L": "lineitem"},
         build_plan=q12_plan,
-        inner_schema="l_shipmode string, high_line_count long, low_line_count long",
     ),
     TpchQuery(
         name="Q14", sql=Q14_SQL,
         table_map={"P": "part", "L": "lineitem"},
         build_plan=q14_plan,
-        inner_schema="promo_rev double, total_rev double",
     ),
     TpchQuery(
         name="Q19", sql=Q19_SQL,
         table_map={"P": "part", "L": "lineitem"},
         build_plan=q19_plan,
-        inner_schema="revenue double",
     ),
 )

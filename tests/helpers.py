@@ -1,6 +1,9 @@
 """Shared test helpers for building small sub-operator plans."""
 from __future__ import annotations
 
+import uuid
+from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import List, Optional
 
 import pandas as pd
@@ -54,3 +57,21 @@ def sort_rows(rows: List[dict]) -> List[dict]:
 
 def assert_same_rows(a: List[dict], b: List[dict]) -> None:
     assert sort_rows(a) == sort_rows(b), f"\nA={sort_rows(a)[:5]}\nB={sort_rows(b)[:5]}"
+
+
+@contextmanager
+def spark_jobs(spark):
+    """Run the block in its own Spark job group. On exit, the yielded
+    object's ``count`` is the number of jobs the block triggered, read once
+    the listener bus has drained (the status tracker learns of jobs
+    through it)."""
+    sc = spark.sparkContext
+    group = f"spark-jobs-{uuid.uuid4().hex}"
+    jobs = SimpleNamespace(count=None)
+    sc.setJobGroup(group, "jobs counted by tests.helpers.spark_jobs")
+    try:
+        yield jobs
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+    jobs.count = len(sc.statusTracker().getJobIdsForGroup(group))

@@ -3,15 +3,26 @@ on the simulated MPI cluster execute as Spark stages, validated against the
 DuckDB oracle and against the SimCluster execution."""
 import pandas as pd
 import pytest
+from pyspark.sql.types import StructType
 
+from repro.core import vectorized
 from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
+from repro.core.ops import ExecContext, Filter, Map, ParametrizedMap
+from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVectorType, TupleType
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
-from repro.modular.join_sequence import optimized_sequence_plan, relation_fields, value_fields
-from repro.mpi.thread_backend import run_on_sim
+from repro.modular.join_sequence import (
+    naive_sequence_plan,
+    optimized_sequence_plan,
+    relation_fields,
+    value_fields,
+)
+from repro.mpi.thread_backend import make_rank_inputs, run_on_sim
 from repro.oracle import assert_equivalent
-from repro.synth_data import dense_kv_pdf
+from repro.queries import QUERIES
+from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
+from tests.helpers import spark_jobs
 
 
 N = 1 << 11
@@ -147,3 +158,186 @@ class TestInterpretedEngine:
         assert_equivalent(
             out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r, s=s
         )
+
+
+JOIN_SQL = "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k"
+
+
+def _empty(spark, pdf):
+    """An empty Spark copy of an int64 K/V frame (Spark cannot infer the
+    schema of an empty pandas frame)."""
+    return spark.createDataFrame(pdf.iloc[:0], schema=", ".join(f"{c} long" for c in pdf.columns))
+
+
+class TestEmptyRelations:
+    """Lowering needs no rows to type its stages, so empty inputs run."""
+
+    @pytest.mark.parametrize("driver_post", [None, "filter"])
+    def test_join_with_empty_r(self, spark, kv_frames, driver_post):
+        r, s = kv_frames
+        # a Filter is not lowerable, so the empty result goes through the
+        # driver-side fallback, which must build it from the plan's types
+        post = None if driver_post is None else (
+            lambda op: Filter(op, row_pred=lambda t: True,
+                              batch_pred=lambda pdf: pdf["k"].to_numpy() >= 0)
+        )
+        plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2), driver_post=post)
+        out = run_distributed_on_spark(
+            spark, plan, {"R": _empty(spark, r), "S": spark.createDataFrame(s)}
+        )
+        assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_join_with_both_sides_empty(self, spark, kv_frames, compress):
+        r, s = kv_frames
+        cfg = JoinConfig(n_net=4, loc_bits=2, compress=compress, p_bits=22)
+        out = run_distributed_on_spark(
+            spark, distributed_join_plan(cfg), {"R": _empty(spark, r), "S": _empty(spark, s)}
+        )
+        assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s.iloc[:0])
+
+    def test_groupby_over_empty_t(self, spark):
+        t = dense_kv_pdf(64, seed=68)
+        out = run_distributed_on_spark(
+            spark, distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2)),
+            {"T": _empty(spark, t)},
+        )
+        assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t.iloc[:0])
+
+
+# ---------------------------------------------------------------------------
+# static types
+# ---------------------------------------------------------------------------
+
+#: the pandas dtype kind each atom's values have on the substrates
+_KINDS = {INT64: "i", FLOAT64: "f", STR: "O", DATE: "M", BOOL: "b"}
+_ATOMS = {kind: atom for atom, kind in _KINDS.items()}
+
+#: the nested-plan schemas the TPC-H queries used to pass by hand
+_TPCH_INNER = {
+    "Q4": "o_orderpriority string, order_count long",
+    "Q12": "l_shipmode string, high_line_count long, low_line_count long",
+    "Q14": "promo_rev double, total_rev double",
+    "Q19": "revenue double",
+}
+
+
+def _kv(n, *value_fields_, seed):
+    return {f: dense_kv_pdf(n, value_field=v, seed=seed + i)
+            for i, (f, v) in enumerate(value_fields_)}
+
+
+@pytest.fixture(scope="module")
+def plans():
+    """Every repro.modular and TPC-H plan: name -> (plan, input frames)."""
+    tpch = {"lineitem": lineitem_pdf(sf=0.002), "orders": orders_pdf(sf=0.002),
+            "part": part_pdf(sf=0.002)}
+    cfg = JoinConfig(n_net=4, loc_bits=2)
+    packed = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
+    rs = _kv(N, ("R", "vr"), ("S", "vs"), seed=70)
+    seq = _kv(512, *zip(relation_fields(2), value_fields(2)), seed=72)
+    t = {"T": dense_kv_pdf(N, multiplicity=4, seed=75)}
+    cases = {
+        "join": (distributed_join_plan(cfg), rs),
+        "join-compressed": (distributed_join_plan(packed), rs),
+        "semi-join-compressed": (distributed_join_plan(packed, join_type="semi"), rs),
+        "groupby": (distributed_groupby_plan(cfg), t),
+        "groupby-compressed": (distributed_groupby_plan(packed), t),
+        "sequence-optimized": (optimized_sequence_plan(cfg, 2), seq),
+        "sequence-naive": (naive_sequence_plan(cfg, 2), seq),
+    }
+    for q in QUERIES:
+        cases[q.name] = (q.build_plan(cfg), {f: tpch[n] for f, n in q.table_map.items()})
+    assert list(cases) == PLANS
+    return cases
+
+
+PLANS = ["join", "join-compressed", "semi-join-compressed", "groupby", "groupby-compressed",
+         "sequence-optimized", "sequence-naive"] + [q.name for q in QUERIES]
+#: the plans the Spark lowering accepts (it does not lower naive sequences)
+LOWERED = [name for name in PLANS if name != "sequence-naive"]
+
+
+def _assert_kinds(pdf, typ, where):
+    assert sorted(pdf.columns) == sorted(typ.names), where
+    for name, atom in typ.fields:
+        assert pdf[name].dtype.kind == _KINDS[atom], f"{where}: {name} is {pdf[name].dtype}"
+
+
+class _DeclaredTypeCheck:
+    """Passed as the evaluator's profiler: checks every non-empty batch a
+    Map or ParametrizedMap yields against its declared_type."""
+
+    def __init__(self):
+        self.checked = set()
+
+    def wrap(self, op, gen):
+        if not isinstance(op, (Map, ParametrizedMap)):
+            return gen
+
+        def check():
+            for pdf in gen:
+                if len(pdf):
+                    _assert_kinds(pdf, op.declared_type, repr(op))
+                    self.checked.add(op)
+                yield pdf
+
+        return check()
+
+
+def _declared_ops(plan):
+    for op in plan.operators():
+        if isinstance(op, (Map, ParametrizedMap)):
+            yield op
+        if hasattr(op, "nested_plan"):
+            yield from _declared_ops(op.nested_plan)
+
+
+class TestStaticSchemas:
+    @pytest.mark.parametrize("name", PLANS)
+    def test_declared_types_match_sim_dtypes(self, plans, name):
+        """Arrow casts unsafely, so a wrong declared_type would silently
+        truncate values on Spark: every declared type must match the dtypes
+        the kernels really produce, and so must the plan's output type."""
+        plan, frames = plans[name]
+        checker = _DeclaredTypeCheck()
+        out = vectorized.run_to_pdf(
+            plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
+        )
+        assert checker.checked == set(_declared_ops(plan))
+        rank_inputs = TupleType([
+            (f, RowVectorType(TupleType([(c, _ATOMS[pdf[c].dtype.kind]) for c in pdf.columns])))
+            for f, pdf in frames.items()
+        ])
+        typ = plan.out_type(TupleType([("rank_inputs", RowVectorType(rank_inputs))]))
+        assert len(out)
+        _assert_kinds(out, typ, name)
+
+    @pytest.mark.parametrize("name", LOWERED)
+    def test_lowering_runs_no_spark_job(self, spark, plans, name):
+        plan, frames = plans[name]
+        relations = {f: spark.createDataFrame(pdf) for f, pdf in frames.items()}
+        with spark_jobs(spark) as ran:
+            lowered = lower_distributed_plan(spark, plan, relations)
+        assert ran.count == 0
+        if name in _TPCH_INNER:
+            want = StructType.fromDDL(_TPCH_INNER[name])
+            got = lowered.inner.schema
+            assert [(f.name, f.dataType) for f in got] == [(f.name, f.dataType) for f in want]
+
+    def test_spark_jobs_counts_actions(self, spark, kv_frames):
+        r, _ = kv_frames
+        with spark_jobs(spark) as ran:
+            spark.createDataFrame(r).count()
+        assert ran.count >= 1
+
+    def test_untyped_map_rejected(self, spark, kv_frames):
+        r, s = kv_frames
+        plan = distributed_join_plan(
+            JoinConfig(n_net=2, loc_bits=1),
+            pre_scan=lambda field, op: Map(op, row_fn=lambda t: t, batch_fn=lambda pdf: pdf),
+        )
+        with pytest.raises(TypeError, match="Map has no static output type"):
+            lower_distributed_plan(
+                spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
+            )

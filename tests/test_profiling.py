@@ -40,6 +40,21 @@ class TestProfiler:
         vectorized.run_to_pdf(Plan(m), ctx, params=params_of(t=df))
         assert prof.breakdown().get("other", 0) >= 0
 
+    def test_raising_operator_pops_its_phase(self):
+        df = pd.DataFrame({"k": range(10)})
+
+        def boom(pdf):
+            raise ValueError("boom")
+
+        m = LocalHistogram(
+            Map(source("t"), row_fn=lambda t: t, batch_fn=boom), 2, bucket_fn=lambda t: 0
+        )
+        prof = Profiler()
+        ctx = ExecContext(profiler=prof)
+        with pytest.raises(ValueError, match="boom"):
+            vectorized.run_to_pdf(Plan(m), ctx, params=params_of(t=df))
+        assert prof._state().stack == []
+
     def test_phase_names_are_known(self):
         for p in ("local_histogram", "global_histogram", "network_partitioning",
                   "local_partitioning", "build_probe", "materialize", "other"):

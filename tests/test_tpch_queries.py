@@ -69,9 +69,7 @@ class TestOnSpark:
     def test_query_matches_oracle(self, spark, name, tables_pdf, tables_spark):
         q = QUERY[name]
         relations = {f: tables_spark[t] for f, t in q.table_map.items()}
-        out = run_distributed_on_spark(
-            spark, q.build_plan(CFG), relations, inner_schema=q.inner_schema
-        )
+        out = run_distributed_on_spark(spark, q.build_plan(CFG), relations)
         assert_equivalent(out, q.sql, **tables_pdf)
 
 
