@@ -10,6 +10,7 @@ from repro.mpi.thread_backend import run_on_sim
 from repro.synth_data import dense_kv_pdf
 
 N = 1 << 21  # large enough that per-operator constants amortize (see fig6a)
+N_FIXED = 1 << 10  # small enough that per-invocation overhead is the time
 MACHINES = 4
 
 
@@ -41,3 +42,17 @@ def test_fig6a_modularis(benchmark, workload):
         lambda: run_on_sim(plan, MACHINES, {"R": r, "S": s}), rounds=3, iterations=1
     )
     assert len(out) == N
+
+
+def test_fig6a_modularis_fixed_cost(benchmark):
+    """The same 4-rank plan at 2**10 rows/side: almost all of the time is
+    the fixed cost of the operator and nested-plan invocations."""
+    cfg = JoinConfig(n_net=MACHINES, loc_bits=4, compress=True, p_bits=27)
+    r = dense_kv_pdf(N_FIXED, value_field="vr", seed=80)
+    s = dense_kv_pdf(N_FIXED, value_field="vs", seed=81)
+    plan = distributed_join_plan(cfg)
+    out, _ = benchmark.pedantic(
+        lambda: run_on_sim(plan, MACHINES, {"R": r, "S": s}), rounds=20, iterations=1,
+        warmup_rounds=2,
+    )
+    assert len(out) == N_FIXED

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, List, Optional, Sequence
 
+import numpy as np
 import pandas as pd
 
 from repro.core.types import TupleType
@@ -111,10 +112,28 @@ def batches_to_rows(batches: Iterator[pd.DataFrame]) -> Iterator[dict]:
 
 
 def concat_batches(batches: Sequence[pd.DataFrame], columns: Optional[Sequence[str]] = None) -> pd.DataFrame:
-    """Concatenate batches; an empty stream yields an empty typed frame."""
+    """Concatenate batches; an empty stream yields an empty typed frame.
+
+    A lone non-empty batch with a default index is returned as is, not
+    copied: kernels must not modify the frames they receive."""
     mats = [b for b in batches if len(b)]
+    if len(mats) == 1:
+        idx = mats[0].index
+        if isinstance(idx, pd.RangeIndex) and idx.start == 0 and idx.step == 1:
+            return mats[0]
     if mats:
         return pd.concat(mats, ignore_index=True)
     for b in batches:
         return b.iloc[:0]
     return pd.DataFrame(columns=list(columns or []))
+
+
+def object_column(values: Sequence[Any]) -> np.ndarray:
+    """``values`` as an object array, each stored as is (a ``RowVector`` is
+    never unpacked). Framing it costs a fraction of
+    ``pd.Series(values, dtype=object)``, which every nested-plan invocation
+    would otherwise pay several times."""
+    out = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out

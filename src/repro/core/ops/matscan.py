@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core.ops.base import ExecContext, SubOperator, concat_batches, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -95,7 +95,7 @@ class MaterializeRowVector(SubOperator):
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         pdf = concat_batches(list(ups[0]), columns=self.columns)
-        yield pd.DataFrame({self.field: pd.Series([RowVector(pdf)], dtype=object)})
+        yield pd.DataFrame({self.field: object_column([RowVector(pdf)])}, copy=False)
 
 
 class LocalPartitioning(SubOperator):
@@ -187,6 +187,7 @@ class LocalPartitioning(SubOperator):
         yield pd.DataFrame(
             {
                 self.pid_field: np.arange(self.n_partitions, dtype=np.int64),
-                self.data_field: pd.Series([RowVector(f) for f in frames], dtype=object),
-            }
+                self.data_field: object_column([RowVector(f) for f in frames]),
+            },
+            copy=False,
         )

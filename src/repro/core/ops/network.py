@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.compression import CompressionSpec
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core.ops.base import ExecContext, SubOperator, concat_batches, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -60,9 +60,7 @@ class MpiExecutor(SubOperator):
             return out[0]
 
         results = cluster.run(rank_main, params)
-        yield pd.DataFrame(
-            {k: pd.Series([r[k] for r in results], dtype=object) for k in results[0]}
-        )
+        yield pd.DataFrame({k: object_column([r[k] for r in results]) for k in results[0]}, copy=False)
 
 
 class MpiHistogram(SubOperator):
@@ -168,6 +166,12 @@ class MpiExchange(SubOperator):
         my_offsets = comm.exscan_sum(local_hist)  # offset inside each region
 
         frames = radix.scatter(data, pids, n)
+        sizes = np.array([len(f) for f in frames])
+        if not np.array_equal(sizes, local_hist):
+            raise RuntimeError(
+                f"MpiExchange local histogram {local_hist.tolist()} does not match "
+                f"the partition sizes {sizes.tolist()} of the data"
+            )
         for p in range(n):
             if len(frames[p]):
                 comm.put(win, int(owners[p]), int(base[p] + my_offsets[p]), frames[p])
@@ -182,9 +186,10 @@ class MpiExchange(SubOperator):
             start = stop
         yield pd.DataFrame(
             {
-                self.pid_field: pd.array(rows[self.pid_field], dtype="int64"),
-                self.data_field: pd.Series(rows[self.data_field], dtype=object),
-            }
+                self.pid_field: np.array(rows[self.pid_field], dtype=np.int64),
+                self.data_field: object_column(rows[self.data_field]),
+            },
+            copy=False,
         )
 
     def _pids(self, data: pd.DataFrame) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Iterator, Optional, Sequence
 
 import pandas as pd
 
-from repro.core.ops.base import ExecContext, SubOperator
+from repro.core.ops.base import ExecContext, SubOperator, object_column
 from repro.core.types import TupleType
 
 
@@ -38,7 +38,7 @@ class ParameterLookup(SubOperator):
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
         if ctx.params is None:
             raise RuntimeError("ParameterLookup evaluated without plan parameters")
-        yield pd.DataFrame({k: pd.Series([v], dtype=object) for k, v in ctx.params.items()})
+        yield pd.DataFrame({k: object_column([v]) for k, v in ctx.params.items()}, copy=False)
 
 
 class NestedMap(SubOperator):
@@ -74,7 +74,7 @@ class NestedMap(SubOperator):
                 outs.append(_single(out, self))
             if outs:
                 yield pd.DataFrame(
-                    {k: pd.Series([o[k] for o in outs], dtype=object) for k in outs[0]}
+                    {k: object_column([o[k] for o in outs]) for k in outs[0]}, copy=False
                 )
 
 

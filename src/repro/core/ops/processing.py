@@ -11,6 +11,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 import pandas as pd
 
+from repro.core import radix
 from repro.core.ops.base import ExecContext, SubOperator, concat_batches
 from repro.core.types import TupleType
 
@@ -118,7 +119,7 @@ class Projection(SubOperator):
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for pdf in ups[0]:
-            yield pdf[self.fields]
+            yield pd.DataFrame({f: pdf[f] for f in self.fields}, copy=False)
 
 
 class CartesianProduct(SubOperator):
@@ -148,7 +149,12 @@ class CartesianProduct(SubOperator):
             overlap = set(left.columns) & set(right.columns)
             if overlap:
                 raise RuntimeError(f"CartesianProduct field overlap: {sorted(overlap)}")
-            yield left.merge(right, how="cross")
+            # left-major order, as merge(how="cross"), by one take per column
+            li = np.repeat(np.arange(len(left)), len(right))
+            ri = np.tile(np.arange(len(right)), len(left))
+            cols = {c: left[c].array.take(li) for c in left.columns}
+            cols.update({c: right[c].array.take(ri) for c in right.columns})
+            yield pd.DataFrame(cols, copy=False)
 
 
 class Filter(SubOperator):
@@ -474,46 +480,36 @@ class BuildProbe(SubOperator):
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         left = concat_batches(list(ups[0]))
+        probes = list(ups[1])
+        if not probes:
+            return
+        # one probe frame, so the build side is sorted once per operator
+        right = concat_batches(probes)
         rest_l = [c for c in left.columns if c not in self.keys]
-        # fast path: inner join on one integer key via sort + searchsorted
-        # (the same low-level technique the monolithic operator uses)
-        fast = (
-            self.join_type == "inner"
-            and len(self.keys) == 1
-            and left[self.keys[0]].dtype.kind in "iu"
-        )
-        if fast:
+        rest_r = [c for c in right.columns if c not in self.keys]
+        overlap = set(rest_l) & set(rest_r)
+        if overlap:
+            raise RuntimeError(f"BuildProbe field overlap: {sorted(overlap)}")
+        if self.join_type in ("semi", "anti"):
+            mark = left[self.keys].drop_duplicates()
+            merged = right.merge(mark, on=self.keys, how="left", indicator=True)
+            keep = merged["_merge"] == ("both" if self.join_type == "semi" else "left_only")
+            yield merged[keep][list(right.columns)].reset_index(drop=True)
+            return
+        if self.join_type == "inner" and len(self.keys) == 1:
+            # one integer key: the sort-merge kernel the monolithic join uses
             key = self.keys[0]
-            order = np.argsort(left[key].to_numpy(), kind="stable")
-            bk = left[key].to_numpy()[order]
-            bcols = {c: left[c].to_numpy()[order] for c in rest_l}
-        for right in ups[1]:
-            rest_r = [c for c in right.columns if c not in self.keys]
-            overlap = set(rest_l) & set(rest_r)
-            if overlap:
-                raise RuntimeError(f"BuildProbe field overlap: {sorted(overlap)}")
-            if self.join_type in ("semi", "anti"):
-                mark = left[self.keys].drop_duplicates()
-                merged = right.merge(mark, on=self.keys, how="left", indicator=True)
-                keep = merged["_merge"] == ("both" if self.join_type == "semi" else "left_only")
-                yield merged[keep][list(right.columns)].reset_index(drop=True)
-            elif fast and right[self.keys[0]].dtype.kind in "iu":
-                pk = right[self.keys[0]].to_numpy()
-                lo = np.searchsorted(bk, pk, "left")
-                hi = np.searchsorted(bk, pk, "right")
-                cnt = hi - lo
-                probe_idx = np.repeat(np.arange(len(pk)), cnt)
-                start = np.repeat(lo, cnt)
-                step = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-                build_idx = start + step
-                out = {self.keys[0]: pk[probe_idx]}
-                out.update({c: a[build_idx] for c, a in bcols.items()})
-                out.update({c: right[c].to_numpy()[probe_idx] for c in rest_r})
-                yield pd.DataFrame(out)
-            else:
-                how = "right" if self.join_type == "outer" else "inner"
-                out = left.merge(right, on=self.keys, how=how)
-                yield out[self.keys + rest_l + rest_r]
+            bk, pk = left[key].to_numpy(), right[key].to_numpy()
+            if bk.dtype.kind in "iu" and pk.dtype.kind in "iu":
+                bi, pi = radix.join_indices(bk, pk)
+                out = {key: pk[pi]}
+                out.update({c: left[c].to_numpy()[bi] for c in rest_l})
+                out.update({c: right[c].to_numpy()[pi] for c in rest_r})
+                yield pd.DataFrame(out, copy=False)
+                return
+        how = "right" if self.join_type == "outer" else "inner"
+        out = left.merge(right, on=self.keys, how=how)
+        yield out[self.keys + rest_l + rest_r]
 
 
 def _apply_rowwise(pdf: pd.DataFrame, fn: Callable[[dict], dict]) -> pd.DataFrame:

@@ -3,9 +3,15 @@
 Executes a sub-operator plan over pandas DataFrame batches. Where the paper
 lowers each pipeline to LLVM IR (removing per-tuple function calls from
 inner loops), this evaluator removes the per-tuple Python dispatch by
-running each operator's numpy/pandas kernel over whole batches. The small
-remaining per-operator overhead vs the hand-fused monolithic kernels is the
-"cost of modularity" the paper quantifies (12–28 %).
+running each operator's numpy/pandas kernel over whole batches. The data
+kernels themselves (radix scatter, sort-merge build/probe) are the ones the
+monolithic baselines call (``repro.core.radix``), so what remains of the
+"cost of modularity" the paper quantifies (12–28 %) is per invocation: the
+operator generators and the small pandas frames passed between them, paid
+by every nested-plan invocation (17 per rank in the Fig. 6a join). That
+work holds the GIL, so on the simulated cluster it also serializes the
+ranks; operators therefore build frames from column arrays and pass a lone
+batch on without copying it (kernels never modify a frame they receive).
 
 Network operators execute here against the MPI-style communicator in the
 context; this is the evaluator the ThreadBackend runs on every rank, and
@@ -26,24 +32,30 @@ def iter_batches(
     plan: Plan, ctx: Optional[ExecContext] = None, params: Optional[dict] = None
 ) -> Iterator[pd.DataFrame]:
     ctx = _prepare(ctx, params)
-    consumers = plan.consumer_counts()
-    cache: Dict[SubOperator, List[pd.DataFrame]] = {}
+    return _stream(plan.root, ctx, plan.consumer_counts(), {})
 
-    def stream(op: SubOperator) -> Iterator[pd.DataFrame]:
-        if consumers[op] > 1:
-            if op not in cache:
-                cache[op] = list(generate(op))
-            return iter(cache[op])
-        return generate(op)
 
-    def generate(op: SubOperator) -> Iterator[pd.DataFrame]:
-        ups = [stream(u) for u in op.upstreams]
-        gen = op.batches(ctx, ups)
-        if ctx.profiler is not None:
-            gen = ctx.profiler.wrap(op, gen)
-        return gen
+Consumers = Dict[SubOperator, int]
+Cache = Dict[SubOperator, List[pd.DataFrame]]
 
-    return stream(plan.root)
+
+# Module-level functions rather than nested closures: two closures calling
+# each other form a reference cycle that would keep the context (and with it
+# a finished cluster's windows) and the cache alive until the cyclic GC runs.
+def _stream(op: SubOperator, ctx: ExecContext, consumers: Consumers, cache: Cache) -> Iterator[pd.DataFrame]:
+    if consumers[op] > 1:
+        if op not in cache:
+            cache[op] = list(_generate(op, ctx, consumers, cache))
+        return iter(cache[op])
+    return _generate(op, ctx, consumers, cache)
+
+
+def _generate(op: SubOperator, ctx: ExecContext, consumers: Consumers, cache: Cache) -> Iterator[pd.DataFrame]:
+    ups = [_stream(u, ctx, consumers, cache) for u in op.upstreams]
+    gen = op.batches(ctx, ups)
+    if ctx.profiler is not None:
+        gen = ctx.profiler.wrap(op, gen)
+    return gen
 
 
 def run_to_pdf(

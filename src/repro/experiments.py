@@ -94,9 +94,11 @@ def table1_rows() -> List[dict]:
 # ---------------------------------------------------------------------------
 
 def fig6a_breakdown(n_rows: int = 1 << 21, machines: Sequence[int] = (4, 8)) -> List[dict]:
-    """Fixed-cost pandas overhead amortizes with size: at >=2**21 rows/side
-    the modular plan lands in the paper's 12-28 % overhead band (measured
-    1.26x at 2**22); below that, per-operator constants dominate."""
+    """Per-phase seconds (average per rank) of the monolithic join, the
+    isolated-operator model and the full modular plan. Both joins call the
+    same kernels (``repro.core.radix``), so the modular plan's extra time
+    is its per-invocation overhead, which shrinks relative to the data
+    work as ``n_rows`` grows."""
     rows: List[dict] = []
     for m in machines:
         cfg = JoinConfig(n_net=m, loc_bits=4, compress=True, p_bits=27)

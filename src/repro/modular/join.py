@@ -49,12 +49,13 @@ def _split_word_map(spec, value_field: str) -> Map:
     bits and the value (the probe key inside one network partition)."""
 
     def batch(pdf: pd.DataFrame) -> pd.DataFrame:
-        w = pdf[spec.out_field].to_numpy().astype(np.uint64)
+        w = pdf[spec.out_field].to_numpy().astype(np.uint64, copy=False)
         return pd.DataFrame(
             {
-                "k_hi": (w >> np.uint64(spec.p_bits)).astype(np.int64),
-                value_field: (w & np.uint64((1 << spec.p_bits) - 1)).astype(np.int64),
-            }
+                "k_hi": (w >> np.uint64(spec.p_bits)).astype(np.int64, copy=False),
+                value_field: (w & np.uint64((1 << spec.p_bits) - 1)).astype(np.int64, copy=False),
+            },
+            copy=False,
         )
 
     def row(t: dict) -> dict:
@@ -102,10 +103,10 @@ def join_inner2_plan(
             return {cfg.key: k, **{c: t[c] for c in t if c != "k_hi"}}
 
         def batch_fn(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
-            k = (pdf["k_hi"].to_numpy().astype(np.int64) << spec.f_bits) | int(p[pid_field])
+            k = (pdf["k_hi"].to_numpy().astype(np.int64, copy=False) << spec.f_bits) | int(p[pid_field])
             cols = {cfg.key: k}
-            cols.update({c: pdf[c] for c in pdf.columns if c != "k_hi"})
-            return pd.DataFrame(cols)
+            cols.update({c: pdf[c].to_numpy() for c in pdf.columns if c != "k_hi"})
+            return pd.DataFrame(cols, copy=False)
 
         out = ParametrizedMap(param, out, row_fn=row_fn, batch_fn=batch_fn, declared_type=typ)
 

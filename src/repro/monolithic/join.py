@@ -28,19 +28,11 @@ from repro.mpi.simcluster import Comm, SimCluster
 
 
 def _np_hash_join(bk, bv, pk, pv):
-    """Fused sort/searchsorted equi-join over raw arrays (duplicates in the
-    build side supported); returns (keys, build values, probe values)."""
-    order = np.argsort(bk, kind="stable")
-    bks, bvs = bk[order], bv[order]
-    lo = np.searchsorted(bks, pk, "left")
-    hi = np.searchsorted(bks, pk, "right")
-    cnt = hi - lo
-    probe_idx = np.repeat(np.arange(len(pk)), cnt)
-    total = int(cnt.sum())
-    start = np.repeat(lo, cnt)
-    step = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    build_idx = start + step
-    return pk[probe_idx], bvs[build_idx], pv[probe_idx]
+    """Fused equi-join over raw arrays (duplicates on both sides supported)
+    on the shared sort-merge kernel; returns (keys, build values, probe
+    values)."""
+    bi, pi = radix.join_indices(bk, pk)
+    return pk[pi], bv[bi], pv[pi]
 
 
 def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, spec):
@@ -65,7 +57,7 @@ def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, 
     for p in range(n):
         rows = scattered[p]
         if len(rows[0]):
-            pdf = pd.DataFrame(dict(zip(cols, rows)))
+            pdf = pd.DataFrame(dict(zip(cols, rows)), copy=False)
             comm.put(win, int(owners[p]), int(base[p] + offsets[p]), pdf)
     comm.fence(win)
     out = []
@@ -154,7 +146,8 @@ def _rank_join(comm: Comm, inputs, cfg: JoinConfig) -> Tuple[pd.DataFrame, Dict[
             "k": np.concatenate([o[0] for o in outs]) if outs else np.array([], np.int64),
             "vr": np.concatenate([o[1] for o in outs]) if outs else np.array([], np.int64),
             "vs": np.concatenate([o[2] for o in outs]) if outs else np.array([], np.int64),
-        }
+        },
+        copy=False,
     )
     t["materialize"] = perf_counter() - t0
     return result, t

@@ -11,9 +11,14 @@ Faithful to the MPI-3 RMA subset the paper uses (Section 2):
 * ``allreduce_sum`` / ``exscan_sum`` / ``allgather`` back MPI_Allreduce /
   MPI_Exscan / MPI_Allgather.
 
-Ranks are Python threads (numpy releases the GIL for bulk work). Per-rank
-statistics (bytes put, puts, windows, collective calls) feed the
-network-volume accounting of the experiments.
+Ranks are Python threads. They run in parallel only inside native calls
+that release the GIL, such as ``np.sort``, ufunc arithmetic, fancy indexing
+and the stable radix sort of 8/16-bit ids. Work that holds the GIL
+serializes the ranks: Python code, pandas frame construction, and in numpy
+1.26 the SIMD ``argsort`` and ``np.repeat``. The shared kernels in
+``repro.core.radix`` are written to that rule. Per-rank statistics (bytes
+put, puts, windows, collective calls) feed the network-volume accounting of
+the experiments.
 """
 from __future__ import annotations
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the modular distributed join (Fig. 3) on the
-simulated MPI cluster: result equality against a pandas reference join."""
+simulated MPI cluster: result equality against a pandas reference join
+and against DuckDB."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -46,6 +48,27 @@ def test_multiplicity_join():
     out, _ = run_join(r, s, 2, cfg)
     expect = reference_join(r, s)
     assert len(out) == len(expect)
+    pd.testing.assert_frame_equal(
+        sorted_frame(out, ["k", "vr", "vs"]), sorted_frame(expect, ["k", "vr", "vs"])
+    )
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_duplicate_heavy_keys_match_duckdb(compress):
+    # 8 keys x 64 rows in R against 16 keys x 32 rows in S: every
+    # BuildProbe sees long runs of equal keys on both sides
+    r = dense_kv_pdf(1 << 9, value_field="vr", multiplicity=64, seed=15)
+    s = dense_kv_pdf(1 << 9, value_field="vs", multiplicity=32, seed=16)
+    cfg = JoinConfig(n_net=4, loc_bits=2, compress=compress, p_bits=16)
+    out, _ = run_join(r, s, 4, cfg)
+    con = duckdb.connect()
+    try:
+        con.register("R", r)
+        con.register("S", s)
+        expect = con.execute("SELECT R.k, vr, vs FROM R JOIN S ON R.k = S.k").fetchdf()
+    finally:
+        con.close()
+    assert len(out) == 8 * 64 * 32
     pd.testing.assert_frame_equal(
         sorted_frame(out, ["k", "vr", "vs"]), sorted_frame(expect, ["k", "vr", "vs"])
     )

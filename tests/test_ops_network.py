@@ -141,6 +141,23 @@ class TestMpiExchange:
         _, c_comp = self.run_exchange(2, 4, data, compression=spec)
         assert c_comp.total_bytes_put() * 2 == c_plain.total_bytes_put()
 
+    def test_histogram_disagreeing_with_pids_raises(self):
+        # the local histogram buckets by k // 4 % 4, the exchange by k % 4
+        data = source("T")
+        lh = LocalHistogram(
+            data, 4,
+            bucket_fn=lambda t: t["k"] // 4 % 4,
+            bucket_batch_fn=lambda pdf: (pdf["k"] // 4 % 4).to_numpy(),
+        )
+        ex = MpiExchange(
+            data, lh, MpiHistogram(lh, 4), 4,
+            bucket_fn=lambda t: t["k"] % 4,
+            bucket_batch_fn=lambda pdf: (pdf["k"] % 4).to_numpy(),
+        )
+        T = pd.DataFrame({"k": np.arange(8), "v": np.arange(8)})
+        with pytest.raises(RuntimeError, match=r"local histogram \[4, 4, 0, 0\] does not match"):
+            vectorized.run_rows(Plan(ex), params=params_of(T=T))
+
     def test_fanout_mismatch_rejected(self):
         spec = CompressionSpec(p_bits=20, f_bits=2)
         with pytest.raises(ValueError, match="fan-out"):
