@@ -2,9 +2,9 @@
 
 This package implements the paper's contribution: a set of fine-grained,
 composable sub-operators (Volcano-style iterators over tuples whose fields
-may be atoms or nested collections), a plan DAG with pipeline cutting, a
-row-at-a-time reference interpreter, a vectorized batch evaluator (the
-JIT-compilation analogue), and a lowering of distributed plans onto Spark
+may be atoms or nested collections), a plan DAG with pipeline cutting, one
+batch evaluator (the JIT-compilation analogue; at one tuple per batch it
+is the per-tuple engine), and a lowering of distributed plans onto Spark
 (Catalyst) stages.
 """
 from repro.core.types import (  # noqa: F401

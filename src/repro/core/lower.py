@@ -33,14 +33,15 @@ Everything else is platform-agnostic and reused verbatim:
   ``cogroup().applyInPandas`` (two sides), ``groupBy().applyInPandas``
   (one side) or a tagged union (N-ary join sequences); the pandas UDF runs
   the *actual nested sub-operator plan* through the vectorized evaluator;
-* post-aggregation ``ReduceByKey``/``Reduce`` with native hints lower to
-  Catalyst aggregates; residual driver-side post-processing runs the
+* post-aggregation ``ReduceByKey``/``Reduce`` lower their aggregate specs
+  to Catalyst aggregates; residual driver-side post-processing runs the
   operators' own kernels on the collected (small) result, exactly like the
   paper's driver.
 
-``engine='interpreted'`` executes the same plan row-at-a-time through the
-Volcano interpreter inside the same stages — the generic-interpreted-engine
-baseline (the Presto stand-in).
+``batch_size`` is the evaluator's scan batch size in every stage (None: a
+whole partition per batch). At ``batch_size=1`` the same kernels dispatch
+one tuple per batch, which is the generic per-tuple engine baseline (the
+Presto stand-in).
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core import interp, vectorized
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core import vectorized
+from repro.core.ops.base import ExecContext, SubOperator, bucket_ids, concat_batches
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
 from repro.core.ops.orchestration import NestedMap, ParameterLookup
@@ -89,6 +90,8 @@ class Lowered:
     schema: T.StructType
     #: post ops (rank- then driver-level) still to apply, application order
     post_ops: List[SubOperator] = field(default_factory=list)
+    #: the evaluator's scan batch size, also for the residual post ops
+    batch_size: Optional[int] = None
 
     @property
     def histograms(self) -> List[DataFrame]:
@@ -99,8 +102,8 @@ class Lowered:
 
     def result(self) -> DataFrame:
         """Apply the lowered post-aggregation chain and return the final
-        DataFrame (Catalyst aggregates where hinted, driver kernels for the
-        residual small post-processing)."""
+        DataFrame (Catalyst aggregates for aggregate specs, the operators'
+        kernels on the collected result for the residual post-processing)."""
         df = self.inner
         pending = list(self.post_ops)
         while pending:
@@ -111,9 +114,7 @@ class Lowered:
             df = lowered
             pending.pop(0)
         if pending:
-            pdf = df.toPandas()
-            for op in pending:
-                pdf = _apply_chain([op], pdf, "vectorized")
+            pdf = _apply_chain(pending, df.toPandas(), self.batch_size)
             # createDataFrame matches pandas columns to the schema by position
             pdf = pdf.reindex(columns=self.schema.fieldNames())
             df = self.spark.createDataFrame(pdf, schema=self.schema)
@@ -124,7 +125,7 @@ def lower_distributed_plan(
     spark: SparkSession,
     plan: Plan,
     relations: Dict[str, DataFrame],
-    engine: str = "vectorized",
+    batch_size: Optional[int] = None,
 ) -> Lowered:
     """Compile a canonical distributed plan (see ``repro.modular``) into
     Spark stages over the given input DataFrames.
@@ -132,9 +133,8 @@ def lower_distributed_plan(
     Every schema comes from the plan's static types, seeded with the input
     relations' Spark schemas, so lowering runs no Spark job. A type the
     plan cannot infer (a ``Map`` without ``declared_type``) on the lowered
-    path raises ``TypeError`` naming the operator."""
-    if engine not in ("vectorized", "interpreted"):
-        raise ValueError(f"unknown engine {engine!r}")
+    path raises ``TypeError`` naming the operator. ``batch_size`` is the
+    evaluator's scan batch size in every stage (1: per-tuple dispatch)."""
     me, driver_ops = _split_top(plan)
     rank_plan = me.nested_plan
     nm1, exchanges, rank_ops = _split_rank(rank_plan)
@@ -155,11 +155,13 @@ def lower_distributed_plan(
     for ex, (pre_ops, rel_name) in zip(exchanges, chains):
         wire = _collection(_require(rank_plan, types, ex), ex.data_field)
         schema = _struct(wire, T.StructField("__pid", T.LongType()))
-        fn = _make_pre_fn(pre_ops, ex, engine)
+        fn = _make_pre_fn(pre_ops, ex, batch_size)
         pre_dfs.append(relations[rel_name].mapInPandas(fn, schema=schema))
 
     nested_schema = _struct(_collection(_require(rank_plan, types, nm1), inner_field))
-    inner_df = _lower_nested(spark, pre_dfs, exchanges, inner_plan, inner_field, nested_schema, engine)
+    inner_df = _lower_nested(
+        spark, pre_dfs, exchanges, inner_plan, inner_field, nested_schema, batch_size
+    )
 
     # the driver plan reads the per-rank inputs as one collection field
     top_param = TupleType([(me.upstreams[0].field, RowVectorType(rank_param))])
@@ -170,6 +172,7 @@ def lower_distributed_plan(
         inner=inner_df,
         schema=_struct(result_type),
         post_ops=rank_ops + driver_ops,
+        batch_size=batch_size,
     )
 
 
@@ -177,10 +180,10 @@ def run_distributed_on_spark(
     spark: SparkSession,
     plan: Plan,
     relations: Dict[str, DataFrame],
-    engine: str = "vectorized",
+    batch_size: Optional[int] = None,
 ) -> DataFrame:
     """One-call convenience: lower and produce the final DataFrame."""
-    return lower_distributed_plan(spark, plan, relations, engine).result()
+    return lower_distributed_plan(spark, plan, relations, batch_size).result()
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +317,18 @@ def _root_field(inner_plan: Plan) -> str:
 # kernels
 # ---------------------------------------------------------------------------
 
-def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, engine: str) -> pd.DataFrame:
-    """Run a linear chain of single-input operators over one batch, either
-    vectorized (batch kernels) or interpreted (row-at-a-time)."""
-    ctx = ExecContext()
-    if engine == "interpreted":
-        rows: list = list(RowVector(pdf).iter_rows())
-        for op in ops:
-            rows = list(op.rows(ctx, [iter(rows)]))
-        return pd.DataFrame(rows) if rows else pdf.iloc[:0]
-    batches = [pdf]
+def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, batch_size: Optional[int]) -> pd.DataFrame:
+    """Run a linear chain of single-input operators over ``pdf``, scanned
+    in batches of ``batch_size`` tuples, as ``RowScan`` would."""
+    ctx = ExecContext(batch_size=batch_size)
+    batches = list(RowVector(pdf).batches(batch_size))
     for op in ops:
         batches = list(op.batches(ctx, [iter(batches)]))
     return concat_batches(batches, columns=pdf.columns)
 
 
 def _pid_and_compress(out: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:
-    if ex.bucket_batch_fn is not None:
-        pids = np.asarray(ex.bucket_batch_fn(out))
-    else:
-        pids = np.fromiter(
-            (ex.bucket_fn(t) for t in RowVector(out).iter_rows()), dtype=np.int64, count=len(out)
-        )
+    pids = bucket_ids(ex.bucket_fn, out)
     if ex.compression is not None:
         out = ex.compression.compress_pdf(out)
         # Spark has no unsigned 64-bit type; reinterpret as signed on the wire.
@@ -345,10 +338,10 @@ def _pid_and_compress(out: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:
     return out
 
 
-def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str) -> Callable:
+def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, batch_size: Optional[int]) -> Callable:
     def fn(iterator):
         for pdf in iterator:
-            out = _apply_chain(pre_ops, pdf, engine)
+            out = _apply_chain(pre_ops, pdf, batch_size)
             if len(out):
                 yield _pid_and_compress(out, ex)
 
@@ -368,7 +361,7 @@ def _run_inner(
     inner_field: str,
     pid: int,
     sides: Sequence[Tuple[MpiExchange, pd.DataFrame]],
-    engine: str,
+    batch_size: Optional[int],
 ) -> pd.DataFrame:
     """Execute the nested plan for one network partition, exactly as
     NestedMap would, and return the flattened materialized result."""
@@ -376,8 +369,7 @@ def _run_inner(
     for ex, pdf in sides:
         params[ex.pid_field] = pid
         params[ex.data_field] = RowVector(_decompress_wire(pdf, ex))
-    runner = interp.run_rows if engine == "interpreted" else vectorized.run_rows
-    out = runner(inner_plan, params=params)
+    out = vectorized.run_rows(inner_plan, ExecContext(batch_size=batch_size), params)
     if len(out) != 1:
         raise RuntimeError(f"nested plan produced {len(out)} tuples, expected 1")
     return out[0][inner_field].df
@@ -390,7 +382,7 @@ def _lower_nested(
     inner_plan: Plan,
     inner_field: str,
     schema,
-    engine: str,
+    batch_size: Optional[int],
 ) -> DataFrame:
     out_cols = [f.name for f in schema.fields]
 
@@ -403,7 +395,7 @@ def _lower_nested(
         def gfn(key, pdf):
             return finish(
                 _run_inner(inner_plan, inner_field, int(key[0]),
-                           [(ex, pdf.drop(columns="__pid"))], engine)
+                           [(ex, pdf.drop(columns="__pid"))], batch_size)
             )
 
         return pre_dfs[0].groupBy("__pid").applyInPandas(gfn, schema=schema)
@@ -416,7 +408,7 @@ def _lower_nested(
                 _run_inner(
                     inner_plan, inner_field, int(key[0]),
                     [(ex_l, lpdf.drop(columns="__pid")), (ex_r, rpdf.drop(columns="__pid"))],
-                    engine,
+                    batch_size,
                 )
             )
 
@@ -448,7 +440,7 @@ def _lower_nested(
         for i, ex in enumerate(exchanges):
             part = pdf[pdf["__side"] == i][side_cols[i]].reset_index(drop=True)
             sides.append((ex, part))
-        return finish(_run_inner(inner_plan, inner_field, int(key[0]), sides, engine))
+        return finish(_run_inner(inner_plan, inner_field, int(key[0]), sides, batch_size))
 
     return union.groupBy("__pid").applyInPandas(nfn, schema=schema)
 
@@ -460,12 +452,9 @@ def _lower_nested(
 def _lower_post_native(df: DataFrame, op: SubOperator) -> Optional[DataFrame]:
     """Lower one post op to a native Catalyst node; None = not lowerable
     (the caller falls back to driver-side kernels)."""
-    if isinstance(op, ReduceByKey) and op.agg_spec and all(a in _NATIVE_AGGS for a in op.agg_spec.values()):
-        aggs = [_NATIVE_AGGS[a](c).alias(c) for c, a in op.agg_spec.items()]
-        return df.groupBy(*op.keys).agg(*aggs)
-    if isinstance(op, Reduce) and op.agg_spec and all(a in _NATIVE_AGGS for a in op.agg_spec.values()):
-        aggs = [_NATIVE_AGGS[a](c).alias(c) for c, a in op.agg_spec.items()]
-        return df.agg(*aggs)
+    if isinstance(op, (Reduce, ReduceByKey)):
+        aggs = [_NATIVE_AGGS[a](c).alias(c) for c, a in op.aggs.items()]
+        return df.groupBy(*op.keys).agg(*aggs) if isinstance(op, ReduceByKey) else df.agg(*aggs)
     if isinstance(op, Projection):
         return df.select(*op.fields)
     return None

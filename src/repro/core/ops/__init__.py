@@ -6,14 +6,15 @@ Four categories:
 * data processing — ``Map``, ``ParametrizedMap``, ``Projection``,
   ``CartesianProduct``, ``Filter``, ``Reduce``, ``ReduceByKey``, ``Zip``,
   ``LocalHistogram``, ``BuildProbe``
-* network — ``MpiExecutor``, ``MpiHistogram``, ``MpiExchange``,
-  ``MpiBroadcast``
+* network — ``MpiExecutor``, ``MpiHistogram``, ``MpiExchange``
 * materialize & scan — ``LocalPartitioning``, ``RowScan``,
   ``MaterializeRowVector``
 
-Every operator implements row-at-a-time semantics (``rows``) and/or a
-vectorized batch path (``batches``); network operators are batch-only and
-require an MPI-style communicator in the execution context.
+Every operator has one execution semantics, its batch kernel
+(``batches``); user code enters each as one callable over a batch, or an
+aggregate spec. Network operators require an MPI-style communicator in the
+execution context. Every operator exported here is used by at least one
+plan in ``repro.modular`` or ``repro.queries``.
 """
 from repro.core.ops.base import ExecContext, SubOperator  # noqa: F401
 from repro.core.ops.orchestration import NestedMap, ParameterLookup  # noqa: F401
@@ -30,7 +31,6 @@ from repro.core.ops.processing import (  # noqa: F401
     Zip,
 )
 from repro.core.ops.network import (  # noqa: F401
-    MpiBroadcast,
     MpiExchange,
     MpiExecutor,
     MpiHistogram,

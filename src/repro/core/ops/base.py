@@ -1,18 +1,17 @@
 """Sub-operator base class and execution context.
 
 Sub-operators follow the Volcano iterator model extended with nested
-collections (paper Section 3.2). Two data paths exist:
-
-* ``rows(ctx, ups)``  — row-at-a-time: iterators of ``dict`` tuples. This is
-  the reference semantics and the engine of the interpreted (Presto-like)
-  baseline.
-* ``batches(ctx, ups)`` — vectorized: iterators of pandas DataFrames. This
-  is the reproduction's analogue of the paper's JIT-compiled pipelines: the
-  per-tuple interpretation overhead disappears from inner loops.
+collections (paper Section 3.2), over pandas DataFrame batches: each
+operator's ``batches(ctx, ups)`` kernel is its one execution semantics.
+This is the reproduction's analogue of the paper's JIT-compiled pipelines,
+which remove the per-tuple interpretation overhead from inner loops.
+``ExecContext.batch_size`` bounds the batches that scans emit; at one
+tuple per batch the same kernels run as a per-tuple engine (the Presto
+stand-in).
 
 Operators are composed into a DAG via their ``upstreams`` list; the
-evaluators in ``repro.core.interp`` / ``repro.core.vectorized`` drive the
-iteration and handle multi-consumer materialization (pipeline cutting).
+evaluator in ``repro.core.vectorized`` drives the iteration and handles
+multi-consumer materialization (pipeline cutting).
 """
 from __future__ import annotations
 
@@ -31,17 +30,17 @@ class ExecContext:
 
     ``params`` backs ``ParameterLookup`` inside nested plans; ``comm`` is the
     MPI-style communicator required by network operators (None for local
-    plans); ``run_nested_*`` are evaluator callbacks so orchestration
-    operators can execute nested plans without importing the evaluator
-    (avoids a circular dependency and lets each evaluator nest itself).
+    plans); ``batch_size`` bounds the batches a scan emits (None: a
+    collection is scanned as one batch); ``run_nested`` is the evaluator
+    callback so orchestration operators can execute nested plans without
+    importing the evaluator (avoids a circular dependency).
     """
 
     params: Optional[dict] = None
     comm: Any = None
-    batch_size: int = 65536
+    batch_size: Optional[int] = None
     profiler: Any = None
-    run_nested_rows: Optional[Callable] = None
-    run_nested_batches: Optional[Callable] = None
+    run_nested: Optional[Callable] = None
     extra: dict = field(default_factory=dict)
 
     def child(self, params: dict) -> "ExecContext":
@@ -68,47 +67,15 @@ class SubOperator:
         return None
 
     # -- execution ---------------------------------------------------------
-    def rows(self, ctx: ExecContext, ups: Sequence[Iterator[dict]]) -> Iterator[dict]:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no row-at-a-time implementation"
-        )
-
     def batches(
         self, ctx: ExecContext, ups: Sequence[Iterator[pd.DataFrame]]
     ) -> Iterator[pd.DataFrame]:
         raise NotImplementedError(
-            f"{type(self).__name__} has no vectorized implementation"
+            f"{type(self).__name__} does not implement batches"
         )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}"
-
-
-def rows_to_batches(
-    rows: Iterator[dict], batch_size: int, columns: Optional[Sequence[str]] = None
-) -> Iterator[pd.DataFrame]:
-    """Adapter: chunk a row stream into DataFrame batches."""
-    buf: List[dict] = []
-    emitted = False
-    for r in rows:
-        buf.append(r)
-        if len(buf) >= batch_size:
-            yield pd.DataFrame(buf)
-            emitted = True
-            buf = []
-    if buf:
-        yield pd.DataFrame(buf)
-        emitted = True
-    if not emitted and columns is not None:
-        yield pd.DataFrame(columns=list(columns))
-
-
-def batches_to_rows(batches: Iterator[pd.DataFrame]) -> Iterator[dict]:
-    """Adapter: flatten DataFrame batches into a row-dict stream."""
-    from repro.core.types import RowVector
-
-    for pdf in batches:
-        yield from RowVector(pdf).iter_rows()
 
 
 def concat_batches(batches: Sequence[pd.DataFrame], columns: Optional[Sequence[str]] = None) -> pd.DataFrame:
@@ -137,3 +104,11 @@ def object_column(values: Sequence[Any]) -> np.ndarray:
     for i, v in enumerate(values):
         out[i] = v
     return out
+
+
+def bucket_ids(bucket_fn: Callable[[pd.DataFrame], np.ndarray], pdf: pd.DataFrame) -> np.ndarray:
+    """``bucket_fn(pdf)`` as an array; an empty frame, which may lack the
+    columns ``bucket_fn`` reads, has no ids."""
+    if not len(pdf):
+        return np.empty(0, dtype=np.int64)
+    return np.asarray(bucket_fn(pdf))

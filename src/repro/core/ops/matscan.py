@@ -14,12 +14,13 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches, object_column
+from repro.core.ops.base import SubOperator, bucket_ids, concat_batches, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
 class RowScan(SubOperator):
-    """Reads a nested RowVector collection one tuple at a time.
+    """Reads a nested RowVector collection, in batches of at most
+    ``ExecContext.batch_size`` tuples (one tuple at a time at size 1).
 
     The upstream produces tuples containing a RowVector field (``field``, or
     the single field if omitted); RowScan unnests it — the basic input
@@ -57,14 +58,10 @@ class RowScan(SubOperator):
             raise RuntimeError(f"RowScan field {name!r} does not hold a RowVector")
         return rv
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        for t in ups[0]:
-            yield from self._vector(t).iter_rows()
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for pdf in ups[0]:
             for t in RowVector(pdf).iter_rows():
-                yield self._vector(t).df
+                yield from self._vector(t).batches(ctx.batch_size)
 
 
 class MaterializeRowVector(SubOperator):
@@ -90,9 +87,6 @@ class MaterializeRowVector(SubOperator):
             return None
         return TupleType([(self.field, RowVectorType(in_types[0]))])
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        yield {self.field: RowVector.from_rows(list(ups[0]), columns=self.columns)}
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         pdf = concat_batches(list(ups[0]), columns=self.columns)
         yield pd.DataFrame({self.field: object_column([RowVector(pdf)])}, copy=False)
@@ -115,15 +109,13 @@ class LocalPartitioning(SubOperator):
         data_upstream: SubOperator,
         histogram_upstream: SubOperator,
         n_partitions: int,
-        bucket_fn: Callable[[dict], int],
-        bucket_batch_fn: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
     ) -> None:
         super().__init__([data_upstream, histogram_upstream])
         self.n_partitions = n_partitions
         self.bucket_fn = bucket_fn
-        self.bucket_batch_fn = bucket_batch_fn
         self.pid_field = pid_field
         self.data_field = data_field
 
@@ -146,39 +138,10 @@ class LocalPartitioning(SubOperator):
             )
         return sizes
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        sizes = self._sizes(ups[1])
-        parts: list = [[] for _ in range(self.n_partitions)]
-        columns: Optional[list] = None
-        for t in ups[0]:
-            if columns is None:
-                columns = list(t.keys())
-            parts[self.bucket_fn(t)].append(t)
-        for p in range(self.n_partitions):
-            if len(parts[p]) != sizes[p]:
-                raise RuntimeError(
-                    f"partition {p}: histogram says {sizes[p]} tuples, saw {len(parts[p])}"
-                )
-            yield {
-                self.pid_field: p,
-                self.data_field: RowVector.from_rows(parts[p], columns=columns or []),
-            }
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector as RV
-
-        pdf = concat_batches(list(ups[1]))
-        sizes = self._sizes(RV(pdf).iter_rows())
+        sizes = self._sizes(RowVector(concat_batches(list(ups[1]))).iter_rows())
         data = concat_batches(list(ups[0]))
-        if self.bucket_batch_fn is not None and len(data):
-            pids = np.asarray(self.bucket_batch_fn(data))
-        else:
-            pids = np.fromiter(
-                (self.bucket_fn(t) for t in RV(data).iter_rows()),
-                dtype=np.int64,
-                count=len(data),
-            )
-        frames = radix.scatter(data, pids, self.n_partitions)
+        frames = radix.scatter(data, bucket_ids(self.bucket_fn, data), self.n_partitions)
         for p, f in enumerate(frames):
             if len(f) != sizes[p]:
                 raise RuntimeError(

@@ -10,13 +10,13 @@ exchange) — same plan, different platform, which is the paper's whole point.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import pandas as pd
 
 from repro.core.compression import CompressionSpec
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches, object_column
+from repro.core.ops.base import ExecContext, SubOperator, bucket_ids, concat_batches, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -51,8 +51,7 @@ class MpiExecutor(SubOperator):
         ctx.extra["last_cluster"] = cluster  # exposes network stats to harnesses
 
         def rank_main(comm, param):
-            out = ctx.run_nested_batches(self.nested_plan, ctx.child(param).with_comm(comm))
-            out = list(out)
+            out = list(ctx.run_nested(self.nested_plan, ctx.child(param).with_comm(comm)))
             if len(out) != 1:
                 raise RuntimeError(
                     f"nested plan of MpiExecutor must produce exactly one tuple, got {len(out)}"
@@ -90,6 +89,7 @@ class MpiHistogram(SubOperator):
 class MpiExchange(SubOperator):
     """Partitions tuples across ranks through registered RMA windows.
 
+    ``bucket_fn(DataFrame) -> int array`` gives each tuple's partition.
     Consumes (1) this rank's local histogram and (2) the global histogram
     from two dedicated upstreams, computes synchronization-free write
     offsets (region base from the global sizes, intra-region offset from an
@@ -111,8 +111,7 @@ class MpiExchange(SubOperator):
         local_hist_upstream: SubOperator,
         global_hist_upstream: SubOperator,
         n_partitions: int,
-        bucket_fn: Callable[[dict], int],
-        bucket_batch_fn: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
         compression: Optional[CompressionSpec] = None,
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
@@ -124,7 +123,6 @@ class MpiExchange(SubOperator):
             )
         self.n_partitions = n_partitions
         self.bucket_fn = bucket_fn
-        self.bucket_batch_fn = bucket_batch_fn
         self.compression = compression
         self.pid_field = pid_field
         self.data_field = data_field
@@ -147,7 +145,7 @@ class MpiExchange(SubOperator):
         global_hist = _dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
 
         data = concat_batches(list(ups[0]))
-        pids = self._pids(data)
+        pids = bucket_ids(self.bucket_fn, data)
         if self.compression is not None:
             data = self.compression.compress_pdf(data)
 
@@ -191,57 +189,6 @@ class MpiExchange(SubOperator):
             },
             copy=False,
         )
-
-    def _pids(self, data: pd.DataFrame) -> np.ndarray:
-        if self.bucket_batch_fn is not None and len(data):
-            return np.asarray(self.bucket_batch_fn(data))
-        return np.fromiter(
-            (self.bucket_fn(t) for t in RowVector(data).iter_rows()),
-            dtype=np.int64,
-            count=len(data),
-        )
-
-
-class MpiBroadcast(SubOperator):
-    """Sends all tuples from upstream to every rank via the same
-    histogram-offset window protocol as MpiExchange (n_buckets = 1), and
-    returns the gathered tuples directly (no partition id)."""
-
-    op_name = "MB"
-    phase = "network_partitioning"
-
-    def __init__(
-        self,
-        data_upstream: SubOperator,
-        local_hist_upstream: SubOperator,
-        global_hist_upstream: SubOperator,
-    ) -> None:
-        super().__init__([data_upstream, local_hist_upstream, global_hist_upstream])
-
-    def out_type(self, in_types) -> Optional[TupleType]:
-        return in_types[0]
-
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        from repro.mpi.simcluster import LocalComm
-
-        comm = ctx.comm or LocalComm()
-        local_total = int(_dense_counts(concat_batches(list(ups[1])), 1, "MpiBroadcast local")[0])
-        global_total = int(
-            _dense_counts(concat_batches(list(ups[2])), 1, "MpiBroadcast global")[0]
-        )
-        data = concat_batches(list(ups[0]))
-        if len(data) != local_total:
-            raise RuntimeError(
-                f"MpiBroadcast local histogram says {local_total} tuples, saw {len(data)}"
-            )
-        dtypes = {c: data[c].dtype for c in data.columns}
-        win = comm.win_create(global_total, list(data.columns), dtypes=dtypes)
-        offset = int(comm.exscan_sum(np.array([local_total]))[0])
-        if len(data):
-            for r in range(comm.size):
-                comm.put(win, r, offset, data)
-        comm.fence(win)
-        yield win.local_frame(comm.rank, 0, global_total)
 
 
 def _dense_counts(pdf: pd.DataFrame, n: int, who: str) -> np.ndarray:

@@ -6,12 +6,12 @@ sub-operators can be reused at any nesting level.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import pandas as pd
 
 from repro.core.ops.base import ExecContext, SubOperator, object_column
-from repro.core.types import TupleType
+from repro.core.types import RowVector, TupleType
 
 
 class ParameterLookup(SubOperator):
@@ -29,11 +29,6 @@ class ParameterLookup(SubOperator):
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.declared_type
-
-    def rows(self, ctx: ExecContext, ups) -> Iterator[dict]:
-        if ctx.params is None:
-            raise RuntimeError("ParameterLookup evaluated without plan parameters")
-        yield dict(ctx.params)
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
         if ctx.params is None:
@@ -59,19 +54,12 @@ class NestedMap(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.nested_plan.out_type(param_type=in_types[0])
 
-    def rows(self, ctx: ExecContext, ups) -> Iterator[dict]:
-        for t in ups[0]:
-            out = ctx.run_nested_rows(self.nested_plan, ctx.child(t))
-            yield _single(out, self)
-
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
         for pdf in ups[0]:
-            outs = []
-            for t in RowVector(pdf).iter_rows():
-                out = ctx.run_nested_batches(self.nested_plan, ctx.child(t))
-                outs.append(_single(out, self))
+            outs = [
+                _single(ctx.run_nested(self.nested_plan, ctx.child(t)), self)
+                for t in RowVector(pdf).iter_rows()
+            ]
             if outs:
                 yield pd.DataFrame(
                     {k: object_column([o[k] for o in outs]) for k in outs[0]}, copy=False

@@ -1,8 +1,8 @@
 """Data-processing sub-operators (paper Section 3.3.2).
 
-These express the computations inside inner loops. Each operator implements
-the row-at-a-time reference path and, where it matters for performance, a
-vectorized batch path over pandas/numpy (the JIT analogue).
+These express the computations inside inner loops. Each operator's one
+semantics is its batch kernel over pandas/numpy (the JIT analogue); user
+code enters as one callable per operator, over a whole batch.
 """
 from __future__ import annotations
 
@@ -12,51 +12,39 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
-from repro.core.types import TupleType
+from repro.core.ops.base import SubOperator, concat_batches
+from repro.core.types import INT64, RowVector, TupleType
 
 
 class Map(SubOperator):
-    """Applies a function to every input tuple.
-
-    ``row_fn(tuple) -> tuple`` defines semantics; an optional
-    ``batch_fn(DataFrame) -> DataFrame`` provides the vectorized kernel
-    (falls back to applying ``row_fn`` per row).
-    """
+    """Applies a function to every input tuple: ``fn(DataFrame) ->
+    DataFrame`` maps a batch of tuples to the batch of their images."""
 
     op_name = "MP"
 
     def __init__(
         self,
         upstream: SubOperator,
-        row_fn: Callable[[dict], dict],
-        batch_fn: Optional[Callable[[pd.DataFrame], pd.DataFrame]] = None,
+        fn: Callable[[pd.DataFrame], pd.DataFrame],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([upstream])
-        self.row_fn = row_fn
-        self.batch_fn = batch_fn
+        self.fn = fn
         self.declared_type = declared_type
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.declared_type
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        for t in ups[0]:
-            yield self.row_fn(t)
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for pdf in ups[0]:
-            if self.batch_fn is not None:
-                yield self.batch_fn(pdf)
-            else:
-                yield _apply_rowwise(pdf, self.row_fn)
+            yield self.fn(pdf)
 
 
 class ParametrizedMap(SubOperator):
     """Map that additionally receives one parameter tuple from a second
     upstream, passed to every function call (used e.g. to restore bits
-    dropped by the exchange compression)."""
+    dropped by the exchange compression): ``fn(DataFrame, dict) ->
+    DataFrame``."""
 
     op_name = "PM"
 
@@ -64,41 +52,24 @@ class ParametrizedMap(SubOperator):
         self,
         param_upstream: SubOperator,
         data_upstream: SubOperator,
-        row_fn: Callable[[dict, dict], dict],
-        batch_fn: Optional[Callable[[pd.DataFrame, dict], pd.DataFrame]] = None,
+        fn: Callable[[pd.DataFrame, dict], pd.DataFrame],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([param_upstream, data_upstream])
-        self.row_fn = row_fn
-        self.batch_fn = batch_fn
+        self.fn = fn
         self.declared_type = declared_type
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.declared_type
 
-    def _param_rows(self, it) -> dict:
-        params = list(it)
+    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
+        params = list(RowVector(concat_batches(list(ups[0]))).iter_rows())
         if len(params) != 1:
             raise RuntimeError(
                 f"ParametrizedMap expects exactly one parameter tuple, got {len(params)}"
             )
-        return params[0]
-
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        param = self._param_rows(ups[0])
-        for t in ups[1]:
-            yield self.row_fn(t, param)
-
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
-        param_pdf = concat_batches(list(ups[0]))
-        param = self._param_rows(RowVector(param_pdf).iter_rows())
         for pdf in ups[1]:
-            if self.batch_fn is not None:
-                yield self.batch_fn(pdf, param)
-            else:
-                yield _apply_rowwise(pdf, lambda t: self.row_fn(t, param))
+            yield self.fn(pdf, params[0])
 
 
 class Projection(SubOperator):
@@ -112,10 +83,6 @@ class Projection(SubOperator):
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0].project(self.fields) if in_types[0] is not None else None
-
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        for t in ups[0]:
-            yield {f: t[f] for f in self.fields}
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for pdf in ups[0]:
@@ -136,13 +103,6 @@ class CartesianProduct(SubOperator):
             return None
         return in_types[0].concat(in_types[1])
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        left = list(ups[0])
-        for r in ups[1]:
-            for l in left:
-                _check_distinct(l, r)
-                yield {**l, **r}
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         left = concat_batches(list(ups[0]))
         for right in ups[1]:
@@ -158,153 +118,79 @@ class CartesianProduct(SubOperator):
 
 
 class Filter(SubOperator):
-    """Relational selection: keeps tuples satisfying a predicate."""
+    """Relational selection: keeps tuples satisfying a predicate,
+    ``pred(DataFrame) -> bool array``."""
 
     op_name = "FL"
 
     def __init__(
-        self,
-        upstream: SubOperator,
-        row_pred: Callable[[dict], bool],
-        batch_pred: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        self, upstream: SubOperator, pred: Callable[[pd.DataFrame], np.ndarray]
     ) -> None:
         super().__init__([upstream])
-        self.row_pred = row_pred
-        self.batch_pred = batch_pred
+        self.pred = pred
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0]
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        for t in ups[0]:
-            if self.row_pred(t):
-                yield t
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
         for pdf in ups[0]:
-            if self.batch_pred is not None:
-                mask = np.asarray(self.batch_pred(pdf), dtype=bool)
-            else:
-                mask = np.fromiter(
-                    (bool(self.row_pred(t)) for t in RowVector(pdf).iter_rows()),
-                    dtype=bool,
-                    count=len(pdf),
-                )
-            yield pdf[mask].reset_index(drop=True)
+            yield pdf[np.asarray(self.pred(pdf), dtype=bool)].reset_index(drop=True)
 
 
 class Reduce(SubOperator):
-    """Aggregates all input tuples into one with an associative,
-    commutative combine function ``row_fn(a, b) -> tuple``.
-
-    The optional ``batch_fn(DataFrame) -> tuple`` produces a per-batch
-    partial aggregate; partials are folded with ``row_fn``.
-    """
+    """Aggregates all input tuples into one, with SQL global-aggregate
+    semantics: ``aggs`` maps each output column to 'sum', 'count', 'min' or
+    'max'. It always emits one tuple, even over empty input: 'count' is 0
+    there and the others are NULL (NaN), as over no non-null values."""
 
     op_name = "RD"
 
-    def __init__(
-        self,
-        upstream: SubOperator,
-        row_fn: Callable[[dict, dict], dict],
-        batch_fn: Optional[Callable[[pd.DataFrame], dict]] = None,
-        agg_spec: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def __init__(self, upstream: SubOperator, aggs: Dict[str, str]) -> None:
         super().__init__([upstream])
-        self.row_fn = row_fn
-        self.batch_fn = batch_fn
-        # lowering hint: column -> named aggregate, same as ReduceByKey
-        self.agg_spec = agg_spec
+        self.aggs = _checked(aggs)
 
     def out_type(self, in_types) -> Optional[TupleType]:
-        return in_types[0]
-
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        acc: Optional[dict] = None
-        for t in ups[0]:
-            acc = t if acc is None else self.row_fn(acc, t)
-        if acc is not None:
-            yield acc
+        if in_types[0] is None:
+            return None
+        return TupleType([
+            (c, INT64 if a == "count" else in_types[0].field_type(c)) for c, a in self.aggs.items()
+        ])
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
-        acc: Optional[dict] = None
-        for pdf in ups[0]:
-            if not len(pdf):
-                continue
-            if self.batch_fn is not None:
-                part = self.batch_fn(pdf)
-                acc = part if acc is None else self.row_fn(acc, part)
+        pdf = concat_batches(list(ups[0]))
+        out = {}
+        for c, a in self.aggs.items():
+            col = pdf[c] if c in pdf else pd.Series([], dtype=np.float64)
+            if a == "count":
+                out[c] = [int(col.count())]
             else:
-                for t in RowVector(pdf).iter_rows():
-                    acc = t if acc is None else self.row_fn(acc, t)
-        if acc is not None:
-            yield pd.DataFrame([acc])
+                out[c] = [col.sum(min_count=1) if a == "sum" else getattr(col, a)()]
+        yield pd.DataFrame(out)
 
 
 class ReduceByKey(SubOperator):
-    """Combines all tuples sharing key-field values; the combine function
-    sees tuples with the key fields stripped, and the result is re-augmented
-    with the key (paper semantics). Output tuples keep the input type.
-
-    ``agg_spec`` is an optional vectorization/lowering hint mapping value
-    columns to a named aggregate ('sum', 'count', 'min', 'max'); with it the
-    batch path uses a pandas groupby and the Spark lowering emits a native
-    Catalyst aggregate.
-    """
+    """Combines all tuples sharing key-field values: ``aggs`` maps every
+    other field to 'sum', 'count', 'min' or 'max', and the result is
+    re-augmented with the key (paper semantics). Output tuples keep the
+    input type; empty input has no groups. The Spark lowering emits the
+    same spec as a native Catalyst aggregate."""
 
     op_name = "RK"
 
-    def __init__(
-        self,
-        upstream: SubOperator,
-        keys: Sequence[str],
-        row_fn: Callable[[dict, dict], dict],
-        agg_spec: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def __init__(self, upstream: SubOperator, keys: Sequence[str], aggs: Dict[str, str]) -> None:
         super().__init__([upstream])
         self.keys = list(keys)
-        self.row_fn = row_fn
-        self.agg_spec = agg_spec
+        self.aggs = _checked(aggs)
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0]
-
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        accs: Dict[tuple, dict] = {}
-        order: Optional[List[str]] = None
-        for t in ups[0]:
-            if order is None:
-                order = list(t.keys())
-            k = tuple(t[f] for f in self.keys)
-            val = {f: v for f, v in t.items() if f not in self.keys}
-            if k in accs:
-                accs[k] = self.row_fn(accs[k], val)
-            else:
-                accs[k] = val
-        for k, val in accs.items():
-            out = {**dict(zip(self.keys, k)), **val}
-            yield {f: out[f] for f in order}
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         pdf = concat_batches(list(ups[0]))
         if not len(pdf):
             return
-        order = list(pdf.columns)
-        if self.agg_spec is not None:
-            agg = {c: ("size" if a == "count" else a) for c, a in self.agg_spec.items()}
-            out = pdf.groupby(self.keys, as_index=False, sort=False).agg(agg)
-        else:
-            vals = [c for c in pdf.columns if c not in self.keys]
-            out = (
-                pdf.groupby(self.keys, as_index=False, sort=False)[vals]
-                .apply(lambda g: pd.Series(_fold_rows(g, self.row_fn)))
-                .reset_index(drop=True)
-            )
-        yield out[order]
+        out = pdf.groupby(self.keys, as_index=False, sort=False).agg(self.aggs)
+        yield out[list(pdf.columns)]
 
 
 class Zip(SubOperator):
@@ -324,22 +210,6 @@ class Zip(SubOperator):
             out = out.concat(t)
         return out
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        sentinel = object()
-        iters = [iter(u) for u in ups]
-        while True:
-            parts = [next(it, sentinel) for it in iters]
-            done = [p is sentinel for p in parts]
-            if all(done):
-                return
-            if any(done):
-                raise RuntimeError("Zip upstreams returned different numbers of tuples")
-            out: dict = {}
-            for p in parts:
-                _check_distinct(out, p)
-                out.update(p)
-            yield out
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         mats = [concat_batches(list(u)) for u in ups]
         lengths = {len(m) for m in mats}
@@ -357,7 +227,8 @@ class Zip(SubOperator):
 
 
 class LocalHistogram(SubOperator):
-    """Counts input tuples per bucket; returns a dense, ordered
+    """Counts input tuples per bucket, ``bucket_fn(DataFrame) -> int
+    array``; returns a dense, ordered
     ``<bucket_id, count>`` sequence of exactly ``n_buckets`` tuples (as
     required by MpiExchange)."""
 
@@ -368,53 +239,27 @@ class LocalHistogram(SubOperator):
         self,
         upstream: SubOperator,
         n_buckets: int,
-        bucket_fn: Callable[[dict], int],
-        bucket_batch_fn: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
     ) -> None:
         super().__init__([upstream])
         self.n_buckets = n_buckets
         self.bucket_fn = bucket_fn
-        self.bucket_batch_fn = bucket_batch_fn
 
     def out_type(self, in_types) -> TupleType:
-        from repro.core.types import INT64
-
         return TupleType([("bucket_id", INT64), ("count", INT64)])
-
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        counts = np.zeros(self.n_buckets, dtype=np.int64)
-        for t in ups[0]:
-            b = self.bucket_fn(t)
-            if not 0 <= b < self.n_buckets:
-                raise RuntimeError(f"bucket {b} out of range [0, {self.n_buckets})")
-            counts[b] += 1
-        for b in range(self.n_buckets):
-            yield {"bucket_id": b, "count": int(counts[b])}
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)
         for pdf in ups[0]:
             if not len(pdf):
                 continue
-            ids = np.asarray(self._bucket_ids(pdf))
+            ids = np.asarray(self.bucket_fn(pdf))
             if ids.min() < 0 or ids.max() >= self.n_buckets:
                 raise RuntimeError(f"bucket ids out of range [0, {self.n_buckets})")
             counts += np.bincount(ids, minlength=self.n_buckets)
         yield pd.DataFrame(
             {"bucket_id": np.arange(self.n_buckets, dtype=np.int64), "count": counts}
         )
-
-    def _bucket_ids(self, pdf: pd.DataFrame) -> np.ndarray:
-        from repro.core.types import RowVector
-
-        if self.bucket_batch_fn is not None:
-            return self.bucket_batch_fn(pdf)
-        return np.fromiter(
-            (self.bucket_fn(t) for t in RowVector(pdf).iter_rows()),
-            dtype=np.int64,
-            count=len(pdf),
-        )
-
 
 class BuildProbe(SubOperator):
     """Hash join: builds a hash table over the left upstream keyed by the
@@ -453,31 +298,6 @@ class BuildProbe(SubOperator):
         rest_r = [n for n in rt.names if n not in self.keys]
         return lt.project(self.keys).concat(lt.project(rest_l)).concat(rt.project(rest_r))
 
-    def rows(self, ctx, ups) -> Iterator[dict]:
-        table: Dict[tuple, List[dict]] = {}
-        for t in ups[0]:
-            k = tuple(t[f] for f in self.keys)
-            table.setdefault(k, []).append({f: v for f, v in t.items() if f not in self.keys})
-        for t in ups[1]:
-            k = tuple(t[f] for f in self.keys)
-            hit = k in table
-            if self.join_type == "semi":
-                if hit:
-                    yield t
-            elif self.join_type == "anti":
-                if not hit:
-                    yield t
-            else:
-                rest_r = {f: v for f, v in t.items() if f not in self.keys}
-                if hit:
-                    for rest_l in table[k]:
-                        _check_distinct(rest_l, rest_r)
-                        yield {**dict(zip(self.keys, k)), **rest_l, **rest_r}
-                elif self.join_type == "outer":
-                    first = next(iter(table.values()), [{}])
-                    pad = {f: None for f in (first[0] if first else {})}
-                    yield {**dict(zip(self.keys, k)), **pad, **rest_r}
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         left = concat_batches(list(ups[0]))
         probes = list(ups[1])
@@ -512,26 +332,11 @@ class BuildProbe(SubOperator):
         yield out[self.keys + rest_l + rest_r]
 
 
-def _apply_rowwise(pdf: pd.DataFrame, fn: Callable[[dict], dict]) -> pd.DataFrame:
-    from repro.core.types import RowVector
-
-    rows = [fn(t) for t in RowVector(pdf).iter_rows()]
-    if rows:
-        return pd.DataFrame(rows)
-    return pdf.iloc[:0]
+_AGGS = ("sum", "count", "min", "max")
 
 
-def _fold_rows(pdf: pd.DataFrame, row_fn: Callable[[dict, dict], dict]) -> dict:
-    from repro.core.types import RowVector
-
-    acc: Optional[dict] = None
-    for t in RowVector(pdf).iter_rows():
-        acc = t if acc is None else row_fn(acc, t)
-    assert acc is not None
-    return acc
-
-
-def _check_distinct(a: dict, b: dict) -> None:
-    overlap = set(a) & set(b)
-    if overlap:
-        raise RuntimeError(f"field names must be distinct, overlap: {sorted(overlap)}")
+def _checked(aggs: Dict[str, str]) -> Dict[str, str]:
+    bad = {c: a for c, a in aggs.items() if a not in _AGGS}
+    if bad or not aggs:
+        raise ValueError(f"aggregates must map columns to one of {_AGGS}, got {aggs!r}")
+    return dict(aggs)

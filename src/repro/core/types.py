@@ -143,6 +143,16 @@ class RowVector:
     def columns(self) -> Tuple[str, ...]:
         return tuple(self.df.columns)
 
+    def batches(self, size: Optional[int] = None) -> Iterator[pd.DataFrame]:
+        """The collection as frames of at most ``size`` tuples (None: one
+        frame). An empty collection is one empty frame, so its columns
+        reach the consumer."""
+        if size is None or len(self.df) <= size:
+            yield self.df
+            return
+        for start in range(0, len(self.df), size):
+            yield self.df.iloc[start : start + size].reset_index(drop=True)
+
     def iter_rows(self) -> Iterator[dict]:
         cols = list(self.df.columns)
         arrays = [self.df[c].to_numpy() for c in cols]

@@ -1,6 +1,7 @@
-"""Vectorized batch evaluator — the JIT-compilation analogue.
+"""The evaluator of sub-operator plans — the JIT-compilation analogue.
 
-Executes a sub-operator plan over pandas DataFrame batches. Where the paper
+Executes a sub-operator plan over pandas DataFrame batches; it is the only
+evaluator. Where the paper
 lowers each pipeline to LLVM IR (removing per-tuple function calls from
 inner loops), this evaluator removes the per-tuple Python dispatch by
 running each operator's numpy/pandas kernel over whole batches. The data
@@ -16,6 +17,9 @@ batch on without copying it (kernels never modify a frame they receive).
 Network operators execute here against the MPI-style communicator in the
 context; this is the evaluator the ThreadBackend runs on every rank, and
 the one the Spark lowering embeds inside pandas UDFs for nested plans.
+``ExecContext.batch_size`` sets how many tuples a scan passes per batch:
+None (one batch per collection) for the vectorized engine, 1 for the
+per-tuple Presto stand-in (``repro.engines.presto_sim``).
 """
 from __future__ import annotations
 
@@ -68,7 +72,7 @@ def run_to_pdf(
 def run_rows(
     plan: Plan, ctx: Optional[ExecContext] = None, params: Optional[dict] = None
 ) -> List[dict]:
-    """Execute ``plan`` vectorized but return row dicts (nested-plan hook)."""
+    """Execute ``plan`` and return row dicts (the nested-plan hook)."""
     return list(RowVector(run_to_pdf(plan, ctx, params)).iter_rows())
 
 
@@ -76,10 +80,6 @@ def _prepare(ctx: Optional[ExecContext], params: Optional[dict]) -> ExecContext:
     ctx = ctx or ExecContext()
     if params is not None:
         ctx = ctx.child(params)
-    if ctx.run_nested_batches is None:
-        ctx.run_nested_batches = lambda p, c: run_rows(p, c)
-    if ctx.run_nested_rows is None:
-        from repro.core import interp
-
-        ctx.run_nested_rows = lambda p, c: interp.run_rows(p, c)
+    if ctx.run_nested is None:
+        ctx.run_nested = run_rows
     return ctx

@@ -9,7 +9,7 @@ network partition id. Factoring these out *is* the paper's reuse claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
@@ -65,15 +65,11 @@ class JoinConfig:
         )
 
     # -- partition-id functions (identity hash + radix, as in the paper) ----
-    def net_pid_row(self) -> Callable[[dict], int]:
-        n, key = self.n_net, self.key
-        return lambda t: int(t[key]) % n
-
-    def net_pid_batch(self) -> Callable[[pd.DataFrame], np.ndarray]:
+    def net_pid(self) -> Callable[[pd.DataFrame], np.ndarray]:
         n, key = self.n_net, self.key
         return lambda pdf: (pdf[key].to_numpy() % n).astype(np.int64)
 
-    def loc_pid_batch(self, compressed: bool, value_field: str) -> Callable[[pd.DataFrame], np.ndarray]:
+    def loc_pid(self, compressed: bool, value_field: str) -> Callable[[pd.DataFrame], np.ndarray]:
         """Local radix on the bits above the network bits. On compressed
         data those bits sit just above the value's P bits."""
         mask = self.n_loc - 1
@@ -92,14 +88,6 @@ class JoinConfig:
 
         return fn2
 
-    def loc_pid_row(self, compressed: bool, value_field: str) -> Callable[[dict], int]:
-        batch = self.loc_pid_batch(compressed, value_field)
-
-        def fn(t: dict) -> int:
-            return int(batch(pd.DataFrame([t]))[0])
-
-        return fn
-
 
 def rank_input(field: str) -> RowScan:
     """Per-rank input reader: ParameterLookup -> Projection -> RowScan."""
@@ -114,13 +102,10 @@ def network_partition(
     data_field: str,
 ) -> MpiExchange:
     """The reusable histogram + exchange skeleton of one relation side."""
-    lh = LocalHistogram(
-        data, cfg.n_net, bucket_fn=cfg.net_pid_row(), bucket_batch_fn=cfg.net_pid_batch()
-    )
+    lh = LocalHistogram(data, cfg.n_net, cfg.net_pid())
     gh = MpiHistogram(lh, cfg.n_net)
     return MpiExchange(
-        data, lh, gh, cfg.n_net,
-        bucket_fn=cfg.net_pid_row(), bucket_batch_fn=cfg.net_pid_batch(),
+        data, lh, gh, cfg.n_net, cfg.net_pid(),
         compression=cfg.spec(value_field),
         pid_field=pid_field, data_field=data_field,
     )
@@ -139,15 +124,10 @@ def local_partition_side(
     every local partition with the network partition id (Fig. 3)."""
     pid_tuple = Projection(pl, [net_pid_field])
     data = RowScan(Projection(pl, [net_data_field]), net_data_field)
-    lh = LocalHistogram(
-        data, cfg.n_loc,
-        bucket_fn=cfg.loc_pid_row(cfg.compress, value_field),
-        bucket_batch_fn=cfg.loc_pid_batch(cfg.compress, value_field),
-    )
+    loc_pid = cfg.loc_pid(cfg.compress, value_field)
+    lh = LocalHistogram(data, cfg.n_loc, loc_pid)
     lp = LocalPartitioning(
-        data, lh, cfg.n_loc,
-        bucket_fn=cfg.loc_pid_row(cfg.compress, value_field),
-        bucket_batch_fn=cfg.loc_pid_batch(cfg.compress, value_field),
+        data, lh, cfg.n_loc, loc_pid,
         pid_field=loc_pid_field, data_field=loc_data_field,
     )
     return CartesianProduct(pid_tuple, lp)

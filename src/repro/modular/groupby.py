@@ -7,9 +7,8 @@ nesting level and once more on the driver, exactly as in Section 4.3.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-import numpy as np
 import pandas as pd
 
 from repro.core import Plan
@@ -34,54 +33,43 @@ def _decompress_map(cfg: JoinConfig, pl: ParameterLookup, data: SubOperator, val
     spec = cfg.spec(value_field)
     param = Projection(pl, ["net_pid"])
 
-    def row_fn(t: dict, p: dict) -> dict:
-        w = int(t[spec.out_field])
-        k = ((w >> spec.p_bits) << spec.f_bits) | int(p["net_pid"])
-        return {cfg.key: k, value_field: w & ((1 << spec.p_bits) - 1)}
-
-    def batch_fn(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
+    def decompress(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
         k, v = spec.decompress(pdf[spec.out_field].to_numpy(), int(p["net_pid"]))
         return pd.DataFrame({cfg.key: k, value_field: v})
 
     typ = TupleType([(cfg.key, INT64), (value_field, INT64)])
-    return ParametrizedMap(param, data, row_fn=row_fn, batch_fn=batch_fn, declared_type=typ)
+    return ParametrizedMap(param, data, decompress, typ)
 
 
-def groupby_inner2_plan(
-    cfg: JoinConfig, value_field: str, row_fn, agg_spec: Optional[Dict[str, str]]
-) -> Plan:
+def groupby_inner2_plan(cfg: JoinConfig, value_field: str, aggs: Dict[str, str]) -> Plan:
     """Innermost plan: per local partition, decompress and aggregate."""
     pl = ParameterLookup()
     data: SubOperator = RowScan(Projection(pl, ["loc_data"]), "loc_data")
     if cfg.compress:
         data = _decompress_map(cfg, pl, data, value_field)
-    rk = ReduceByKey(data, keys=[cfg.key], row_fn=row_fn, agg_spec=agg_spec)
+    rk = ReduceByKey(data, [cfg.key], aggs)
     return Plan(MaterializeRowVector(rk, field="agg"), name="groupby-inner2")
 
 
-def groupby_inner1_plan(
-    cfg: JoinConfig, value_field: str, row_fn, agg_spec: Optional[Dict[str, str]]
-) -> Plan:
+def groupby_inner1_plan(cfg: JoinConfig, value_field: str, aggs: Dict[str, str]) -> Plan:
     """Per network partition: local partitioning, nested aggregation, and
     level post-aggregation."""
     pl = ParameterLookup()
     cp = local_partition_side(
         cfg, pl, value_field, "net_pid", "net_data", "loc_pid", "loc_data"
     )
-    nm2 = NestedMap(cp, groupby_inner2_plan(cfg, value_field, row_fn, agg_spec))
+    nm2 = NestedMap(cp, groupby_inner2_plan(cfg, value_field, aggs))
     rs = RowScan(nm2, "agg")
-    post = ReduceByKey(rs, keys=[cfg.key], row_fn=row_fn, agg_spec=agg_spec)
+    post = ReduceByKey(rs, [cfg.key], aggs)
     return Plan(MaterializeRowVector(post, field="part_agg"), name="groupby-inner1")
 
 
-def rank_groupby_plan(
-    cfg: JoinConfig, field: str, value_field: str, row_fn, agg_spec: Optional[Dict[str, str]]
-) -> Plan:
+def rank_groupby_plan(cfg: JoinConfig, field: str, value_field: str, aggs: Dict[str, str]) -> Plan:
     data = rank_input(field)
     ex = network_partition(cfg, data, value_field, "net_pid", "net_data")
-    nm1 = NestedMap(ex, groupby_inner1_plan(cfg, value_field, row_fn, agg_spec))
+    nm1 = NestedMap(ex, groupby_inner1_plan(cfg, value_field, aggs))
     rs = RowScan(nm1, "part_agg")
-    post = ReduceByKey(rs, keys=[cfg.key], row_fn=row_fn, agg_spec=agg_spec)
+    post = ReduceByKey(rs, [cfg.key], aggs)
     return Plan(MaterializeRowVector(post, field="rank_result"), name="groupby-rank")
 
 
@@ -89,15 +77,15 @@ def distributed_groupby_plan(
     cfg: JoinConfig,
     field: str = "T",
     value_field: str = "v",
-    row_fn: Callable[[dict, dict], dict] = lambda a, b: {"v": a["v"] + b["v"]},
-    agg_spec: Optional[Dict[str, str]] = None,
+    aggs: Optional[Dict[str, str]] = None,
 ) -> Plan:
     """Full distributed GROUP BY: MpiExecutor over per-rank inputs, final
-    driver-side post-aggregation of all worker results."""
-    agg_spec = agg_spec if agg_spec is not None else {value_field: "sum"}
-    me = MpiExecutor(
-        rank_input("rank_inputs"), rank_groupby_plan(cfg, field, value_field, row_fn, agg_spec)
-    )
+    driver-side post-aggregation of all worker results.
+
+    ``aggs`` defaults to summing ``value_field``. Every level applies the
+    same spec, so it must be re-aggregable ('sum', 'min' or 'max')."""
+    aggs = aggs if aggs is not None else {value_field: "sum"}
+    me = MpiExecutor(rank_input("rank_inputs"), rank_groupby_plan(cfg, field, value_field, aggs))
     rs = RowScan(me, "rank_result")
-    final = ReduceByKey(rs, keys=[cfg.key], row_fn=row_fn, agg_spec=agg_spec)
+    final = ReduceByKey(rs, [cfg.key], aggs)
     return Plan(final, name="distributed-groupby")

@@ -58,12 +58,8 @@ def _split_word_map(spec, value_field: str) -> Map:
             copy=False,
         )
 
-    def row(t: dict) -> dict:
-        w = int(t[spec.out_field])
-        return {"k_hi": w >> spec.p_bits, value_field: w & ((1 << spec.p_bits) - 1)}
-
     typ = TupleType([("k_hi", INT64), (value_field, INT64)])
-    return lambda up: Map(up, row_fn=row, batch_fn=batch, declared_type=typ)
+    return lambda up: Map(up, batch, typ)
 
 
 def join_inner2_plan(
@@ -98,17 +94,13 @@ def join_inner2_plan(
         keep = [value_fields[1]] if join_type in ("semi", "anti") else list(value_fields)
         typ = TupleType([(cfg.key, INT64)] + [(vf, INT64) for vf in keep])
 
-        def row_fn(t: dict, p: dict) -> dict:
-            k = (int(t["k_hi"]) << spec.f_bits) | int(p[pid_field])
-            return {cfg.key: k, **{c: t[c] for c in t if c != "k_hi"}}
-
-        def batch_fn(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
+        def restore_key(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
             k = (pdf["k_hi"].to_numpy().astype(np.int64, copy=False) << spec.f_bits) | int(p[pid_field])
             cols = {cfg.key: k}
             cols.update({c: pdf[c].to_numpy() for c in pdf.columns if c != "k_hi"})
             return pd.DataFrame(cols, copy=False)
 
-        out = ParametrizedMap(param, out, row_fn=row_fn, batch_fn=batch_fn, declared_type=typ)
+        out = ParametrizedMap(param, out, restore_key, typ)
 
     if probe_post is not None:
         out = probe_post(out)

@@ -19,7 +19,6 @@ from repro.core.ops import (
     BuildProbe,
     LocalHistogram,
     LocalPartitioning,
-    MaterializeRowVector,
     MpiExchange,
     MpiHistogram,
     ParameterLookup,
@@ -47,9 +46,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
     params = {"R": RowVector(r_pdf), "S": RowVector(s_pdf)}
 
     def lh(field):
-        return LocalHistogram(
-            _src(field), cfg.n_net, bucket_fn=cfg.net_pid_row(), bucket_batch_fn=cfg.net_pid_batch()
-        )
+        return LocalHistogram(_src(field), cfg.n_net, cfg.net_pid())
 
     # local histogram: one pipeline per relation, nothing else
     t0 = perf_counter()
@@ -70,7 +67,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
             _src(field),
             RowScan(Projection(ParameterLookup(), ["LH"]), "LH"),
             RowScan(Projection(ParameterLookup(), ["GH"]), "GH"),
-            cfg.n_net, bucket_fn=cfg.net_pid_row(), bucket_batch_fn=cfg.net_pid_batch(),
+            cfg.n_net, cfg.net_pid(),
             compression=cfg.spec(vf),
         )
 
@@ -86,16 +83,9 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
         out = []
         for tup in RowVector(parts).iter_rows():
             p = {"D": tup["partition_data"]}
-            hist = LocalHistogram(
-                _src("D"), cfg.n_loc,
-                bucket_fn=cfg.loc_pid_row(cfg.compress, vf),
-                bucket_batch_fn=cfg.loc_pid_batch(cfg.compress, vf),
-            )
-            lp = LocalPartitioning(
-                _src("D"), hist, cfg.n_loc,
-                bucket_fn=cfg.loc_pid_row(cfg.compress, vf),
-                bucket_batch_fn=cfg.loc_pid_batch(cfg.compress, vf),
-            )
+            loc_pid = cfg.loc_pid(cfg.compress, vf)
+            hist = LocalHistogram(_src("D"), cfg.n_loc, loc_pid)
+            lp = LocalPartitioning(_src("D"), hist, cfg.n_loc, loc_pid)
             out.append((tup["partition_id"], _run(lp, p)))
         return out
 

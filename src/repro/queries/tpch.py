@@ -22,7 +22,7 @@ documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 import pandas as pd
@@ -30,7 +30,7 @@ import pandas as pd
 from repro.core import Plan
 from repro.core.ops import Filter, Map, Reduce, ReduceByKey
 from repro.core.ops.base import SubOperator
-from repro.core.types import FLOAT64, INT64, STR, Atom, TupleType
+from repro.core.types import FLOAT64, INT64, STR, TupleType
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
 
@@ -42,24 +42,6 @@ class TpchQuery:
     #: plan input field -> synthetic table name (lineitem/orders/part)
     table_map: Dict[str, str]
     build_plan: Callable[[JoinConfig], Plan]
-
-
-def _map(up: SubOperator, batch_fn, fields: Sequence[Tuple[str, Atom]]) -> Map:
-    """Map with a vectorized kernel, a derived row fallback and the
-    declared output type ``fields``."""
-    def row_fn(t):
-        out = batch_fn(pd.DataFrame([t]))
-        return {c: out[c].iloc[0] for c in out.columns}
-
-    return Map(up, row_fn=row_fn, batch_fn=batch_fn, declared_type=TupleType(fields))
-
-
-def _filter(up: SubOperator, batch_pred) -> Filter:
-    return Filter(
-        up,
-        row_pred=lambda t: bool(batch_pred(pd.DataFrame([t]))[0]),
-        batch_pred=batch_pred,
-    )
 
 
 def _revenue(pdf: pd.DataFrame) -> np.ndarray:
@@ -83,37 +65,33 @@ GROUP BY o_orderpriority
 def q4_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "L":  # build side: matching lineitem order keys
-            op = _filter(op, lambda pdf: (pdf["l_commitdate"] < pdf["l_receiptdate"]).to_numpy())
-            return _map(op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"]}), [("k", INT64)])
-        op = _filter(
+            op = Filter(op, lambda pdf: (pdf["l_commitdate"] < pdf["l_receiptdate"]).to_numpy())
+            return Map(op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"]}), TupleType([("k", INT64)]))
+        op = Filter(
             op,
             lambda pdf: (
                 (pdf["o_orderdate"] >= pd.Timestamp("1993-07-01"))
                 & (pdf["o_orderdate"] < pd.Timestamp("1993-10-01"))
             ).to_numpy(),
         )
-        return _map(
+        return Map(
             op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
-            [("k", INT64), ("o_orderpriority", STR)],
+            TupleType([("k", INT64), ("o_orderpriority", STR)]),
         )
 
     def count_rows(op: SubOperator) -> SubOperator:
-        counted = _map(
+        counted = Map(
             op,
             lambda pdf: pd.DataFrame(
                 {"o_orderpriority": pdf["o_orderpriority"],
                  "order_count": np.ones(len(pdf), dtype=np.int64)}
             ),
-            [("o_orderpriority", STR), ("order_count", INT64)],
+            TupleType([("o_orderpriority", STR), ("order_count", INT64)]),
         )
         return _rk(counted)
 
     def _rk(op: SubOperator) -> ReduceByKey:
-        return ReduceByKey(
-            op, keys=["o_orderpriority"],
-            row_fn=lambda a, b: {"order_count": a["order_count"] + b["order_count"]},
-            agg_spec={"order_count": "sum"},
-        )
+        return ReduceByKey(op, ["o_orderpriority"], {"order_count": "sum"})
 
     return distributed_join_plan(
         cfg, fields=("L", "O"), value_fields=("_", "_"), join_type="semi",
@@ -144,11 +122,11 @@ GROUP BY l_shipmode
 def q12_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "O":  # build side
-            return _map(
+            return Map(
                 op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
-                [("k", INT64), ("o_orderpriority", STR)],
+                TupleType([("k", INT64), ("o_orderpriority", STR)]),
             )
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 pdf["l_shipmode"].isin(["MAIL", "SHIP"])
@@ -158,9 +136,9 @@ def q12_plan(cfg: JoinConfig) -> Plan:
                 & (pdf["l_receiptdate"] < pd.Timestamp("1995-01-01"))
             ).to_numpy(),
         )
-        return _map(
+        return Map(
             op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"], "l_shipmode": pdf["l_shipmode"]}),
-            [("k", INT64), ("l_shipmode", STR)],
+            TupleType([("k", INT64), ("l_shipmode", STR)]),
         )
 
     def classify(op: SubOperator) -> SubOperator:
@@ -174,20 +152,13 @@ def q12_plan(cfg: JoinConfig) -> Plan:
                 }
             )
 
-        return _rk(_map(
+        return _rk(Map(
             op, kernel,
-            [("l_shipmode", STR), ("high_line_count", INT64), ("low_line_count", INT64)],
+            TupleType([("l_shipmode", STR), ("high_line_count", INT64), ("low_line_count", INT64)]),
         ))
 
     def _rk(op: SubOperator) -> ReduceByKey:
-        return ReduceByKey(
-            op, keys=["l_shipmode"],
-            row_fn=lambda a, b: {
-                "high_line_count": a["high_line_count"] + b["high_line_count"],
-                "low_line_count": a["low_line_count"] + b["low_line_count"],
-            },
-            agg_spec={"high_line_count": "sum", "low_line_count": "sum"},
-        )
+        return ReduceByKey(op, ["l_shipmode"], {"high_line_count": "sum", "low_line_count": "sum"})
 
     return distributed_join_plan(
         cfg, fields=("O", "L"), value_fields=("_", "_"),
@@ -209,35 +180,28 @@ WHERE l_shipdate >= TIMESTAMP '1995-09-01' AND l_shipdate < TIMESTAMP '1995-10-0
 """.strip()
 
 
-def _sum2(cols: Sequence[str]) -> Reduce:
-    def make(op: SubOperator) -> Reduce:
-        return Reduce(
-            op,
-            row_fn=lambda a, b: {c: a[c] + b[c] for c in cols},
-            batch_fn=lambda pdf: {c: float(pdf[c].sum()) for c in cols},
-            agg_spec={c: "sum" for c in cols},
-        )
-
-    return make
+def _sum(*cols: str) -> Callable[[SubOperator], Reduce]:
+    """Post-aggregation hook: SUM of ``cols`` (NULL over no tuples)."""
+    return lambda op: Reduce(op, {c: "sum" for c in cols})
 
 
 def q14_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "P":  # build side
-            return _map(
+            return Map(
                 op, lambda pdf: pd.DataFrame({"k": pdf["p_partkey"], "p_type": pdf["p_type"]}),
-                [("k", INT64), ("p_type", STR)],
+                TupleType([("k", INT64), ("p_type", STR)]),
             )
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 (pdf["l_shipdate"] >= pd.Timestamp("1995-09-01"))
                 & (pdf["l_shipdate"] < pd.Timestamp("1995-10-01"))
             ).to_numpy(),
         )
-        return _map(
+        return Map(
             op, lambda pdf: pd.DataFrame({"k": pdf["l_partkey"], "rev": _revenue(pdf)}),
-            [("k", INT64), ("rev", FLOAT64)],
+            TupleType([("k", INT64), ("rev", FLOAT64)]),
         )
 
     def split_revenue(op: SubOperator) -> SubOperator:
@@ -246,25 +210,24 @@ def q14_plan(cfg: JoinConfig) -> Plan:
             rev = pdf["rev"].to_numpy()
             return pd.DataFrame({"promo_rev": np.where(promo, rev, 0.0), "total_rev": rev})
 
-        return _sum2(["promo_rev", "total_rev"])(
-            _map(op, kernel, [("promo_rev", FLOAT64), ("total_rev", FLOAT64)])
+        return _sum("promo_rev", "total_rev")(
+            Map(op, kernel, TupleType([("promo_rev", FLOAT64), ("total_rev", FLOAT64)]))
         )
 
     def ratio(op: SubOperator) -> SubOperator:
-        summed = _sum2(["promo_rev", "total_rev"])(op)
-        return _map(
-            summed,
+        return Map(
+            _sum("promo_rev", "total_rev")(op),
             lambda pdf: pd.DataFrame(
                 {"promo_revenue": 100.0 * pdf["promo_rev"] / pdf["total_rev"]}
             ),
-            [("promo_revenue", FLOAT64)],
+            TupleType([("promo_revenue", FLOAT64)]),
         )
 
     return distributed_join_plan(
         cfg, fields=("P", "L"), value_fields=("_", "_"),
         pre_scan=pre_scan, probe_post=split_revenue,
-        pair_post=_sum2(["promo_rev", "total_rev"]),
-        rank_post=_sum2(["promo_rev", "total_rev"]),
+        pair_post=_sum("promo_rev", "total_rev"),
+        rank_post=_sum("promo_rev", "total_rev"),
         driver_post=ratio,
     )
 
@@ -317,53 +280,45 @@ def _q19_joined_pred(pdf: pd.DataFrame) -> np.ndarray:
 def q19_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "P":  # build side, pre-filtered to the brand superset
-            op = _filter(
+            op = Filter(
                 op,
                 lambda pdf: (
                     pdf["p_brand"].isin([b for b, *_ in _Q19_BRANCHES])
                     & (pdf["p_size"] >= 1) & (pdf["p_size"] <= 15)
                 ).to_numpy(),
             )
-            return _map(
+            return Map(
                 op,
                 lambda pdf: pd.DataFrame(
                     {"k": pdf["p_partkey"], "p_brand": pdf["p_brand"],
                      "p_container": pdf["p_container"], "p_size": pdf["p_size"]}
                 ),
-                [("k", INT64), ("p_brand", STR), ("p_container", STR), ("p_size", INT64)],
+                TupleType([("k", INT64), ("p_brand", STR), ("p_container", STR), ("p_size", INT64)]),
             )
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 pdf["l_shipmode"].isin(["AIR", "REG AIR"])
                 & (pdf["l_shipinstruct"] == "DELIVER IN PERSON")
             ).to_numpy(),
         )
-        return _map(
+        return Map(
             op,
             lambda pdf: pd.DataFrame(
                 {"k": pdf["l_partkey"], "l_quantity": pdf["l_quantity"], "rev": _revenue(pdf)}
             ),
-            [("k", INT64), ("l_quantity", FLOAT64), ("rev", FLOAT64)],
+            TupleType([("k", INT64), ("l_quantity", FLOAT64), ("rev", FLOAT64)]),
         )
 
     def residual(op: SubOperator) -> SubOperator:
-        filtered = _filter(op, _q19_joined_pred)
-        projected = _map(filtered, lambda pdf: pd.DataFrame({"revenue": pdf["rev"]}), [("revenue", FLOAT64)])
-        return _sum1(projected)
-
-    def _sum1(op: SubOperator) -> Reduce:
-        return Reduce(
-            op,
-            row_fn=lambda a, b: {"revenue": a["revenue"] + b["revenue"]},
-            batch_fn=lambda pdf: {"revenue": float(pdf["revenue"].sum())},
-            agg_spec={"revenue": "sum"},
-        )
+        filtered = Filter(op, _q19_joined_pred)
+        revenue = TupleType([("revenue", FLOAT64)])
+        return _sum("revenue")(Map(filtered, lambda pdf: pd.DataFrame({"revenue": pdf["rev"]}), revenue))
 
     return distributed_join_plan(
         cfg, fields=("P", "L"), value_fields=("_", "_"),
         pre_scan=pre_scan, probe_post=residual,
-        pair_post=_sum1, rank_post=_sum1, driver_post=_sum1,
+        pair_post=_sum("revenue"), rank_post=_sum("revenue"), driver_post=_sum("revenue"),
     )
 
 

@@ -9,6 +9,7 @@ from repro.core import vectorized
 from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
 from repro.core.ops import ExecContext, Filter, Map, ParametrizedMap
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVectorType, TupleType
+from repro.engines import run_presto_sim
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
@@ -21,6 +22,7 @@ from repro.modular.join_sequence import (
 from repro.mpi.thread_backend import make_rank_inputs, run_on_sim
 from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
+from repro.queries.tpch import TpchQuery
 from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
 from tests.helpers import spark_jobs
 
@@ -145,7 +147,21 @@ class TestSequenceLowering:
         )
 
 
+def _per_tuple(fn):
+    """``fn`` as a Map kernel that fails on a batch of more than one tuple
+    (a Filter upstream may leave an empty one)."""
+    def kernel(pdf):
+        if len(pdf) > 1:
+            raise AssertionError(f"a per-tuple Map saw a {len(pdf)}-row batch")
+        return fn(pdf)
+
+    return kernel
+
+
 class TestInterpretedEngine:
+    """The interpreted (per-tuple) engine is the same evaluator and the
+    same Spark stages at ``batch_size=1``."""
+
     def test_interpreted_join_same_result(self, spark):
         r = dense_kv_pdf(256, value_field="vr", seed=66)
         s = dense_kv_pdf(256, value_field="vs", seed=67)
@@ -153,11 +169,40 @@ class TestInterpretedEngine:
         out = run_distributed_on_spark(
             spark, distributed_join_plan(cfg),
             {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
-            engine="interpreted",
+            batch_size=1,
         )
         assert_equivalent(
             out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r, s=s
         )
+
+    def test_presto_stand_in_dispatches_one_tuple_per_batch(self, spark):
+        """A Map in a pre-exchange pipeline and one inside the nested plan
+        see only one-tuple batches under ``run_presto_sim``, and the result
+        still matches DuckDB; the default batch size hands them more."""
+        r = dense_kv_pdf(64, value_field="vr", seed=76)
+        s = dense_kv_pdf(64, value_field="vs", multiplicity=2, seed=77)
+        kv = TupleType([("k", INT64), ("vs", INT64)])
+
+        def pre_scan(field, op):
+            if field == "R":
+                return op
+            return Map(op, _per_tuple(lambda pdf: pdf.assign(vs=2 * pdf["vs"])), kv)
+
+        def pair_post(op):
+            typ = TupleType([("k", INT64), ("vr", INT64), ("vs", INT64)])
+            return Map(op, _per_tuple(lambda pdf: pdf.assign(vr=pdf["vr"] + 1)), typ)
+
+        def build(cfg):
+            return distributed_join_plan(cfg, pre_scan=pre_scan, pair_post=pair_post)
+
+        sql = "SELECT r.k AS k, vr + 1 AS vr, 2 * vs AS vs FROM r JOIN s ON r.k = s.k"
+        query = TpchQuery("per-tuple", sql, {"R": "r", "S": "s"}, build)
+        tables = {"r": spark.createDataFrame(r), "s": spark.createDataFrame(s)}
+        cfg = JoinConfig(n_net=2, loc_bits=1)
+        assert_equivalent(run_presto_sim(spark, query, tables, cfg), sql, r=r, s=s)
+        relations = {"R": tables["r"], "S": tables["s"]}
+        with pytest.raises(Exception, match="per-tuple Map saw a"):
+            run_distributed_on_spark(spark, build(cfg), relations).collect()
 
 
 JOIN_SQL = "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k"
@@ -178,8 +223,7 @@ class TestEmptyRelations:
         # a Filter is not lowerable, so the empty result goes through the
         # driver-side fallback, which must build it from the plan's types
         post = None if driver_post is None else (
-            lambda op: Filter(op, row_pred=lambda t: True,
-                              batch_pred=lambda pdf: pdf["k"].to_numpy() >= 0)
+            lambda op: Filter(op, lambda pdf: pdf["k"].to_numpy() >= 0)
         )
         plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2), driver_post=post)
         out = run_distributed_on_spark(
@@ -195,6 +239,19 @@ class TestEmptyRelations:
             spark, distributed_join_plan(cfg), {"R": _empty(spark, r), "S": _empty(spark, s)}
         )
         assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s.iloc[:0])
+
+    def test_outer_join_with_empty_build_side(self, spark, kv_frames):
+        """Every probe tuple keeps the build side's columns, NULL-padded,
+        on the simulated cluster and on Spark."""
+        r, s = kv_frames
+        plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2), join_type="outer")
+        sql = "SELECT s.k AS k, vr, vs FROM s LEFT JOIN r ON r.k = s.k"
+        sim_out, _ = run_on_sim(plan, 2, {"R": r.iloc[:0], "S": s})
+        assert_equivalent(sim_out, sql, r=r.iloc[:0], s=s)
+        out = run_distributed_on_spark(
+            spark, plan, {"R": _empty(spark, r), "S": spark.createDataFrame(s)}
+        )
+        assert_equivalent(out, sql, r=r.iloc[:0], s=s)
 
     def test_groupby_over_empty_t(self, spark):
         t = dense_kv_pdf(64, seed=68)
@@ -335,7 +392,7 @@ class TestStaticSchemas:
         r, s = kv_frames
         plan = distributed_join_plan(
             JoinConfig(n_net=2, loc_bits=1),
-            pre_scan=lambda field, op: Map(op, row_fn=lambda t: t, batch_fn=lambda pdf: pdf),
+            pre_scan=lambda field, op: Map(op, lambda pdf: pdf),
         )
         with pytest.raises(TypeError, match="Map has no static output type"):
             lower_distributed_plan(

@@ -51,9 +51,7 @@ def test_single_group():
 def test_custom_aggregate_max():
     t = dense_kv_pdf(256, multiplicity=4, seed=22)
     cfg = JoinConfig(n_net=2, loc_bits=1)
-    plan = distributed_groupby_plan(
-        cfg, row_fn=lambda a, b: {"v": max(a["v"], b["v"])}, agg_spec={"v": "max"}
-    )
+    plan = distributed_groupby_plan(cfg, aggs={"v": "max"})
     out, _ = run_on_sim(plan, 2, {"T": t})
     expect = t.groupby("k", as_index=False)["v"].max()
     got = out.sort_values("k").reset_index(drop=True)[["k", "v"]]

@@ -127,17 +127,12 @@ def test_rank_and_driver_post_hooks():
     from repro.core.ops import Reduce
 
     def count_hook(op):
-        return Reduce(op, row_fn=lambda a, b: {"n": a["n"] + b["n"]},
-                      batch_fn=lambda pdf: {"n": int(pdf["n"].sum())})
+        return Reduce(op, {"n": "sum"})
 
     def to_count(op):
         from repro.core.ops import Map
 
-        return Reduce(
-            Map(op, row_fn=lambda t: {"n": 1}, batch_fn=lambda pdf: pd.DataFrame({"n": np.ones(len(pdf), dtype=int)})),
-            row_fn=lambda a, b: {"n": a["n"] + b["n"]},
-            batch_fn=lambda pdf: {"n": int(pdf["n"].sum())},
-        )
+        return Reduce(Map(op, lambda pdf: pd.DataFrame({"n": np.ones(len(pdf), dtype=int)})), {"n": "sum"})
 
     r = dense_kv_pdf(128, value_field="vr", seed=13)
     s = dense_kv_pdf(128, value_field="vs", seed=14)

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core import Plan, RowVector
-from repro.core import interp, vectorized
+from repro.core import vectorized
 from repro.core.ops import (
     LocalHistogram,
     LocalPartitioning,
@@ -13,7 +13,8 @@ from repro.core.ops import (
     Projection,
     RowScan,
 )
-from tests.helpers import assert_same_rows, params_of, run_both, source
+from repro.oracle import assert_equivalent
+from tests.helpers import params_of, source
 
 
 KV = pd.DataFrame({"k": [0, 1, 2, 3, 4, 5, 6, 7], "v": [1] * 8})
@@ -24,46 +25,40 @@ class TestRowScan:
         rv = RowVector(pd.DataFrame({"a": [1, 2]}))
         frame = pd.DataFrame({"x": [9], "d": pd.Series([rv], dtype=object)})
         root = RowScan(Projection(ParameterLookup(), ["d"]), "d")
-        r, v = run_both(Plan(root), params=params_of(t=frame) | {"d": rv, "x": 9})
         # plan params here directly carry the collection
-        assert_same_rows(r, v)
-        assert_same_rows(r, [{"a": 1}, {"a": 2}])
+        rows = vectorized.run_rows(Plan(root), params=params_of(t=frame) | {"d": rv, "x": 9})
+        assert rows == [{"a": 1}, {"a": 2}]
 
     def test_single_field_inference(self):
         rv = RowVector(pd.DataFrame({"a": [5]}))
         root = RowScan(Projection(ParameterLookup(), ["d"]))
-        rows = interp.run_rows(Plan(root), params={"d": rv})
+        rows = vectorized.run_rows(Plan(root), params={"d": rv})
         assert rows == [{"a": 5}]
 
     def test_multi_field_without_explicit_field_raises(self):
         rv = RowVector(pd.DataFrame({"a": [5]}))
         root = RowScan(ParameterLookup())
         with pytest.raises(RuntimeError, match="single-field"):
-            interp.run_rows(Plan(root), params={"d": rv, "e": rv})
+            vectorized.run_rows(Plan(root), params={"d": rv, "e": rv})
 
     def test_non_collection_field_raises(self):
         root = RowScan(ParameterLookup(), "d")
         with pytest.raises(RuntimeError, match="does not hold a RowVector"):
-            interp.run_rows(Plan(root), params={"d": 42})
+            vectorized.run_rows(Plan(root), params={"d": 42})
 
 
 def lp_plan(n=4):
     data = source("t")
-    hist = LocalHistogram(
-        source("t"), n_buckets=n,
-        bucket_fn=lambda t: t["k"] % n,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
-    )
-    return LocalPartitioning(
-        data, hist, n_partitions=n,
-        bucket_fn=lambda t: t["k"] % n,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
-    )
+    def pid(pdf):
+        return (pdf["k"] % n).to_numpy()
+
+    hist = LocalHistogram(source("t"), n_buckets=n, bucket_fn=pid)
+    return LocalPartitioning(data, hist, n_partitions=n, bucket_fn=pid)
 
 
 class TestLocalPartitioning:
     def test_partitions_are_dense_and_ordered(self):
-        rows = interp.run_rows(Plan(lp_plan()), params=params_of(t=KV))
+        rows = vectorized.run_rows(Plan(lp_plan()), params=params_of(t=KV))
         assert [r["partition_id"] for r in rows] == [0, 1, 2, 3]
         for r in rows:
             ks = [t["k"] for t in r["partition_data"].iter_rows()]
@@ -71,28 +66,28 @@ class TestLocalPartitioning:
             assert len(ks) == 2
 
     def test_row_and_batch_agree_on_contents(self):
-        r = interp.run_rows(Plan(lp_plan()), params=params_of(t=KV))
-        v = vectorized.run_rows(Plan(lp_plan()), params=params_of(t=KV))
-        for a, b in zip(r, v):
-            assert a["partition_id"] == b["partition_id"]
-            assert sorted(t["k"] for t in a["partition_data"].iter_rows()) == sorted(
-                t["k"] for t in b["partition_data"].iter_rows()
-            )
+        """Every tuple lands, unchanged, in the partition of its key."""
+        rows = vectorized.run_rows(Plan(lp_plan()), params=params_of(t=KV))
+        flat = pd.concat(
+            [r["partition_data"].df.assign(partition_id=r["partition_id"]) for r in rows],
+            ignore_index=True,
+        )
+        assert_equivalent(flat, "SELECT k % 4 AS partition_id, k, v FROM t", t=KV)
 
     def test_histogram_size_mismatch_raises(self):
         data = source("t")
-        hist = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda t: t["k"] % 2)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda t: t["k"] % 4)
+        hist = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda pdf: pdf["k"] % 2)
+        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda pdf: pdf["k"] % 4)
         with pytest.raises(RuntimeError, match="histogram has 2 buckets"):
-            interp.run_rows(Plan(lp), params=params_of(t=KV))
+            vectorized.run_rows(Plan(lp), params=params_of(t=KV))
 
     def test_wrong_histogram_counts_raise(self):
         data = source("t")
         # histogram claims everything is in bucket 0
-        hist = LocalHistogram(source("t"), n_buckets=4, bucket_fn=lambda t: 0)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda t: t["k"] % 4)
+        hist = LocalHistogram(source("t"), n_buckets=4, bucket_fn=lambda pdf: pdf["k"] * 0)
+        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda pdf: pdf["k"] % 4)
         with pytest.raises(RuntimeError, match="histogram says"):
-            interp.run_rows(Plan(lp), params=params_of(t=KV))
+            vectorized.run_rows(Plan(lp), params=params_of(t=KV))
 
     def test_empty_partitions_preserved(self):
         df = pd.DataFrame({"k": [0, 0], "v": [1, 2]})

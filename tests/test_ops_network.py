@@ -9,7 +9,6 @@ from repro.core.compression import CompressionSpec
 from repro.core.ops import (
     LocalHistogram,
     MaterializeRowVector,
-    MpiBroadcast,
     MpiExchange,
     MpiExecutor,
     MpiHistogram,
@@ -28,12 +27,7 @@ def kv(n, seed=0):
 
 
 def hist_plan(n_buckets):
-    lh = LocalHistogram(
-        source("T"), n_buckets,
-        bucket_fn=lambda t: t["k"] % n_buckets,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n_buckets).to_numpy(),
-    )
-    return lh
+    return LocalHistogram(source("T"), n_buckets, lambda pdf: (pdf["k"] % n_buckets).to_numpy())
 
 
 class TestMpiHistogram:
@@ -67,18 +61,12 @@ class TestMpiHistogram:
 
 def exchange_plan(n_parts, compression=None):
     data = source("T")
-    lh = LocalHistogram(
-        data, n_parts,
-        bucket_fn=lambda t: t["k"] % n_parts,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n_parts).to_numpy(),
-    )
+    def pid(pdf):
+        return (pdf["k"] % n_parts).to_numpy()
+
+    lh = LocalHistogram(data, n_parts, pid)
     gh = MpiHistogram(lh, n_parts)
-    ex = MpiExchange(
-        data, lh, gh, n_parts,
-        bucket_fn=lambda t: t["k"] % n_parts,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n_parts).to_numpy(),
-        compression=compression,
-    )
+    ex = MpiExchange(data, lh, gh, n_parts, pid, compression=compression)
     return Plan(ex)
 
 
@@ -144,16 +132,8 @@ class TestMpiExchange:
     def test_histogram_disagreeing_with_pids_raises(self):
         # the local histogram buckets by k // 4 % 4, the exchange by k % 4
         data = source("T")
-        lh = LocalHistogram(
-            data, 4,
-            bucket_fn=lambda t: t["k"] // 4 % 4,
-            bucket_batch_fn=lambda pdf: (pdf["k"] // 4 % 4).to_numpy(),
-        )
-        ex = MpiExchange(
-            data, lh, MpiHistogram(lh, 4), 4,
-            bucket_fn=lambda t: t["k"] % 4,
-            bucket_batch_fn=lambda pdf: (pdf["k"] % 4).to_numpy(),
-        )
+        lh = LocalHistogram(data, 4, lambda pdf: (pdf["k"] // 4 % 4).to_numpy())
+        ex = MpiExchange(data, lh, MpiHistogram(lh, 4), 4, lambda pdf: (pdf["k"] % 4).to_numpy())
         T = pd.DataFrame({"k": np.arange(8), "v": np.arange(8)})
         with pytest.raises(RuntimeError, match=r"local histogram \[4, 4, 0, 0\] does not match"):
             vectorized.run_rows(Plan(ex), params=params_of(T=T))
@@ -164,39 +144,16 @@ class TestMpiExchange:
             exchange_plan(8, compression=spec)
 
 
-class TestMpiBroadcast:
-    def test_all_ranks_receive_everything(self):
-        data = kv(60)
-        cluster = SimCluster(3)
-        parts = split_relation(data, 3)
-
-        def prog(comm, pdf):
-            d = source("T")
-            lh = LocalHistogram(d, 1, bucket_fn=lambda t: 0,
-                                bucket_batch_fn=lambda p: np.zeros(len(p), dtype=np.int64))
-            gh = MpiHistogram(lh, 1)
-            plan = Plan(MpiBroadcast(d, lh, gh))
-            ctx = ExecContext(comm=comm)
-            return vectorized.run_to_pdf(plan, ctx, params=params_of(T=pdf))
-
-        outs = cluster.run(prog, parts)
-        expect = data.sort_values(["k", "v"]).reset_index(drop=True)
-        for out in outs:
-            got = out.sort_values(["k", "v"]).reset_index(drop=True)
-            pd.testing.assert_frame_equal(got, expect, check_dtype=False)
-
-
 class TestMpiExecutor:
     def test_runs_nested_plan_per_rank_in_order(self):
         from repro.core.ops import Map, ParameterLookup, Projection, ReduceByKey
 
         # nested plan: count rows of this rank's slice
         scan = RowScan(Projection(ParameterLookup(), ["T"]), "T")
-        cnt = Map(scan, row_fn=lambda t: {"one": 1})
+        cnt = Map(scan, lambda pdf: pd.DataFrame({"one": np.ones(len(pdf), dtype=np.int64)}))
         from repro.core.ops import Reduce
 
-        red = Reduce(cnt, row_fn=lambda a, b: {"one": a["one"] + b["one"]},
-                     batch_fn=lambda pdf: {"one": len(pdf)})
+        red = Reduce(cnt, {"one": "sum"})
         nested = Plan(MaterializeRowVector(red, field="rank_result"))
 
         me = MpiExecutor(source("rank_inputs"), nested)

@@ -1,5 +1,5 @@
-"""Unit tests for data-processing sub-operators: the row-at-a-time reference
-path and the vectorized batch path must agree on every operator."""
+"""Unit tests for data-processing sub-operators, run through the evaluator
+(each operator's batch kernel is its one semantics)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -17,55 +17,44 @@ from repro.core.ops import (
     ReduceByKey,
     Zip,
 )
-from tests.helpers import assert_same_rows, params_of, run_both, source
+from repro.core import vectorized
+from repro.oracle import assert_equivalent
+from tests.helpers import params_of, source
 
 
 KV = pd.DataFrame({"k": [1, 2, 3, 2, 1], "v": [10, 20, 30, 40, 50]})
 
 
 def run_plan(root, **frames):
-    r, v = run_both(Plan(root), params=params_of(**frames))
-    assert_same_rows(r, v)
-    return sorted(r, key=lambda t: tuple(repr(t[c]) for c in sorted(t)))
+    rows = vectorized.run_rows(Plan(root), params=params_of(**frames))
+    return sorted(rows, key=lambda t: tuple(repr(t[c]) for c in sorted(t)))
 
 
 class TestMap:
     def test_row_and_batch_agree(self):
-        root = Map(
-            source("t"),
-            row_fn=lambda t: {"k": t["k"], "v2": t["v"] * 2},
-            batch_fn=lambda pdf: pd.DataFrame({"k": pdf["k"], "v2": pdf["v"] * 2}),
-        )
+        root = Map(source("t"), lambda pdf: pd.DataFrame({"k": pdf["k"], "v2": pdf["v"] * 2}))
         rows = run_plan(root, t=KV)
         assert {"k": 1, "v2": 20} in rows
         assert len(rows) == 5
-
-    def test_batch_fallback_uses_row_fn(self):
-        root = Map(source("t"), row_fn=lambda t: {"s": t["k"] + t["v"]})
-        rows = run_plan(root, t=KV)
-        assert sorted(r["s"] for r in rows) == [11, 22, 33, 42, 51]
 
 
 class TestParametrizedMap:
     def test_parameter_passed_to_every_call(self):
         from repro.core.ops import ParameterLookup
 
-        param = Map(ParameterLookup(), row_fn=lambda t: {"shift": 100})
+        param = Map(ParameterLookup(), lambda pdf: pd.DataFrame({"shift": [100]}))
         root = ParametrizedMap(
             param,
             source("t"),
-            row_fn=lambda t, p: {"k": t["k"] + p["shift"], "v": t["v"]},
-            batch_fn=lambda pdf, p: pd.DataFrame({"k": pdf["k"] + p["shift"], "v": pdf["v"]}),
+            lambda pdf, p: pd.DataFrame({"k": pdf["k"] + p["shift"], "v": pdf["v"]}),
         )
         rows = run_plan(root, t=KV)
         assert sorted(r["k"] for r in rows) == [101, 101, 102, 102, 103]
 
     def test_multiple_parameter_tuples_is_error(self):
-        root = ParametrizedMap(source("t"), source("t"), row_fn=lambda t, p: t)
-        from repro.core import interp
-
+        root = ParametrizedMap(source("t"), source("t"), lambda pdf, p: pdf)
         with pytest.raises(RuntimeError, match="exactly one parameter"):
-            interp.run_rows(Plan(root), params=params_of(t=KV))
+            vectorized.run_rows(Plan(root), params=params_of(t=KV))
 
 
 class TestProjection:
@@ -74,10 +63,8 @@ class TestProjection:
         assert rows == [{"v": x} for x in [10, 20, 30, 40, 50]]
 
     def test_missing_field_raises(self):
-        from repro.core import interp
-
         with pytest.raises(KeyError):
-            interp.run_rows(Plan(Projection(source("t"), ["nope"])), params=params_of(t=KV))
+            vectorized.run_rows(Plan(Projection(source("t"), ["nope"])), params=params_of(t=KV))
 
 
 class TestCartesianProduct:
@@ -89,8 +76,6 @@ class TestCartesianProduct:
         assert {"a": 2, "b": 30} in rows
 
     def test_overlapping_names_rejected(self):
-        from repro.core import vectorized
-
         left = pd.DataFrame({"a": [1]})
         with pytest.raises(RuntimeError, match="overlap"):
             vectorized.run_rows(
@@ -101,64 +86,60 @@ class TestCartesianProduct:
 
 class TestFilter:
     def test_predicate(self):
-        root = Filter(source("t"), row_pred=lambda t: t["v"] > 25,
-                      batch_pred=lambda pdf: (pdf["v"] > 25).to_numpy())
+        root = Filter(source("t"), lambda pdf: (pdf["v"] > 25).to_numpy())
         rows = run_plan(root, t=KV)
         assert sorted(r["v"] for r in rows) == [30, 40, 50]
-
-    def test_batch_fallback(self):
-        root = Filter(source("t"), row_pred=lambda t: t["k"] == 2)
-        rows = run_plan(root, t=KV)
-        assert len(rows) == 2
 
 
 class TestReduce:
     def test_fold_all(self):
-        root = Reduce(
-            Projection(source("t"), ["v"]),
-            row_fn=lambda a, b: {"v": a["v"] + b["v"]},
-            batch_fn=lambda pdf: {"v": int(pdf["v"].sum())},
-        )
+        root = Reduce(Projection(source("t"), ["v"]), {"v": "sum"})
         rows = run_plan(root, t=KV)
         assert rows == [{"v": 150}]
 
     def test_empty_input_yields_nothing(self):
-        root = Reduce(Projection(source("t"), ["v"]), row_fn=lambda a, b: a)
-        rows = run_plan(root, t=KV.iloc[:0])
-        assert rows == []
+        """Over no tuples there is nothing to fold, so SQL semantics give
+        one tuple: COUNT is 0, SUM/MIN/MAX are NULL."""
+        aggs = {"v": "sum", "n": "count", "lo": "min", "hi": "max"}
+        root = Reduce(
+            Map(source("t"), lambda pdf: pd.DataFrame({c: pdf["v"] for c in aggs})), aggs
+        )
+        (row,) = run_plan(root, t=KV.iloc[:0])
+        assert row["n"] == 0
+        assert all(pd.isna(row[c]) for c in ("v", "lo", "hi"))
+
+    def test_all_aggregates_match_duckdb(self):
+        t = pd.DataFrame({"v": [3.0, None, 1.0, 7.0]})
+        root = Reduce(
+            Map(source("t"), lambda pdf: pd.DataFrame({c: pdf["v"] for c in ("s", "n", "lo", "hi")})),
+            {"s": "sum", "n": "count", "lo": "min", "hi": "max"},
+        )
+        for rel in (t, t.iloc[:0], t.iloc[1:2]):  # values, no tuples, only NULL
+            out = vectorized.run_to_pdf(Plan(root), params=params_of(t=rel))
+            assert_equivalent(
+                out, "SELECT SUM(v) AS s, COUNT(v) AS n, MIN(v) AS lo, MAX(v) AS hi FROM t", t=rel
+            )
+
+    def test_rejects_unknown_aggregate(self):
+        with pytest.raises(ValueError, match="aggregates must map"):
+            Reduce(source("t"), {"v": "avg"})
 
 
 class TestReduceByKey:
     def test_combines_per_key_and_restores_key(self):
-        root = ReduceByKey(
-            source("t"), keys=["k"],
-            row_fn=lambda a, b: {"v": a["v"] + b["v"]},
-            agg_spec={"v": "sum"},
-        )
+        root = ReduceByKey(source("t"), ["k"], {"v": "sum"})
         rows = run_plan(root, t=KV)
         assert rows == [{"k": 1, "v": 60}, {"k": 2, "v": 60}, {"k": 3, "v": 30}]
 
-    def test_without_agg_spec_uses_fold(self):
-        root = ReduceByKey(source("t"), keys=["k"],
-                           row_fn=lambda a, b: {"v": max(a["v"], b["v"])})
-        rows = run_plan(root, t=KV)
-        assert rows == [{"k": 1, "v": 50}, {"k": 2, "v": 40}, {"k": 3, "v": 30}]
-
     def test_output_type_matches_input_order(self):
         df = pd.DataFrame({"v": [1, 2], "k": [7, 7]})
-        root = ReduceByKey(source("t"), keys=["k"],
-                           row_fn=lambda a, b: {"v": a["v"] + b["v"]},
-                           agg_spec={"v": "sum"})
-        from repro.core import vectorized
-
+        root = ReduceByKey(source("t"), ["k"], {"v": "sum"})
         pdf = vectorized.run_to_pdf(Plan(root), params=params_of(t=df))
         assert list(pdf.columns) == ["v", "k"]
 
     def test_multi_key(self):
         df = pd.DataFrame({"a": [1, 1, 2], "b": ["x", "x", "y"], "v": [1, 2, 3]})
-        root = ReduceByKey(source("t"), keys=["a", "b"],
-                           row_fn=lambda x, y: {"v": x["v"] + y["v"]},
-                           agg_spec={"v": "sum"})
+        root = ReduceByKey(source("t"), ["a", "b"], {"v": "sum"})
         rows = run_plan(root, t=df)
         assert rows == [{"a": 1, "b": "x", "v": 3}, {"a": 2, "b": "y", "v": 3}]
 
@@ -171,13 +152,10 @@ class TestZip:
         assert rows == [{"x": 1, "y": 10}, {"x": 2, "y": 20}]
 
     def test_length_mismatch_raises(self):
-        from repro.core import interp, vectorized
-
         a = pd.DataFrame({"x": [1, 2]})
         b = pd.DataFrame({"y": [10]})
-        for ev in (interp, vectorized):
-            with pytest.raises(RuntimeError, match="different numbers"):
-                ev.run_rows(Plan(Zip([source("a"), source("b")])), params=params_of(a=a, b=b))
+        with pytest.raises(RuntimeError, match="different numbers"):
+            vectorized.run_rows(Plan(Zip([source("a"), source("b")])), params=params_of(a=a, b=b))
 
     def test_three_upstreams(self):
         a = pd.DataFrame({"x": [1]})
@@ -189,24 +167,18 @@ class TestZip:
 
 class TestLocalHistogram:
     def test_dense_ordered_counts(self):
-        root = LocalHistogram(
-            source("t"), n_buckets=4,
-            bucket_fn=lambda t: t["k"] % 4,
-            bucket_batch_fn=lambda pdf: (pdf["k"] % 4).to_numpy(),
-        )
+        root = LocalHistogram(source("t"), n_buckets=4, bucket_fn=lambda pdf: (pdf["k"] % 4).to_numpy())
         rows = run_plan(root, t=KV)
         assert [r["bucket_id"] for r in rows] == [0, 1, 2, 3]
         assert [r["count"] for r in rows] == [0, 2, 2, 1]
 
     def test_out_of_range_bucket_raises(self):
-        from repro.core import interp
-
-        root = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda t: t["k"])
+        root = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda pdf: pdf["k"].to_numpy())
         with pytest.raises(RuntimeError, match="out of range"):
-            interp.run_rows(Plan(root), params=params_of(t=KV))
+            vectorized.run_rows(Plan(root), params=params_of(t=KV))
 
     def test_empty_input_gives_zero_counts(self):
-        root = LocalHistogram(source("t"), n_buckets=3, bucket_fn=lambda t: 0)
+        root = LocalHistogram(source("t"), n_buckets=3, bucket_fn=lambda pdf: np.zeros(len(pdf), dtype=int))
         rows = run_plan(root, t=KV.iloc[:0])
         assert [r["count"] for r in rows] == [0, 0, 0]
 
@@ -248,9 +220,17 @@ class TestBuildProbe:
         assert unmatched[0]["rv"] == 8
         assert unmatched[0]["lv"] is None or pd.isna(unmatched[0]["lv"])
 
-    def test_field_overlap_rejected(self):
-        from repro.core import vectorized
+    def test_outer_join_with_empty_build_side_pads_left_columns(self):
+        """Every probe tuple is unmatched and keeps the build side's
+        columns, NULL-padded, as the SQL outer join does."""
+        root = BuildProbe(source("l"), source("r"), keys=["k"], join_type="outer")
+        out = vectorized.run_to_pdf(Plan(root), params=params_of(l=self.L.iloc[:0], r=self.R))
+        assert list(out.columns) == ["k", "lv", "rv"]
+        assert_equivalent(
+            out, "SELECT r.k AS k, lv, rv FROM r LEFT JOIN l ON l.k = r.k", l=self.L.iloc[:0], r=self.R
+        )
 
+    def test_field_overlap_rejected(self):
         with pytest.raises(RuntimeError, match="overlap"):
             vectorized.run_rows(
                 Plan(BuildProbe(source("l"), source("r"), keys=["k"])),

@@ -1,5 +1,5 @@
 """Unit tests for the plan DAG: topology, pipeline cutting, typing."""
-import pandas as pd
+import numpy as np
 import pytest
 
 from repro.core import Plan
@@ -25,7 +25,7 @@ def kv_type():
 class TestTopology:
     def test_operators_topological(self):
         s = source("t")
-        f = Filter(s, row_pred=lambda t: True)
+        f = Filter(s, lambda pdf: np.ones(len(pdf), dtype=bool))
         plan = Plan(f)
         ops = plan.operators()
         assert ops.index(s) < ops.index(f)
@@ -33,15 +33,15 @@ class TestTopology:
 
     def test_shared_upstream_counted_once(self):
         s = source("t")
-        h = LocalHistogram(s, 2, bucket_fn=lambda t: t["k"] % 2)
-        z = Zip([h, LocalHistogram(s, 2, bucket_fn=lambda t: 0)])
+        h = LocalHistogram(s, 2, lambda pdf: pdf["k"] % 2)
+        z = Zip([h, LocalHistogram(s, 2, lambda pdf: np.zeros(len(pdf), dtype=np.int64))])
         # Zip would fail at runtime on field overlap; topology only here.
         plan = Plan(z)
         assert plan.operators().count(s) == 1
 
     def test_cycle_detection(self):
         s = source("t")
-        f = Filter(s, row_pred=lambda t: True)
+        f = Filter(s, lambda pdf: np.ones(len(pdf), dtype=bool))
         s.upstreams.append(f)  # introduce a cycle
         with pytest.raises(ValueError, match="cycle"):
             Plan(f)
@@ -49,12 +49,12 @@ class TestTopology:
 
 class TestPipelines:
     def test_tree_plan_is_single_pipeline(self):
-        plan = Plan(Filter(source("t"), row_pred=lambda t: True))
+        plan = Plan(Filter(source("t"), lambda pdf: np.ones(len(pdf), dtype=bool)))
         assert len(plan.pipelines()) == 1
 
     def test_multi_consumer_cuts_pipeline(self):
         s = source("t")
-        hist = LocalHistogram(s, 2, bucket_fn=lambda t: t["k"] % 2)
+        hist = LocalHistogram(s, 2, lambda pdf: pdf["k"] % 2)
         probe = BuildProbe(s, s, keys=["k"])  # s consumed three times in total
         plan = Plan(Zip([hist, probe]))
         mats = plan.materialization_points()
@@ -64,8 +64,8 @@ class TestPipelines:
 
     def test_pipeline_members_do_not_cross_materialization(self):
         s = source("t")
-        h1 = LocalHistogram(s, 2, bucket_fn=lambda t: 0)
-        h2 = LocalHistogram(s, 2, bucket_fn=lambda t: 0)
+        h1 = LocalHistogram(s, 2, lambda pdf: np.zeros(len(pdf), dtype=np.int64))
+        h2 = LocalHistogram(s, 2, lambda pdf: np.zeros(len(pdf), dtype=np.int64))
         plan = Plan(Zip([h1, h2]))
         for pipe in plan.pipelines():
             interior = [op for op in pipe[1:]]  # pipe[0] is its end point
@@ -103,18 +103,56 @@ class TestTyping:
     def test_unknown_propagates_as_none(self):
         from repro.core.ops import Map
 
-        m = Map(ParameterLookup(declared_type=kv_type()), row_fn=lambda t: t)
-        assert Plan(Filter(m, row_pred=lambda t: True)).out_type() is None
+        m = Map(ParameterLookup(declared_type=kv_type()), lambda pdf: pdf)
+        assert Plan(Filter(m, lambda pdf: np.ones(len(pdf), dtype=bool))).out_type() is None
 
     def test_reduce_by_key_preserves_type(self):
         pl = ParameterLookup(declared_type=kv_type())
-        rk = ReduceByKey(pl, keys=["k"], row_fn=lambda a, b: a)
+        rk = ReduceByKey(pl, ["k"], {"v": "sum"})
         assert Plan(rk).out_type() == kv_type()
 
 
 class TestRender:
     def test_render_mentions_all_ops(self):
-        plan = Plan(Filter(source("t"), row_pred=lambda t: True))
+        plan = Plan(Filter(source("t"), lambda pdf: np.ones(len(pdf), dtype=bool)))
         text = plan.render()
         for name in ("PL", "PR", "RS", "FL"):
             assert name in text
+
+
+class TestEveryOperatorIsUsed:
+    """No operator is exported that no plan uses: every operator class of
+    ``repro.core.ops`` appears in a plan built by ``repro.modular`` or
+    ``repro.queries`` (nested plans included)."""
+
+    @staticmethod
+    def built_plans():
+        from repro.modular.common import JoinConfig
+        from repro.modular.groupby import distributed_groupby_plan
+        from repro.modular.join import distributed_join_plan
+        from repro.modular.join_sequence import naive_sequence_plan, optimized_sequence_plan
+        from repro.queries import QUERIES
+
+        plain, packed = JoinConfig(n_net=4), JoinConfig(n_net=4, compress=True)
+        yield from (distributed_join_plan(plain), distributed_join_plan(packed))
+        yield from (distributed_groupby_plan(plain), distributed_groupby_plan(packed))
+        yield from (naive_sequence_plan(plain, 2), optimized_sequence_plan(plain, 2))
+        yield from (q.build_plan(plain) for q in QUERIES)
+
+    def test_every_exported_operator_appears_in_a_plan(self):
+        from repro.core import ops
+        from repro.core.ops.base import SubOperator
+
+        used = set()
+        stack = list(self.built_plans())
+        while stack:
+            for op in stack.pop().operators():
+                used.add(type(op))
+                if hasattr(op, "nested_plan"):
+                    stack.append(op.nested_plan)
+        exported = {
+            obj for obj in vars(ops).values()
+            if isinstance(obj, type) and issubclass(obj, SubOperator) and obj is not SubOperator
+        }
+        assert len(exported) == 18
+        assert sorted(c.__name__ for c in exported - used) == []

@@ -4,7 +4,7 @@ import time
 import pandas as pd
 import pytest
 
-from repro.core import Plan, interp, vectorized
+from repro.core import Plan, vectorized
 from repro.core.ops import Filter, LocalHistogram, Map
 from repro.core.ops.base import ExecContext
 from repro.core.profiling import PHASES, Profiler
@@ -26,15 +26,15 @@ class TestProfiler:
 
     def test_wrap_attributes_operator_phase(self):
         df = pd.DataFrame({"k": range(100)})
-        hist = LocalHistogram(source("t"), 4, bucket_fn=lambda t: t["k"] % 4)
+        hist = LocalHistogram(source("t"), 4, bucket_fn=lambda pdf: pdf["k"] % 4)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
-        interp.run_rows(Plan(hist), ctx, params=params_of(t=df))
+        vectorized.run_rows(Plan(hist), ctx, params=params_of(t=df))
         assert "local_histogram" in prof.breakdown()
 
     def test_vectorized_profile_covers_other(self):
         df = pd.DataFrame({"k": range(100)})
-        m = Map(source("t"), row_fn=lambda t: t, batch_fn=lambda p: p)
+        m = Map(source("t"), lambda p: p)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         vectorized.run_to_pdf(Plan(m), ctx, params=params_of(t=df))
@@ -46,9 +46,7 @@ class TestProfiler:
         def boom(pdf):
             raise ValueError("boom")
 
-        m = LocalHistogram(
-            Map(source("t"), row_fn=lambda t: t, batch_fn=boom), 2, bucket_fn=lambda t: 0
-        )
+        m = LocalHistogram(Map(source("t"), boom), 2, bucket_fn=lambda pdf: pdf["k"] * 0)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         with pytest.raises(ValueError, match="boom"):

@@ -1,6 +1,6 @@
 """TPC-H Q4/Q12/Q14/Q19: the modular sub-operator plans must produce the
 exact SQL answer on every backend (simulated MPI cluster, Spark lowering,
-interpreted engine), checked against DuckDB."""
+per-tuple Presto stand-in), checked against DuckDB."""
 import duckdb
 import pandas as pd
 import pytest
@@ -71,6 +71,29 @@ class TestOnSpark:
         relations = {f: tables_spark[t] for f, t in q.table_map.items()}
         out = run_distributed_on_spark(spark, q.build_plan(CFG), relations)
         assert_equivalent(out, q.sql, **tables_pdf)
+
+
+class TestEmptyLineitem:
+    """Q14 and Q19 end in a global SUM: over an empty ``lineitem`` they
+    return one row holding NULL, as in SQL, on every substrate."""
+
+    @pytest.mark.parametrize("name", ["Q14", "Q19"])
+    def test_on_sim_cluster(self, name, tables_pdf):
+        q = QUERY[name]
+        tables = dict(tables_pdf, lineitem=tables_pdf["lineitem"].iloc[:0])
+        relations = {f: tables[t] for f, t in q.table_map.items()}
+        out, _ = run_on_sim(q.build_plan(CFG), 2, relations)
+        expect = duckdb_answer(q.sql, tables)
+        assert len(expect) == 1 and expect.isna().all().all()
+        pd.testing.assert_frame_equal(canon(out), canon(expect), check_dtype=False)
+
+    @pytest.mark.parametrize("name", ["Q14", "Q19"])
+    def test_on_spark(self, spark, name, tables_pdf, tables_spark):
+        q = QUERY[name]
+        tables = dict(tables_spark, lineitem=tables_spark["lineitem"].limit(0))
+        relations = {f: tables[t] for f, t in q.table_map.items()}
+        out = run_distributed_on_spark(spark, q.build_plan(CFG), relations)
+        assert_equivalent(out, q.sql, **dict(tables_pdf, lineitem=tables_pdf["lineitem"].iloc[:0]))
 
 
 class TestEngines:
