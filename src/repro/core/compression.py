@@ -6,19 +6,30 @@ every key in a partition equal the partition id and can be dropped. If keys
 and values come from a dense domain representable in P bits each, key and
 value fit one 64-bit word when 2*P - F <= 64:
 
-    word = ((key >> F) << P) | value
-    key  = ((word >> P) << F) | partition_id
+    word  = ((key >> F) << P) | value
+    k_hi  = word >> P                  (logical shift: the key's high bits)
+    key   = (k_hi << F) | partition_id
     value = word & (2**P - 1)
 
 This halves the 16-byte <key, value> workload on the wire, exactly as in
-the paper; the dropped bits are restored downstream by a ParametrizedMap.
+the paper. The word is an int64 (the exchange's declared wire type, and
+Spark's long): at 2*P - F = 64 its top bit is set, and the split below
+masks the sign extension off. ``CompressionSpec`` is the only code that
+knows this layout; plans restore the dropped bits through its methods in
+a ParametrizedMap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pandas as pd
+
+
+def _low_bits(n: int) -> np.int64:
+    """An int64 mask of the ``n`` low bits (all 64 bits at ``n >= 64``)."""
+    return np.int64(-1 if n >= 64 else (1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -28,7 +39,7 @@ class CompressionSpec:
     ``p_bits`` — domain width of keys and values (dense domain);
     ``f_bits`` — radix fan-out bits (partition count must be 2**f_bits);
     ``key_field``/``value_field`` — input columns; ``out_field`` — the
-    single compressed uint64 column on the wire.
+    single compressed int64 column on the wire.
     """
 
     p_bits: int
@@ -53,21 +64,31 @@ class CompressionSpec:
         return 1 << self.f_bits
 
     def compress(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        k = np.asarray(keys).astype(np.uint64, copy=False)
-        v = np.asarray(values).astype(np.uint64, copy=False)
-        if len(k) and int(k.max()) >= (1 << self.p_bits):
+        k = np.asarray(keys).astype(np.int64, copy=False)
+        v = np.asarray(values).astype(np.int64, copy=False)
+        if len(k) and (int(k.min()) < 0 or int(k.max()) >> self.p_bits):
             raise ValueError(f"key outside dense {self.p_bits}-bit domain")
-        if len(v) and int(v.max()) >= (1 << self.p_bits):
+        if len(v) and (int(v.min()) < 0 or int(v.max()) >> self.p_bits):
             raise ValueError(f"value outside dense {self.p_bits}-bit domain")
-        return ((k >> np.uint64(self.f_bits)) << np.uint64(self.p_bits)) | v
+        return ((k >> self.f_bits) << self.p_bits) | v
 
-    def decompress(self, words: np.ndarray, partition_id: int) -> tuple[np.ndarray, np.ndarray]:
-        w = np.asarray(words).astype(np.uint64, copy=False)
-        keys = ((w >> np.uint64(self.p_bits)) << np.uint64(self.f_bits)) | np.uint64(
-            partition_id
-        )
-        values = w & np.uint64((1 << self.p_bits) - 1)
-        return keys.astype(np.int64), values.astype(np.int64)
+    def key_high(self, words: np.ndarray) -> np.ndarray:
+        """The stored high bits of each word's key (``key >> F``)."""
+        return (np.asarray(words, dtype=np.int64) >> self.p_bits) & _low_bits(64 - self.p_bits)
+
+    def split(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(k_hi, value)`` per word: inside one partition ``k_hi`` is an
+        exact join/grouping key, without restoring the dropped bits."""
+        w = np.asarray(words, dtype=np.int64)
+        return self.key_high(w), w & _low_bits(self.p_bits)
+
+    def restore(self, k_hi: np.ndarray, partition_id: int) -> np.ndarray:
+        """The full keys of partition ``partition_id`` from their high bits."""
+        return (np.asarray(k_hi, dtype=np.int64) << self.f_bits) | partition_id
+
+    def decompress(self, words: np.ndarray, partition_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        k_hi, values = self.split(words)
+        return self.restore(k_hi, partition_id), values
 
     def compress_pdf(self, pdf: pd.DataFrame) -> pd.DataFrame:
         """Replace <key, value> columns by the single compressed column."""
@@ -77,8 +98,8 @@ class CompressionSpec:
                 f"compression applies to pure <key,value> workloads, extra cols: {extra}"
             )
         kv = self.compress(pdf[self.key_field].to_numpy(), pdf[self.value_field].to_numpy())
-        return pd.DataFrame({self.out_field: kv})
+        return pd.DataFrame({self.out_field: kv}, copy=False)
 
     def decompress_pdf(self, pdf: pd.DataFrame, partition_id: int) -> pd.DataFrame:
         keys, values = self.decompress(pdf[self.out_field].to_numpy(), partition_id)
-        return pd.DataFrame({self.key_field: keys, self.value_field: values})
+        return pd.DataFrame({self.key_field: keys, self.value_field: values}, copy=False)

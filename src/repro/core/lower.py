@@ -12,8 +12,9 @@ LocalHistogram +
 MpiHistogram          ``groupBy('__pid').count()`` + driver collect
                       (aggregate + AllReduce)
 MpiExchange           the shuffle exchange induced by ``groupBy('__pid')``
-                      (pid column computed in the pre-exchange pipeline,
-                      optionally compressed to one 64-bit word)
+                      (pid column and wire frame from ``MpiExchange.to_wire``
+                      in the pre-exchange pipeline, optionally compressed
+                      to one int64 word)
 ===================  =====================================================
 
 Every Spark schema comes from the plan's static types (paper Section 3.2):
@@ -55,7 +56,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core import vectorized
-from repro.core.ops.base import ExecContext, SubOperator, bucket_ids, concat_batches
+from repro.core.ops.base import ExecContext, SubOperator, concat_batches
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
 from repro.core.ops.orchestration import NestedMap, ParameterLookup
@@ -327,33 +328,15 @@ def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, batch_size: Opti
     return concat_batches(batches, columns=pdf.columns)
 
 
-def _pid_and_compress(out: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:
-    pids = bucket_ids(ex.bucket_fn, out)
-    if ex.compression is not None:
-        out = ex.compression.compress_pdf(out)
-        # Spark has no unsigned 64-bit type; reinterpret as signed on the wire.
-        out = pd.DataFrame({ex.compression.out_field: out[ex.compression.out_field].astype(np.int64)})
-    out = out.copy()
-    out["__pid"] = pids.astype(np.int64)
-    return out
-
-
 def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, batch_size: Optional[int]) -> Callable:
     def fn(iterator):
         for pdf in iterator:
             out = _apply_chain(pre_ops, pdf, batch_size)
             if len(out):
-                yield _pid_and_compress(out, ex)
+                pids, wire = ex.to_wire(out)
+                yield wire.assign(__pid=pids.astype(np.int64, copy=False))
 
     return fn
-
-
-def _decompress_wire(pdf: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:
-    """Undo the signed-int reinterpretation done for the Spark wire."""
-    if ex.compression is not None and len(pdf):
-        pdf = pdf.copy()
-        pdf[ex.compression.out_field] = pdf[ex.compression.out_field].astype(np.uint64)
-    return pdf
 
 
 def _run_inner(
@@ -368,7 +351,7 @@ def _run_inner(
     params: dict = {}
     for ex, pdf in sides:
         params[ex.pid_field] = pid
-        params[ex.data_field] = RowVector(_decompress_wire(pdf, ex))
+        params[ex.data_field] = RowVector(pdf)
     out = vectorized.run_rows(inner_plan, ExecContext(batch_size=batch_size), params)
     if len(out) != 1:
         raise RuntimeError(f"nested plan produced {len(out)} tuples, expected 1")
@@ -418,19 +401,20 @@ def _lower_nested(
             .applyInPandas(jfn, schema=schema)
         )
 
-    # N-ary (optimized join sequences): tagged union of all sides.
+    # N-ary (optimized join sequences): tagged union of all sides. A side
+    # pads the columns it lacks with a non-null literal of the column's
+    # static type: Arrow hands pandas an int64 column holding nulls as
+    # float64, which would round every value above 2**53.
     side_cols = [[c for c in df.columns if c != "__pid"] for df in pre_dfs]
-    all_cols: List[str] = []
-    for cols in side_cols:
-        for c in cols:
-            if c not in all_cols:
-                all_cols.append(c)
+    all_types: Dict[str, T.DataType] = {}
+    for df in pre_dfs:
+        for f in df.schema.fields:
+            all_types.setdefault(f.name, f.dataType)
+    del all_types["__pid"]
     tagged = []
     for i, df in enumerate(pre_dfs):
-        for c in all_cols:
-            if c not in df.columns:
-                df = df.withColumn(c, F.lit(None).cast("long"))
-        tagged.append(df.select("__pid", F.lit(i).alias("__side"), *all_cols))
+        cols = [c if c in side_cols[i] else F.lit(0).cast(t).alias(c) for c, t in all_types.items()]
+        tagged.append(df.select("__pid", F.lit(i).alias("__side"), *cols))
     union = tagged[0]
     for t in tagged[1:]:
         union = union.unionByName(t)

@@ -112,3 +112,14 @@ def bucket_ids(bucket_fn: Callable[[pd.DataFrame], np.ndarray], pdf: pd.DataFram
     if not len(pdf):
         return np.empty(0, dtype=np.int64)
     return np.asarray(bucket_fn(pdf))
+
+
+def dense_counts(pdf: pd.DataFrame, n: int, who: str) -> np.ndarray:
+    """Validate and read a dense ``<bucket_id, count>`` histogram frame of
+    exactly ``n`` buckets (LocalHistogram's output format) into a count
+    array indexed by bucket id."""
+    if len(pdf) != n:
+        raise RuntimeError(f"{who} histogram has {len(pdf)} buckets, expected exactly {n}")
+    counts = np.zeros(n, dtype=np.int64)
+    counts[pdf["bucket_id"].to_numpy(dtype=np.int64)] = pdf["count"].to_numpy(dtype=np.int64)
+    return counts

@@ -8,13 +8,13 @@ contiguous partitions.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import SubOperator, bucket_ids, concat_batches, object_column
+from repro.core.ops.base import SubOperator, bucket_ids, concat_batches, dense_counts, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -22,14 +22,13 @@ class RowScan(SubOperator):
     """Reads a nested RowVector collection, in batches of at most
     ``ExecContext.batch_size`` tuples (one tuple at a time at size 1).
 
-    The upstream produces tuples containing a RowVector field (``field``, or
-    the single field if omitted); RowScan unnests it — the basic input
-    reader of Modularis.
+    The upstream produces tuples containing a RowVector field ``field``;
+    RowScan unnests it — the basic input reader of Modularis.
     """
 
     op_name = "RS"
 
-    def __init__(self, upstream: SubOperator, field: Optional[str] = None) -> None:
+    def __init__(self, upstream: SubOperator, field: str) -> None:
         super().__init__([upstream])
         self.field = field
 
@@ -37,31 +36,18 @@ class RowScan(SubOperator):
         t = in_types[0]
         if t is None:
             return None
-        name = self.field or self._single_name(t.names)
-        item = t.field_type(name)
+        item = t.field_type(self.field)
         if not isinstance(item, RowVectorType):
-            raise TypeError(f"RowScan field {name!r} is not a collection: {item!r}")
+            raise TypeError(f"RowScan field {self.field!r} is not a collection: {item!r}")
         return item.tuple_type
-
-    @staticmethod
-    def _single_name(names: Sequence[str]) -> str:
-        if len(names) != 1:
-            raise RuntimeError(
-                f"RowScan without explicit field requires a single-field tuple, got {list(names)}"
-            )
-        return names[0]
-
-    def _vector(self, t: dict) -> RowVector:
-        name = self.field or self._single_name(list(t.keys()))
-        rv = t[name]
-        if not isinstance(rv, RowVector):
-            raise RuntimeError(f"RowScan field {name!r} does not hold a RowVector")
-        return rv
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for pdf in ups[0]:
             for t in RowVector(pdf).iter_rows():
-                yield from self._vector(t).batches(ctx.batch_size)
+                rv = t[self.field]
+                if not isinstance(rv, RowVector):
+                    raise RuntimeError(f"RowScan field {self.field!r} does not hold a RowVector")
+                yield from rv.batches(ctx.batch_size)
 
 
 class MaterializeRowVector(SubOperator):
@@ -72,15 +58,9 @@ class MaterializeRowVector(SubOperator):
     op_name = "MR"
     phase = "materialize"
 
-    def __init__(
-        self,
-        upstream: SubOperator,
-        field: str = "data",
-        columns: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, upstream: SubOperator, field: str = "data") -> None:
         super().__init__([upstream])
         self.field = field
-        self.columns = list(columns) if columns is not None else None
 
     def out_type(self, in_types) -> Optional[TupleType]:
         if in_types[0] is None:
@@ -88,7 +68,7 @@ class MaterializeRowVector(SubOperator):
         return TupleType([(self.field, RowVectorType(in_types[0]))])
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        pdf = concat_batches(list(ups[0]), columns=self.columns)
+        pdf = concat_batches(list(ups[0]))
         yield pd.DataFrame({self.field: object_column([RowVector(pdf)])}, copy=False)
 
 
@@ -126,20 +106,8 @@ class LocalPartitioning(SubOperator):
             [(self.pid_field, INT64), (self.data_field, RowVectorType(in_types[0]))]
         )
 
-    def _sizes(self, hist_rows) -> np.ndarray:
-        sizes = np.zeros(self.n_partitions, dtype=np.int64)
-        seen = 0
-        for h in hist_rows:
-            sizes[int(h["bucket_id"])] = int(h["count"])
-            seen += 1
-        if seen != self.n_partitions:
-            raise RuntimeError(
-                f"LocalPartitioning histogram has {seen} buckets, expected {self.n_partitions}"
-            )
-        return sizes
-
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        sizes = self._sizes(RowVector(concat_batches(list(ups[1]))).iter_rows())
+        sizes = dense_counts(concat_batches(list(ups[1])), self.n_partitions, "LocalPartitioning")
         data = concat_batches(list(ups[0]))
         frames = radix.scatter(data, bucket_ids(self.bucket_fn, data), self.n_partitions)
         for p, f in enumerate(frames):

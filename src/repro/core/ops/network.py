@@ -10,13 +10,20 @@ exchange) — same plan, different platform, which is the paper's whole point.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 
 from repro.core.compression import CompressionSpec
-from repro.core.ops.base import ExecContext, SubOperator, bucket_ids, concat_batches, object_column
+from repro.core.ops.base import (
+    ExecContext,
+    SubOperator,
+    bucket_ids,
+    concat_batches,
+    dense_counts,
+    object_column,
+)
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -78,7 +85,7 @@ class MpiHistogram(SubOperator):
         return TupleType([("bucket_id", INT64), ("count", INT64)])
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        counts = _dense_counts(concat_batches(list(ups[0])), self.n_buckets, "MpiHistogram")
+        counts = dense_counts(concat_batches(list(ups[0])), self.n_buckets, "MpiHistogram")
         if ctx.comm is not None:
             counts = ctx.comm.allreduce_sum(counts)
         yield pd.DataFrame(
@@ -98,7 +105,7 @@ class MpiExchange(SubOperator):
     and returns this rank's ``<partition_id, partition_data>`` pairs.
 
     With a ``CompressionSpec`` the <key,value> payload is compressed to one
-    64-bit word on the wire (fan-out must be 2**F); partition data stays
+    int64 word on the wire (fan-out must be 2**F); partition data stays
     compressed downstream until a ParametrizedMap restores the bits.
     """
 
@@ -135,19 +142,25 @@ class MpiExchange(SubOperator):
             t = TupleType([(self.compression.out_field, INT64)])
         return TupleType([(self.pid_field, INT64), (self.data_field, RowVectorType(t))])
 
+    def to_wire(self, data: pd.DataFrame) -> Tuple[np.ndarray, pd.DataFrame]:
+        """Each tuple's partition id and the frame sent on the wire
+        (compressed to one int64 word per tuple with a ``CompressionSpec``).
+        The Spark lowering's pre-exchange pipelines call this too, so both
+        substrates ship the same frame."""
+        pids = bucket_ids(self.bucket_fn, data)
+        if self.compression is not None:
+            data = self.compression.compress_pdf(data)
+        return pids, data
+
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
         from repro.core import radix
         from repro.mpi.simcluster import LocalComm
 
         comm = ctx.comm or LocalComm()
         n = self.n_partitions
-        local_hist = _dense_counts(concat_batches(list(ups[1])), n, "MpiExchange local")
-        global_hist = _dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
-
-        data = concat_batches(list(ups[0]))
-        pids = bucket_ids(self.bucket_fn, data)
-        if self.compression is not None:
-            data = self.compression.compress_pdf(data)
+        local_hist = dense_counts(concat_batches(list(ups[1])), n, "MpiExchange local")
+        global_hist = dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
+        pids, data = self.to_wire(concat_batches(list(ups[0])))
 
         # Window layout on each rank: its owned partitions' regions in
         # increasing partition id, sized by the global histogram.
@@ -159,8 +172,7 @@ class MpiExchange(SubOperator):
             base[parts_r] = np.concatenate([[0], np.cumsum(global_hist[parts_r])[:-1]])
         my_slots = int(global_hist[my_parts].sum())
 
-        dtypes = {c: data[c].dtype for c in data.columns}
-        win = comm.win_create(my_slots, list(data.columns), dtypes=dtypes)
+        win = comm.win_create(my_slots, list(data.columns), dtypes=dict(data.dtypes))
         my_offsets = comm.exscan_sum(local_hist)  # offset inside each region
 
         frames = radix.scatter(data, pids, n)
@@ -175,26 +187,12 @@ class MpiExchange(SubOperator):
                 comm.put(win, int(owners[p]), int(base[p] + my_offsets[p]), frames[p])
         comm.fence(win)
 
-        rows = {self.pid_field: [], self.data_field: []}
-        start = 0
-        for p in my_parts:
-            stop = start + int(global_hist[p])
-            rows[self.pid_field].append(int(p))
-            rows[self.data_field].append(RowVector(win.local_frame(comm.rank, start, stop)))
-            start = stop
+        # this rank's partitions, in place: region p spans base[p] onwards
+        parts = [
+            RowVector(win.local_frame(comm.rank, base[p], base[p] + global_hist[p]))
+            for p in my_parts
+        ]
         yield pd.DataFrame(
-            {
-                self.pid_field: np.array(rows[self.pid_field], dtype=np.int64),
-                self.data_field: object_column(rows[self.data_field]),
-            },
+            {self.pid_field: my_parts.astype(np.int64), self.data_field: object_column(parts)},
             copy=False,
         )
-
-
-def _dense_counts(pdf: pd.DataFrame, n: int, who: str) -> np.ndarray:
-    """Validate and read a dense <bucket_id, count> histogram frame."""
-    if len(pdf) != n:
-        raise RuntimeError(f"{who} histogram must have exactly {n} tuples, got {len(pdf)}")
-    counts = np.zeros(n, dtype=np.int64)
-    counts[pdf["bucket_id"].to_numpy(dtype=np.int64)] = pdf["count"].to_numpy(dtype=np.int64)
-    return counts

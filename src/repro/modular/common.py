@@ -35,8 +35,8 @@ class JoinConfig:
     ``n_net`` network partitions radix-partition the key's low
     ``net_bits`` bits across ranks; ``n_loc`` local partitions use the next
     ``loc_bits`` bits (cache-sized sub-partitions in the paper).
-    Compression (one 64-bit word on the wire) requires dense <key,value>
-    inputs and ``n_net == 2**net_bits``.
+    Compression (one int64 word on the wire, see ``CompressionSpec``)
+    requires dense <key,value> inputs and ``n_net == 2**net_bits``.
     """
 
     n_net: int
@@ -69,24 +69,15 @@ class JoinConfig:
         n, key = self.n_net, self.key
         return lambda pdf: (pdf[key].to_numpy() % n).astype(np.int64)
 
-    def loc_pid(self, compressed: bool, value_field: str) -> Callable[[pd.DataFrame], np.ndarray]:
-        """Local radix on the bits above the network bits. On compressed
-        data those bits sit just above the value's P bits."""
+    def loc_pid(self, value_field: str) -> Callable[[pd.DataFrame], np.ndarray]:
+        """Local radix on the key bits above the network bits; compressed
+        data stores exactly those bits as the word's key-high part."""
         mask = self.n_loc - 1
-        if compressed:
-            spec = self.spec(value_field)
-            shift = np.uint64(spec.p_bits)
-
-            def fn(pdf: pd.DataFrame) -> np.ndarray:
-                return (((pdf[spec.out_field].to_numpy() >> shift)).astype(np.int64)) & mask
-
-            return fn
+        spec = self.spec(value_field)
+        if spec is not None:
+            return lambda pdf: spec.key_high(pdf[spec.out_field].to_numpy()) & mask
         nb, key = self.net_bits, self.key
-
-        def fn2(pdf: pd.DataFrame) -> np.ndarray:
-            return ((pdf[key].to_numpy().astype(np.int64) >> nb)) & mask
-
-        return fn2
+        return lambda pdf: (pdf[key].to_numpy().astype(np.int64) >> nb) & mask
 
 
 def rank_input(field: str) -> RowScan:
@@ -124,7 +115,7 @@ def local_partition_side(
     every local partition with the network partition id (Fig. 3)."""
     pid_tuple = Projection(pl, [net_pid_field])
     data = RowScan(Projection(pl, [net_data_field]), net_data_field)
-    loc_pid = cfg.loc_pid(cfg.compress, value_field)
+    loc_pid = cfg.loc_pid(value_field)
     lh = LocalHistogram(data, cfg.n_loc, loc_pid)
     lp = LocalPartitioning(
         data, lh, cfg.n_loc, loc_pid,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import pandas as pd
-
 from repro.core import Plan
 from repro.core.ops import (
     MaterializeRowVector,
@@ -27,26 +25,18 @@ from repro.core.types import INT64, TupleType
 from repro.modular.common import JoinConfig, local_partition_side, network_partition, rank_input
 
 
-def _decompress_map(cfg: JoinConfig, pl: ParameterLookup, data: SubOperator, value_field: str) -> SubOperator:
-    """ParametrizedMap restoring <k, v> from the compressed word using the
-    network partition id from the enclosing scope."""
-    spec = cfg.spec(value_field)
-    param = Projection(pl, ["net_pid"])
-
-    def decompress(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
-        k, v = spec.decompress(pdf[spec.out_field].to_numpy(), int(p["net_pid"]))
-        return pd.DataFrame({cfg.key: k, value_field: v})
-
-    typ = TupleType([(cfg.key, INT64), (value_field, INT64)])
-    return ParametrizedMap(param, data, decompress, typ)
-
-
 def groupby_inner2_plan(cfg: JoinConfig, value_field: str, aggs: Dict[str, str]) -> Plan:
     """Innermost plan: per local partition, decompress and aggregate."""
     pl = ParameterLookup()
     data: SubOperator = RowScan(Projection(pl, ["loc_data"]), "loc_data")
     if cfg.compress:
-        data = _decompress_map(cfg, pl, data, value_field)
+        # restore <k, v> with the network partition id of the enclosing scope
+        spec = cfg.spec(value_field)
+        typ = TupleType([(cfg.key, INT64), (value_field, INT64)])
+        data = ParametrizedMap(
+            Projection(pl, ["net_pid"]), data,
+            lambda pdf, p: spec.decompress_pdf(pdf, int(p["net_pid"])), typ,
+        )
     rk = ReduceByKey(data, [cfg.key], aggs)
     return Plan(MaterializeRowVector(rk, field="agg"), name="groupby-inner2")
 
@@ -83,8 +73,15 @@ def distributed_groupby_plan(
     driver-side post-aggregation of all worker results.
 
     ``aggs`` defaults to summing ``value_field``. Every level applies the
-    same spec, so it must be re-aggregable ('sum', 'min' or 'max')."""
+    same spec to the level below, so it must be re-aggregable ('sum',
+    'min' or 'max'); 'count' would count partial results, not rows."""
     aggs = aggs if aggs is not None else {value_field: "sum"}
+    for c, a in aggs.items():
+        if a not in ("sum", "min", "max"):
+            raise ValueError(
+                f"aggregate {a!r} on {c!r} is not re-aggregable: every level of the "
+                "distributed GROUP BY applies it again (use 'sum', 'min' or 'max')"
+            )
     me = MpiExecutor(rank_input("rank_inputs"), rank_groupby_plan(cfg, field, value_field, aggs))
     rs = RowScan(me, "rank_result")
     final = ReduceByKey(rs, [cfg.key], aggs)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
 import pandas as pd
 
 from repro.core import Plan
+from repro.core.compression import CompressionSpec
 from repro.core.ops import (
     BuildProbe,
     Map,
@@ -44,22 +44,15 @@ from repro.modular.common import JoinConfig, local_partition_side, network_parti
 PostHook = Callable[[SubOperator], SubOperator]
 
 
-def _split_word_map(spec, value_field: str) -> Map:
-    """Vectorized kernel: split a compressed word into the stored key-high
-    bits and the value (the probe key inside one network partition)."""
+def split_word(up: SubOperator, spec: CompressionSpec) -> Map:
+    """Map splitting each compressed word into the stored key-high bits
+    ``k_hi`` (the probe key inside one network partition) and the value."""
 
     def batch(pdf: pd.DataFrame) -> pd.DataFrame:
-        w = pdf[spec.out_field].to_numpy().astype(np.uint64, copy=False)
-        return pd.DataFrame(
-            {
-                "k_hi": (w >> np.uint64(spec.p_bits)).astype(np.int64, copy=False),
-                value_field: (w & np.uint64((1 << spec.p_bits) - 1)).astype(np.int64, copy=False),
-            },
-            copy=False,
-        )
+        k_hi, value = spec.split(pdf[spec.out_field].to_numpy())
+        return pd.DataFrame({"k_hi": k_hi, spec.value_field: value}, copy=False)
 
-    typ = TupleType([("k_hi", INT64), (value_field, INT64)])
-    return lambda up: Map(up, batch, typ)
+    return Map(up, batch, TupleType([("k_hi", INT64), (spec.value_field, INT64)]))
 
 
 def join_inner2_plan(
@@ -77,7 +70,7 @@ def join_inner2_plan(
     for sfx, vf in zip(suffixes, value_fields):
         scan: SubOperator = RowScan(Projection(pl, [f"loc_data_{sfx}"]), f"loc_data_{sfx}")
         if cfg.compress:
-            scan = _split_word_map(cfg.spec(vf), vf)(scan)
+            scan = split_word(scan, cfg.spec(vf))
         scans.append(scan)
 
     probe_key = "k_hi" if cfg.compress else cfg.key
@@ -95,8 +88,7 @@ def join_inner2_plan(
         typ = TupleType([(cfg.key, INT64)] + [(vf, INT64) for vf in keep])
 
         def restore_key(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
-            k = (pdf["k_hi"].to_numpy().astype(np.int64, copy=False) << spec.f_bits) | int(p[pid_field])
-            cols = {cfg.key: k}
+            cols = {cfg.key: spec.restore(pdf["k_hi"].to_numpy(), int(p[pid_field]))}
             cols.update({c: pdf[c].to_numpy() for c in pdf.columns if c != "k_hi"})
             return pd.DataFrame(cols, copy=False)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Tuple
 
-import numpy as np
 import pandas as pd
 
 from repro.core import Plan, RowVector, vectorized
@@ -27,6 +26,7 @@ from repro.core.ops import (
 )
 from repro.core.ops.base import ExecContext
 from repro.modular.common import JoinConfig
+from repro.modular.join import split_word
 from repro.mpi.simcluster import SimCluster
 from repro.mpi.thread_backend import split_relation
 
@@ -83,7 +83,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
         out = []
         for tup in RowVector(parts).iter_rows():
             p = {"D": tup["partition_data"]}
-            loc_pid = cfg.loc_pid(cfg.compress, vf)
+            loc_pid = cfg.loc_pid(vf)
             hist = LocalHistogram(_src("D"), cfg.n_loc, loc_pid)
             lp = LocalPartitioning(_src("D"), hist, cfg.n_loc, loc_pid)
             out.append((tup["partition_id"], _run(lp, p)))
@@ -94,27 +94,18 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
     lp_s = local_parts(parts_s, "vs")
     t["local_partitioning"] = perf_counter() - t0
 
-    # build & probe: the BuildProbe operator per sub-partition pair
+    # build & probe: the BuildProbe operator per sub-partition pair, over
+    # the join's own word split when the data is compressed
+    def side(field, vf):
+        return split_word(_src(field), cfg.spec(vf)) if cfg.compress else _src(field)
+
     key = "k_hi" if cfg.compress else cfg.key
-
-    def split(pdf, vf):
-        if not cfg.compress:
-            return pdf.rename(columns={})
-        spec = cfg.spec(vf)
-        w = pdf[spec.out_field].to_numpy().astype(np.uint64)
-        return pd.DataFrame(
-            {"k_hi": (w >> np.uint64(spec.p_bits)).astype(np.int64),
-             vf: (w & np.uint64((1 << spec.p_bits) - 1)).astype(np.int64)}
-        )
-
     t0 = perf_counter()
     results = []
     for (pid_r, sub_r), (pid_s, sub_s) in zip(lp_r, lp_s):
         for tr, ts in zip(RowVector(sub_r).iter_rows(), RowVector(sub_s).iter_rows()):
-            bp = BuildProbe(_src("L"), _src("R2"), keys=[key])
-            pr = {"L": RowVector(split(tr["partition_data"].df, "vr")),
-                  "R2": RowVector(split(ts["partition_data"].df, "vs"))}
-            results.append(_run(bp, pr))
+            bp = BuildProbe(side("L", "vr"), side("R2", "vs"), keys=[key])
+            results.append(_run(bp, {"L": tr["partition_data"], "R2": ts["partition_data"]}))
     t["build_probe"] = perf_counter() - t0
 
     t0 = perf_counter()

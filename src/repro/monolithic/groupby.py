@@ -41,32 +41,19 @@ def _rank_groupby(comm: Comm, t_pdf: pd.DataFrame, cfg: JoinConfig) -> Tuple[pd.
     n_loc = cfg.n_loc
     subs = []
     for pid, data in parts:
-        if spec:
-            (wire,) = data
-            loc = ((wire >> np.uint64(spec.p_bits)).astype(np.int64)) & (n_loc - 1)
-            for arrs in radix.scatter_arrays([wire], loc, n_loc):
-                subs.append((pid, arrs))
-        else:
-            k, v = data
-            loc = (k >> cfg.net_bits) & (n_loc - 1)
-            for arrs in radix.scatter_arrays([k, v], loc, n_loc):
-                subs.append((pid, arrs))
+        k_hi = spec.key_high(data[0]) if spec else data[0] >> cfg.net_bits
+        for arrs in radix.scatter_arrays(list(data), k_hi & (n_loc - 1), n_loc):
+            subs.append((pid, arrs))
     t["local_partitioning"] = perf_counter() - t0
 
     t0 = perf_counter()
     outs = []
     for pid, arrs in subs:
+        k, v = spec.split(arrs[0]) if spec else arrs
+        uk, inv = np.unique(k, return_inverse=True)
+        sums = np.bincount(inv, weights=v).astype(np.int64)
         if spec:
-            (wire,) = arrs
-            k = (wire >> np.uint64(spec.p_bits)).astype(np.int64)
-            v = (wire & np.uint64((1 << spec.p_bits) - 1)).astype(np.int64)
-            uk, inv = np.unique(k, return_inverse=True)
-            sums = np.bincount(inv, weights=v).astype(np.int64)
-            uk = (uk << cfg.net_bits) | pid  # recover dropped bits
-        else:
-            k, v = arrs
-            uk, inv = np.unique(k, return_inverse=True)
-            sums = np.bincount(inv, weights=v).astype(np.int64)
+            uk = spec.restore(uk, pid)  # recover dropped bits
         outs.append((uk, sums))
     t["build_probe"] = perf_counter() - t0  # aggregation phase slot
 

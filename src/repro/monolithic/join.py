@@ -47,9 +47,7 @@ def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, 
         parts_r = np.flatnonzero(owners == r)
         base[parts_r] = np.concatenate([[0], np.cumsum(global_hist[parts_r])[:-1]])
     cols = ["kv"] if spec else ["k", "v"]
-    dtypes = {c: np.int64 for c in cols}
-    if spec:
-        dtypes["kv"] = np.uint64
+    dtypes = dict.fromkeys(cols, np.int64)
     win = comm.win_create(int(global_hist[my_parts].sum()), cols, dtypes=dtypes)
     offsets = comm.exscan_sum(local_hist)
     arrays = [wire] if spec else [keys, vals]
@@ -107,13 +105,8 @@ def _rank_join(comm: Comm, inputs, cfg: JoinConfig) -> Tuple[pd.DataFrame, Dict[
         assert pid_r == pid_s
 
         def local_split(data, spec):
-            if spec:
-                (wire,) = data
-                loc = ((wire >> np.uint64(spec.p_bits)).astype(np.int64)) & (n_loc - 1)
-                return radix.scatter_arrays([wire], loc, n_loc)
-            k, v = data
-            loc = (k >> cfg.net_bits) & (n_loc - 1)
-            return radix.scatter_arrays([k, v], loc, n_loc)
+            k_hi = spec.key_high(data[0]) if spec else data[0] >> cfg.net_bits
+            return radix.scatter_arrays(list(data), k_hi & (n_loc - 1), n_loc)
 
         subs_r = local_split(data_r, spec_r)
         subs_s = local_split(data_s, spec_s)
@@ -126,14 +119,8 @@ def _rank_join(comm: Comm, inputs, cfg: JoinConfig) -> Tuple[pd.DataFrame, Dict[
     outs = []
     for pid, sub_r, sub_s in sub_pairs:
         if spec_r:
-            (wr,) = sub_r
-            (ws,) = sub_s
-            bk = (wr >> np.uint64(spec_r.p_bits)).astype(np.int64)
-            bv = (wr & np.uint64((1 << spec_r.p_bits) - 1)).astype(np.int64)
-            pk = (ws >> np.uint64(spec_s.p_bits)).astype(np.int64)
-            pv = (ws & np.uint64((1 << spec_s.p_bits) - 1)).astype(np.int64)
-            jk, jl, jr = _np_hash_join(bk, bv, pk, pv)
-            jk = (jk << cfg.net_bits) | pid  # recover dropped bits
+            jk, jl, jr = _np_hash_join(*spec_r.split(sub_r[0]), *spec_s.split(sub_s[0]))
+            jk = spec_r.restore(jk, pid)  # recover dropped bits
         else:
             jk, jl, jr = _np_hash_join(sub_r[0], sub_r[1], sub_s[0], sub_s[1])
         outs.append((jk, jl, jr))

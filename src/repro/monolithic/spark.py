@@ -31,9 +31,7 @@ def _pre_fn(cfg: JoinConfig, value_field: str):
             v = pdf[value_field].to_numpy().astype(np.int64)
             pid = k % n
             if spec is not None:
-                yield pd.DataFrame(
-                    {"kv": spec.compress(k, v).astype(np.int64), "__pid": pid}
-                )
+                yield pd.DataFrame({"kv": spec.compress(k, v), "__pid": pid})
             else:
                 yield pd.DataFrame({"k": k, value_field: v, "__pid": pid})
 
@@ -46,9 +44,7 @@ def _join_fn(cfg: JoinConfig):
 
     def split(pdf, spec, vf):
         if spec is not None:
-            w = pdf["kv"].to_numpy().astype(np.uint64)
-            k = (w >> np.uint64(spec.p_bits)).astype(np.int64)
-            v = (w & np.uint64((1 << spec.p_bits) - 1)).astype(np.int64)
+            k, v = spec.split(pdf["kv"].to_numpy())
             loc = k & (n_loc - 1)
         else:
             k = pdf["k"].to_numpy().astype(np.int64)
@@ -64,7 +60,7 @@ def _join_fn(cfg: JoinConfig):
         for i in range(n_loc):
             jk, jl, jr = _np_hash_join(subs_r[i][0], subs_r[i][1], subs_s[i][0], subs_s[i][1])
             if spec_r is not None:
-                jk = (jk << net_bits) | pid  # recover dropped bits
+                jk = spec_r.restore(jk, pid)  # recover dropped bits
             outs.append((jk, jl, jr))
         return pd.DataFrame(
             {

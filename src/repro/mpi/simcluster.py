@@ -45,9 +45,10 @@ class Window:
     """A collectively created, per-rank registered memory region.
 
     Each rank's region holds ``n_slots[rank]`` fixed-layout records with the
-    given columns; buffers are preallocated numpy arrays (uint64 for the
-    compressed wire format, object otherwise), mirroring RDMA's requirement
-    that the target region be registered and sized up front.
+    given columns; buffers are preallocated numpy arrays of the dtypes the
+    caller registers (int64 for the compressed wire word, object for a
+    column without a dtype), mirroring RDMA's requirement that the target
+    region be registered and sized up front.
     """
 
     def __init__(self, wid: int, n_slots: Sequence[int], columns: Sequence[str], dtypes: Dict[str, Any]):

@@ -53,7 +53,7 @@ class TestRoundTrip:
         pdf = pd.DataFrame({"k": [1, 9], "v": [2, 3]})
         out = spec.compress_pdf(pdf)
         assert list(out.columns) == ["kv"]
-        assert out["kv"].dtype == np.uint64
+        assert out["kv"].dtype == np.int64
 
     def test_domain_violation_rejected(self):
         spec = CompressionSpec(p_bits=8, f_bits=2)
@@ -61,6 +61,29 @@ class TestRoundTrip:
             spec.compress(np.array([300]), np.array([0]))
         with pytest.raises(ValueError, match="dense"):
             spec.compress(np.array([0]), np.array([300]))
+
+    def test_negative_keys_and_values_rejected(self):
+        spec = CompressionSpec(p_bits=8, f_bits=2)
+        with pytest.raises(ValueError, match="key outside"):
+            spec.compress(np.array([-1]), np.array([0]))
+        with pytest.raises(ValueError, match="value outside"):
+            spec.compress(np.array([0]), np.array([-1]))
+
+    @pytest.mark.parametrize("p_bits, f_bits", [(32, 0), (33, 2), (34, 4)])
+    def test_top_bit_set_at_the_word_limit(self, p_bits, f_bits):
+        """At 2*P - F = 64 the int64 word is negative; split and restore
+        still give back the exact keys and values."""
+        spec = CompressionSpec(p_bits=p_bits, f_bits=f_bits)
+        top = (1 << p_bits) - 1
+        keys = np.array([top, top - spec.fanout, 1 << (p_bits - 1), 0], dtype=np.int64)
+        keys -= keys % spec.fanout  # all in partition 0
+        vals = np.array([top, 0, 1, top], dtype=np.int64)
+        words = spec.compress(keys, vals)
+        assert words.dtype == np.int64 and (words[:3] < 0).all()
+        k_hi, v = spec.split(words)
+        assert (k_hi == keys >> f_bits).all() and (v == vals).all()
+        k2, v2 = spec.decompress(words, partition_id=0)
+        assert (k2 == keys).all() and (v2 == vals).all()
 
     def test_extra_columns_rejected(self):
         spec = CompressionSpec(p_bits=8, f_bits=2)

@@ -1,13 +1,14 @@
 """Tests of the Spark (Catalyst) lowering: the same plan objects that run
 on the simulated MPI cluster execute as Spark stages, validated against the
 DuckDB oracle and against the SimCluster execution."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql.types import StructType
 
 from repro.core import vectorized
 from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
-from repro.core.ops import ExecContext, Filter, Map, ParametrizedMap
+from repro.core.ops import ExecContext, Filter, Map, MpiExchange, ParametrizedMap
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVectorType, TupleType
 from repro.engines import run_presto_sim
 from repro.modular.common import JoinConfig
@@ -19,6 +20,7 @@ from repro.modular.join_sequence import (
     relation_fields,
     value_fields,
 )
+from repro.monolithic import run_monolithic_join
 from repro.mpi.thread_backend import make_rank_inputs, run_on_sim
 from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
@@ -145,6 +147,62 @@ class TestSequenceLowering:
             "JOIN r2 ON r0.k = r2.k",
             r0=rels_pdf["R0"], r1=rels_pdf["R1"], r2=rels_pdf["R2"],
         )
+
+    def test_three_way_sequence_keeps_int64_precision(self, spark):
+        """Values above 2**53 survive the N-ary tagged union exactly (a
+        NULL-padded column reaches pandas as float64 and rounds them)."""
+        cfg = JoinConfig(n_net=4, loc_bits=1)
+        base = (1 << 60) + 1
+        rels_pdf = {
+            f: pd.DataFrame({"k": np.arange(64, dtype=np.int64),
+                             v: base + i + 3 * np.arange(64, dtype=np.int64)})
+            for i, (f, v) in enumerate(zip(relation_fields(2), value_fields(2)))
+        }
+        rels = {k: spark.createDataFrame(v) for k, v in rels_pdf.items()}
+        out = run_distributed_on_spark(spark, optimized_sequence_plan(cfg, 2), rels)
+        assert_equivalent(
+            out,
+            "SELECT r0.k AS k, v0, v1, v2 FROM r0 JOIN r1 ON r0.k = r1.k "
+            "JOIN r2 ON r0.k = r2.k",
+            r0=rels_pdf["R0"], r1=rels_pdf["R1"], r2=rels_pdf["R2"],
+        )
+
+
+def _top_bit_kv(n=256):
+    """R(k, vr) and S(k, vs) with keys and values in [2**31, 2**32): packed
+    at P = 32 without dropped bits, every word has its top bit set. S holds
+    every second key of R twice."""
+    rng = np.random.default_rng(80)
+    keys = (1 << 32) - 1 - 5 * np.arange(n, dtype=np.int64)
+    r = pd.DataFrame({"k": keys, "vr": rng.integers(1 << 31, 1 << 32, n)})
+    s_keys = np.repeat(keys[::2], 2)
+    s = pd.DataFrame({"k": s_keys, "vs": rng.integers(1 << 31, 1 << 32, len(s_keys))})
+    return r, s
+
+
+class TestCompressionAtWordLimit:
+    """2*P - F = 64 (P = 32, one network partition, keys >= 2**31): the
+    int64 wire word has its top bit set, on every substrate."""
+
+    CFG = JoinConfig(n_net=1, loc_bits=2, compress=True, p_bits=32)
+
+    def test_spark_matches_duckdb(self, spark):
+        r, s = _top_bit_kv()
+        out = run_distributed_on_spark(
+            spark, distributed_join_plan(self.CFG),
+            {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
+        )
+        assert_equivalent(out, JOIN_SQL, r=r, s=s)
+
+    def test_sim_cluster_matches_duckdb(self):
+        r, s = _top_bit_kv()
+        out, _ = run_on_sim(distributed_join_plan(self.CFG), 2, {"R": r, "S": s})
+        assert_equivalent(out, JOIN_SQL, r=r, s=s)
+
+    def test_monolithic_sim_join_matches_duckdb(self):
+        r, s = _top_bit_kv()
+        out, _ = run_monolithic_join(2, r, s, self.CFG)
+        assert_equivalent(out, JOIN_SQL, r=r, s=s)
 
 
 def _per_tuple(fn):
@@ -323,31 +381,46 @@ def _assert_kinds(pdf, typ, where):
 
 class _DeclaredTypeCheck:
     """Passed as the evaluator's profiler: checks every non-empty batch a
-    Map or ParametrizedMap yields against its declared_type."""
+    Map or ParametrizedMap yields against its declared_type, and every
+    non-empty partition an MpiExchange yields against the collection type
+    of its out_type (``types``: every operator's static type)."""
 
-    def __init__(self):
+    def __init__(self, types):
+        self.types = types
         self.checked = set()
 
     def wrap(self, op, gen):
-        if not isinstance(op, (Map, ParametrizedMap)):
-            return gen
+        if isinstance(op, (Map, ParametrizedMap)):
+            return self._check(op, gen, lambda pdf: [(pdf, op.declared_type)])
+        if isinstance(op, MpiExchange):
+            wire = self.types[op].field_type(op.data_field).tuple_type
+            return self._check(op, gen, lambda pdf: [(rv.df, wire) for rv in pdf[op.data_field]])
+        return gen
 
-        def check():
-            for pdf in gen:
-                if len(pdf):
-                    _assert_kinds(pdf, op.declared_type, repr(op))
+    def _check(self, op, gen, frames):
+        for pdf in gen:
+            for frame, typ in frames(pdf):
+                if len(frame):
+                    _assert_kinds(frame, typ, repr(op))
                     self.checked.add(op)
-                yield pdf
-
-        return check()
+            yield pdf
 
 
 def _declared_ops(plan):
     for op in plan.operators():
-        if isinstance(op, (Map, ParametrizedMap)):
+        if isinstance(op, (Map, ParametrizedMap, MpiExchange)):
             yield op
         if hasattr(op, "nested_plan"):
             yield from _declared_ops(op.nested_plan)
+
+
+def _all_types(plan, param_type):
+    """The static type of every operator of ``plan`` and its nested plans."""
+    types = plan.op_types(param_type)
+    for op in plan.operators():
+        if hasattr(op, "nested_plan"):
+            types.update(_all_types(op.nested_plan, types[op.upstreams[0]]))
+    return types
 
 
 class TestStaticSchemas:
@@ -355,20 +428,21 @@ class TestStaticSchemas:
     def test_declared_types_match_sim_dtypes(self, plans, name):
         """Arrow casts unsafely, so a wrong declared_type would silently
         truncate values on Spark: every declared type must match the dtypes
-        the kernels really produce, and so must the plan's output type."""
+        the kernels really produce, and so must every exchange's wire
+        frame and the plan's output type."""
         plan, frames = plans[name]
-        checker = _DeclaredTypeCheck()
-        out = vectorized.run_to_pdf(
-            plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
-        )
-        assert checker.checked == set(_declared_ops(plan))
         rank_inputs = TupleType([
             (f, RowVectorType(TupleType([(c, _ATOMS[pdf[c].dtype.kind]) for c in pdf.columns])))
             for f, pdf in frames.items()
         ])
-        typ = plan.out_type(TupleType([("rank_inputs", RowVectorType(rank_inputs))]))
+        types = _all_types(plan, TupleType([("rank_inputs", RowVectorType(rank_inputs))]))
+        checker = _DeclaredTypeCheck(types)
+        out = vectorized.run_to_pdf(
+            plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
+        )
+        assert checker.checked == set(_declared_ops(plan))
         assert len(out)
-        _assert_kinds(out, typ, name)
+        _assert_kinds(out, types[plan.root], name)
 
     @pytest.mark.parametrize("name", LOWERED)
     def test_lowering_runs_no_spark_job(self, spark, plans, name):

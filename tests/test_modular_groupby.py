@@ -60,6 +60,13 @@ def test_custom_aggregate_max():
     )
 
 
+def test_count_aggregate_rejected():
+    """'count' is not re-aggregable: each level would count the partial
+    results of the level below (1 per key instead of 4)."""
+    with pytest.raises(ValueError, match="'count'"):
+        distributed_groupby_plan(JoinConfig(n_net=2, loc_bits=1), aggs={"v": "count"})
+
+
 def test_groupby_phase_breakdown():
     t = dense_kv_pdf(1 << 10, multiplicity=2, seed=23)
     cfg = JoinConfig(n_net=2, loc_bits=2)

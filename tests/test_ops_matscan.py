@@ -29,18 +29,6 @@ class TestRowScan:
         rows = vectorized.run_rows(Plan(root), params=params_of(t=frame) | {"d": rv, "x": 9})
         assert rows == [{"a": 1}, {"a": 2}]
 
-    def test_single_field_inference(self):
-        rv = RowVector(pd.DataFrame({"a": [5]}))
-        root = RowScan(Projection(ParameterLookup(), ["d"]))
-        rows = vectorized.run_rows(Plan(root), params={"d": rv})
-        assert rows == [{"a": 5}]
-
-    def test_multi_field_without_explicit_field_raises(self):
-        rv = RowVector(pd.DataFrame({"a": [5]}))
-        root = RowScan(ParameterLookup())
-        with pytest.raises(RuntimeError, match="single-field"):
-            vectorized.run_rows(Plan(root), params={"d": rv, "e": rv})
-
     def test_non_collection_field_raises(self):
         root = RowScan(ParameterLookup(), "d")
         with pytest.raises(RuntimeError, match="does not hold a RowVector"):

@@ -101,8 +101,9 @@ class TestMaterializeRowScanRoundtrip:
         assert_equivalent(out, "SELECT a FROM t", t=df)
 
     def test_materialize_empty_stream_with_columns(self):
+        """An empty stream materializes with its upstream's columns."""
         df = pd.DataFrame({"a": pd.Series([], dtype="int64")})
-        root = MaterializeRowVector(source("t"), field="d", columns=["a"])
+        root = MaterializeRowVector(source("t"), field="d")
         rows = vectorized.run_rows(Plan(root), params=params_of(t=df))
         assert len(rows) == 1
         assert rows[0]["d"].columns == ("a",)

@@ -1,4 +1,7 @@
 """Tests for the SLOC accounting (Table 1 reproduction)."""
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import sloc
@@ -48,3 +51,35 @@ class TestTable1:
         rows = {name: ours for name, _, ours, _ in sloc.operator_sloc()}
         expect = sum(rows[n] for n in sloc.PLATFORM_SPECIFIC)
         assert sloc.summary()["platform_specific"] == expect
+
+
+def _committed_table1():
+    """``{first cell: first integer of the "ours" cell}`` for the rows of
+    EXPERIMENTS.md's Table 1."""
+    text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
+    section = text.split("## Table 1", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and (m := re.search(r"\d+", cells[2])):
+            rows[cells[0].strip("*")] = int(m.group())
+    return rows
+
+
+class TestCommittedTable1:
+    """EXPERIMENTS.md's Table 1 reads what the code measures; after a change
+    to an operator or a baseline, rerun ``python jobs/sloc_table.py``."""
+
+    def test_operator_rows(self):
+        rows = _committed_table1()
+        for name, _, ours, _ in sloc.operator_sloc():
+            assert rows[name] == ours, f"{name}: EXPERIMENTS.md says {rows[name]}, code has {ours}"
+
+    @pytest.mark.parametrize("row, key", [
+        ("total (modular)", "modular_total"),
+        ("monolithic baseline (join+groupby modules)", "monolithic_total"),
+        ("platform-specific (ME+EX+MH)", "platform_specific"),
+    ])
+    def test_summary_rows(self, row, key):
+        assert _committed_table1()[row] == sloc.summary()[key]
+
