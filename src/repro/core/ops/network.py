@@ -28,8 +28,21 @@ from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
 def owner_of(partition_id: int, n_ranks: int) -> int:
-    """Round-robin partition placement used by exchange and lowering alike."""
+    """Round-robin placement of a partition on a rank."""
     return partition_id % n_ranks
+
+
+def window_layout(global_hist: np.ndarray, n_ranks: int) -> Tuple[np.ndarray, np.ndarray]:
+    """RMA window layout of an exchange: each partition's owner rank and
+    the base of its region in the owner's window. A window holds its
+    rank's partitions in increasing partition id, each sized by the global
+    histogram (Barthels et al.'s synchronization-free offsets start here)."""
+    owners = owner_of(np.arange(len(global_hist)), n_ranks)
+    base = np.zeros(len(global_hist), dtype=np.int64)
+    for r in range(n_ranks):
+        mine = owners == r
+        base[mine] = np.cumsum(global_hist[mine]) - global_hist[mine]
+    return owners, base
 
 
 class MpiExecutor(SubOperator):
@@ -162,17 +175,11 @@ class MpiExchange(SubOperator):
         global_hist = dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
         pids, data = self.to_wire(concat_batches(list(ups[0])))
 
-        # Window layout on each rank: its owned partitions' regions in
-        # increasing partition id, sized by the global histogram.
-        owners = np.array([owner_of(p, comm.size) for p in range(n)])
+        owners, base = window_layout(global_hist, comm.size)
         my_parts = np.flatnonzero(owners == comm.rank)
-        base = np.zeros(n, dtype=np.int64)
-        for r in range(comm.size):
-            parts_r = np.flatnonzero(owners == r)
-            base[parts_r] = np.concatenate([[0], np.cumsum(global_hist[parts_r])[:-1]])
-        my_slots = int(global_hist[my_parts].sum())
-
-        win = comm.win_create(my_slots, list(data.columns), dtypes=dict(data.dtypes))
+        win = comm.win_create(
+            int(global_hist[my_parts].sum()), list(data.columns), dtypes=dict(data.dtypes)
+        )
         my_offsets = comm.exscan_sum(local_hist)  # offset inside each region
 
         frames = radix.scatter(data, pids, n)

@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import SubOperator, concat_batches
+from repro.core.ops.base import SubOperator, bucket_ids, concat_batches
 from repro.core.types import INT64, RowVector, TupleType
 
 
@@ -251,41 +251,35 @@ class LocalHistogram(SubOperator):
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)
         for pdf in ups[0]:
-            if not len(pdf):
-                continue
-            ids = np.asarray(self.bucket_fn(pdf))
-            if ids.min() < 0 or ids.max() >= self.n_buckets:
-                raise RuntimeError(f"bucket ids out of range [0, {self.n_buckets})")
-            counts += np.bincount(ids, minlength=self.n_buckets)
+            counts += radix.histogram(bucket_ids(self.bucket_fn, pdf), self.n_buckets)
         yield pd.DataFrame(
             {"bucket_id": np.arange(self.n_buckets, dtype=np.int64), "count": counts}
         )
 
-class BuildProbe(SubOperator):
-    """Hash join: builds a hash table over the left upstream keyed by the
-    join attributes and probes it with the right upstream.
 
-    ``join_type`` demonstrates the paper's extensibility claim: 'inner'
-    (matching combinations), 'semi'/'anti' (probe-side tuples with/without a
-    match), and 'outer' (inner plus unmatched probe tuples padded with NA).
-    Output fields: join attributes, remaining left fields, remaining right
-    fields — names must be distinct.
+class BuildProbe(SubOperator):
+    """Hash join on one integer ``key``: builds over the left upstream and
+    probes with the right one, through the sort-merge kernel the
+    monolithic join uses (``radix.join_indices``).
+
+    ``join_type`` 'inner' (every plan's join) yields the matching
+    combinations; 'semi' (TPC-H Q4) and 'anti' yield the probe tuples
+    with/without a match; 'outer' yields the inner pairs plus the unmatched
+    probe tuples, with the left fields NULL (NaN/NaT). Output fields: the
+    key, remaining left fields, remaining right fields — names must be
+    distinct.
     """
 
     op_name = "BP"
     phase = "build_probe"
 
     def __init__(
-        self,
-        left: SubOperator,
-        right: SubOperator,
-        keys: Sequence[str],
-        join_type: str = "inner",
+        self, left: SubOperator, right: SubOperator, key: str, join_type: str = "inner"
     ) -> None:
         if join_type not in ("inner", "semi", "anti", "outer"):
             raise ValueError(f"unsupported join_type {join_type!r}")
         super().__init__([left, right])
-        self.keys = list(keys)
+        self.key = key
         self.join_type = join_type
 
     def out_type(self, in_types) -> Optional[TupleType]:
@@ -294,9 +288,9 @@ class BuildProbe(SubOperator):
             return None
         if self.join_type in ("semi", "anti"):
             return rt
-        rest_l = [n for n in lt.names if n not in self.keys]
-        rest_r = [n for n in rt.names if n not in self.keys]
-        return lt.project(self.keys).concat(lt.project(rest_l)).concat(rt.project(rest_r))
+        rest_l = [n for n in lt.names if n != self.key]
+        rest_r = [n for n in rt.names if n != self.key]
+        return lt.project([self.key] + rest_l).concat(rt.project(rest_r))
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         left = concat_batches(list(ups[0]))
@@ -305,31 +299,34 @@ class BuildProbe(SubOperator):
             return
         # one probe frame, so the build side is sorted once per operator
         right = concat_batches(probes)
-        rest_l = [c for c in left.columns if c not in self.keys]
-        rest_r = [c for c in right.columns if c not in self.keys]
+        rest_l = [c for c in left.columns if c != self.key]
+        rest_r = [c for c in right.columns if c != self.key]
         overlap = set(rest_l) & set(rest_r)
         if overlap:
             raise RuntimeError(f"BuildProbe field overlap: {sorted(overlap)}")
+        bk, pk = left[self.key].to_numpy(), right[self.key].to_numpy()
         if self.join_type in ("semi", "anti"):
-            mark = left[self.keys].drop_duplicates()
-            merged = right.merge(mark, on=self.keys, how="left", indicator=True)
-            keep = merged["_merge"] == ("both" if self.join_type == "semi" else "left_only")
-            yield merged[keep][list(right.columns)].reset_index(drop=True)
+            # distinct build keys: every probe tuple matches at most once
+            hit = np.zeros(len(pk), dtype=bool)
+            hit[radix.join_indices(np.unique(bk), pk)[1]] = True
+            yield right[hit if self.join_type == "semi" else ~hit].reset_index(drop=True)
             return
-        if self.join_type == "inner" and len(self.keys) == 1:
-            # one integer key: the sort-merge kernel the monolithic join uses
-            key = self.keys[0]
-            bk, pk = left[key].to_numpy(), right[key].to_numpy()
-            if bk.dtype.kind in "iu" and pk.dtype.kind in "iu":
-                bi, pi = radix.join_indices(bk, pk)
-                out = {key: pk[pi]}
-                out.update({c: left[c].to_numpy()[bi] for c in rest_l})
-                out.update({c: right[c].to_numpy()[pi] for c in rest_r})
-                yield pd.DataFrame(out, copy=False)
-                return
-        how = "right" if self.join_type == "outer" else "inner"
-        out = left.merge(right, on=self.keys, how=how)
-        yield out[self.keys + rest_l + rest_r]
+        bi, pi = radix.join_indices(bk, pk)
+        if self.join_type == "outer":
+            # the unmatched probe tuples follow the pairs; build row -1 is NULL
+            unmatched = np.ones(len(pk), dtype=bool)
+            unmatched[pi] = False
+            pi = np.concatenate([pi, np.flatnonzero(unmatched)])
+            bi = np.concatenate([bi, np.full(len(pi) - len(bi), -1)])
+        out = {self.key: pk[pi]}
+        for c in rest_l:
+            col = left[c].to_numpy()
+            if self.join_type == "inner":
+                out[c] = col[bi]
+            else:
+                out[c] = pd.api.extensions.take(col, bi, allow_fill=True)
+        out.update({c: right[c].to_numpy()[pi] for c in rest_r})
+        yield pd.DataFrame(out, copy=False)
 
 
 _AGGS = ("sum", "count", "min", "max")

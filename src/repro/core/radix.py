@@ -29,34 +29,31 @@ def partition_ids(keys: np.ndarray, bits: int) -> np.ndarray:
     return (np.asarray(keys).astype(np.int64, copy=False)) & ((1 << bits) - 1)
 
 
-def hash_partition_ids(keys: np.ndarray, n: int) -> np.ndarray:
-    """Generic partition id for non-dense keys: multiplicative hash mod n."""
-    k = np.asarray(keys).astype(np.uint64, copy=False)
-    h = (k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)
-    return (h % np.uint64(n)).astype(np.int64)
-
-
 def histogram(pids: np.ndarray, n: int) -> np.ndarray:
-    """Dense partition-size histogram of length ``n``."""
-    if len(pids) == 0:
-        return np.zeros(n, dtype=np.int64)
-    return np.bincount(pids, minlength=n).astype(np.int64)
+    """Dense partition-size histogram of length ``n``; ids outside
+    ``[0, n)`` raise, as in :func:`scatter`."""
+    return np.bincount(_checked_ids(pids, n), minlength=n).astype(np.int64)
+
+
+def _checked_ids(pids: np.ndarray, n: int) -> np.ndarray:
+    """``pids`` as an array; ids outside ``[0, n)`` raise instead of being
+    dropped or wrapped into a wrong partition."""
+    pids = np.asarray(pids)
+    if len(pids):
+        lo, hi = int(pids.min()), int(pids.max())
+        if lo < 0 or hi >= n:
+            raise ValueError(f"partition ids span [{lo}, {hi}], outside [0, {n})")
+    return pids
 
 
 def _partition_order(pids: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Stable row order grouping rows by partition id, and the partition
     boundaries (length ``n + 1``).
 
-    The ids are narrowed to the smallest unsigned type that holds ``n - 1``
-    (uint8 up to 256 partitions, uint16 up to 65 536), for which numpy's
-    stable sort is a radix sort. Ids outside ``[0, n)`` raise instead of
-    being dropped or wrapped into a wrong partition."""
-    pids = np.asarray(pids)
-    if len(pids):
-        lo, hi = int(pids.min()), int(pids.max())
-        if lo < 0 or hi >= n:
-            raise ValueError(f"partition ids span [{lo}, {hi}], outside [0, {n})")
-    narrow = pids.astype(np.min_scalar_type(max(n - 1, 0)), copy=False)
+    The ids are range-checked, then narrowed to the smallest unsigned type
+    that holds ``n - 1`` (uint8 up to 256 partitions, uint16 up to 65 536),
+    for which numpy's stable sort is a radix sort."""
+    narrow = _checked_ids(pids, n).astype(np.min_scalar_type(max(n - 1, 0)), copy=False)
     order = np.argsort(narrow, kind="stable")
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(narrow, minlength=n), out=bounds[1:])

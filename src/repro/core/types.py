@@ -130,12 +130,6 @@ class RowVector:
         else:
             self.df = df.reset_index(drop=True)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[dict], columns: Optional[Sequence[str]] = None) -> "RowVector":
-        if rows:
-            return cls(pd.DataFrame(list(rows)))
-        return cls(pd.DataFrame(columns=list(columns or [])))
-
     def __len__(self) -> int:
         return len(self.df)
 

@@ -74,10 +74,10 @@ def join_inner2_plan(
         scans.append(scan)
 
     probe_key = "k_hi" if cfg.compress else cfg.key
-    out: SubOperator = BuildProbe(scans[0], scans[1], keys=[probe_key], join_type=join_type)
+    out: SubOperator = BuildProbe(scans[0], scans[1], key=probe_key, join_type=join_type)
     for nxt in scans[2:]:
         # the (n-1)-th BuildProbe output streams through the n-th probe side
-        out = BuildProbe(nxt, out, keys=[probe_key], join_type=join_type)
+        out = BuildProbe(nxt, out, key=probe_key, join_type=join_type)
 
     if cfg.compress:
         spec = cfg.spec(value_fields[0])

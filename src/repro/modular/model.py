@@ -27,8 +27,7 @@ from repro.core.ops import (
 from repro.core.ops.base import ExecContext
 from repro.modular.common import JoinConfig
 from repro.modular.join import split_word
-from repro.mpi.simcluster import SimCluster
-from repro.mpi.thread_backend import split_relation
+from repro.mpi.thread_backend import run_spmd
 
 
 def _src(field: str) -> RowScan:
@@ -40,8 +39,9 @@ def _run(plan_root, params, comm=None) -> pd.DataFrame:
     return vectorized.run_to_pdf(Plan(plan_root), ctx, params=params)
 
 
-def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig) -> Dict[str, float]:
-    r_pdf, s_pdf = inputs
+def _rank_model(
+    comm, r_pdf: pd.DataFrame, s_pdf: pd.DataFrame, cfg: JoinConfig
+) -> Tuple[None, Dict[str, float]]:
     t: Dict[str, float] = {}
     params = {"R": RowVector(r_pdf), "S": RowVector(s_pdf)}
 
@@ -104,7 +104,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
     results = []
     for (pid_r, sub_r), (pid_s, sub_s) in zip(lp_r, lp_s):
         for tr, ts in zip(RowVector(sub_r).iter_rows(), RowVector(sub_s).iter_rows()):
-            bp = BuildProbe(side("L", "vr"), side("R2", "vs"), keys=[key])
+            bp = BuildProbe(side("L", "vr"), side("R2", "vs"), key=key)
             results.append(_run(bp, {"L": tr["partition_data"], "R2": ts["partition_data"]}))
     t["build_probe"] = perf_counter() - t0
 
@@ -112,7 +112,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
     mats = [x for x in results if len(x)]
     pd.concat(mats, ignore_index=True) if mats else pd.DataFrame()
     t["materialize"] = perf_counter() - t0
-    return t
+    return None, t
 
 
 def model_phase_times(
@@ -120,11 +120,5 @@ def model_phase_times(
 ) -> Dict[str, float]:
     """Per-phase seconds (averaged across ranks) for the isolated
     sub-operator microbenchmarks of the distributed join."""
-    cluster = SimCluster(n_ranks)
-    args = list(zip(split_relation(r, n_ranks), split_relation(s, n_ranks)))
-    outs = cluster.run(lambda comm, inp: _rank_model(comm, inp, cfg), args)
-    phases: Dict[str, float] = {}
-    for tt in outs:
-        for k, v in tt.items():
-            phases[k] = phases.get(k, 0.0) + v / n_ranks
-    return phases
+    _, info = run_spmd(n_ranks, lambda comm, r, s: _rank_model(comm, r, s, cfg), r, s)
+    return info["phase_seconds"]

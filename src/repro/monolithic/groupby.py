@@ -15,7 +15,8 @@ import pandas as pd
 from repro.core import radix
 from repro.modular.common import JoinConfig
 from repro.monolithic.join import _exchange
-from repro.mpi.simcluster import Comm, SimCluster
+from repro.mpi.simcluster import Comm
+from repro.mpi.thread_backend import run_spmd
 
 
 def _rank_groupby(comm: Comm, t_pdf: pd.DataFrame, cfg: JoinConfig) -> Tuple[pd.DataFrame, Dict[str, float]]:
@@ -51,7 +52,8 @@ def _rank_groupby(comm: Comm, t_pdf: pd.DataFrame, cfg: JoinConfig) -> Tuple[pd.
     for pid, arrs in subs:
         k, v = spec.split(arrs[0]) if spec else arrs
         uk, inv = np.unique(k, return_inverse=True)
-        sums = np.bincount(inv, weights=v).astype(np.int64)
+        sums = np.zeros(len(uk), dtype=np.int64)
+        np.add.at(sums, inv, v)  # exact in int64, unlike a float64 bincount
         if spec:
             uk = spec.restore(uk, pid)  # recover dropped bits
         outs.append((uk, sums))
@@ -73,16 +75,5 @@ def run_monolithic_groupby(
 ) -> Tuple[pd.DataFrame, dict]:
     """Driver: SPMD fused GROUP BY; per-key results are already disjoint
     across ranks after the exchange, so the merge is a plain concat."""
-    from repro.mpi.thread_backend import split_relation
-
-    cluster = SimCluster(n_ranks)
-    outs = cluster.run(
-        lambda comm, inp: _rank_groupby(comm, inp, cfg), split_relation(t_pdf, n_ranks)
-    )
-    result = pd.concat([o[0] for o in outs], ignore_index=True)
-    phases: Dict[str, float] = {}
-    for _, tt in outs:
-        for k, v in tt.items():
-            phases[k] = phases.get(k, 0.0) + v / n_ranks
-    info = {"phase_seconds": phases, "bytes_put": cluster.total_bytes_put()}
-    return result, info
+    outs, info = run_spmd(n_ranks, lambda comm, t: _rank_groupby(comm, t, cfg), t_pdf)
+    return pd.concat(outs, ignore_index=True), info

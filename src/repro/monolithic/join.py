@@ -22,9 +22,10 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.network import owner_of
+from repro.core.ops.network import window_layout
 from repro.modular.common import JoinConfig
-from repro.mpi.simcluster import Comm, SimCluster
+from repro.mpi.simcluster import Comm
+from repro.mpi.thread_backend import run_spmd
 
 
 def _np_hash_join(bk, bv, pk, pv):
@@ -40,12 +41,8 @@ def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, 
     n = cfg.n_net
     pids = keys % n
     wire = spec.compress(keys, vals) if spec else None
-    owners = np.array([owner_of(p, comm.size) for p in range(n)])
+    owners, base = window_layout(global_hist, comm.size)
     my_parts = np.flatnonzero(owners == comm.rank)
-    base = np.zeros(n, dtype=np.int64)
-    for r in range(comm.size):
-        parts_r = np.flatnonzero(owners == r)
-        base[parts_r] = np.concatenate([[0], np.cumsum(global_hist[parts_r])[:-1]])
     cols = ["kv"] if spec else ["k", "v"]
     dtypes = dict.fromkeys(cols, np.int64)
     win = comm.win_create(int(global_hist[my_parts].sum()), cols, dtypes=dtypes)
@@ -58,18 +55,16 @@ def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, 
             pdf = pd.DataFrame(dict(zip(cols, rows)), copy=False)
             comm.put(win, int(owners[p]), int(base[p] + offsets[p]), pdf)
     comm.fence(win)
-    out = []
-    startpos = 0
-    for p in my_parts:
-        stop = startpos + int(global_hist[p])
-        buf = win.buffers[comm.rank]
-        out.append((int(p), tuple(buf[c][startpos:stop] for c in cols)))
-        startpos = stop
-    return out
+    buf = win.buffers[comm.rank]
+    return [
+        (int(p), tuple(buf[c][base[p] : base[p] + global_hist[p]] for c in cols))
+        for p in my_parts
+    ]
 
 
-def _rank_join(comm: Comm, inputs, cfg: JoinConfig) -> Tuple[pd.DataFrame, Dict[str, float]]:
-    r_pdf, s_pdf = inputs
+def _rank_join(
+    comm: Comm, r_pdf: pd.DataFrame, s_pdf: pd.DataFrame, cfg: JoinConfig
+) -> Tuple[pd.DataFrame, Dict[str, float]]:
     t: Dict[str, float] = {}
     n = cfg.n_net
     spec_r = cfg.spec("vr")
@@ -145,22 +140,7 @@ def run_monolithic_join(
 ) -> Tuple[pd.DataFrame, dict]:
     """Driver: slice inputs per rank, run the fused SPMD join, merge results.
 
-    Returns ``(result, info)`` with per-phase seconds (average across
-    ranks) and network accounting in ``info``.
+    Returns ``(result, info)``, ``info`` as in ``thread_backend.sim_info``.
     """
-    from repro.mpi.thread_backend import split_relation
-
-    cluster = SimCluster(n_ranks)
-    args = list(zip(split_relation(r, n_ranks), split_relation(s, n_ranks)))
-    outs = cluster.run(lambda comm, inp: _rank_join(comm, inp, cfg), args)
-    result = pd.concat([o[0] for o in outs], ignore_index=True)
-    phases: Dict[str, float] = {}
-    for _, tt in outs:
-        for k, v in tt.items():
-            phases[k] = phases.get(k, 0.0) + v / n_ranks
-    info = {
-        "phase_seconds": phases,
-        "bytes_put": cluster.total_bytes_put(),
-        "windows": sum(st.windows_created for st in cluster.stats),
-    }
-    return result, info
+    outs, info = run_spmd(n_ranks, lambda comm, r, s: _rank_join(comm, r, s, cfg), r, s)
+    return pd.concat(outs, ignore_index=True), info

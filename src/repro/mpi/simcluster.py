@@ -8,8 +8,7 @@ Faithful to the MPI-3 RMA subset the paper uses (Section 2):
   offsets are computed from histograms exactly as in Barthels et al.);
 * ``fence`` delimits RMA epochs (collective barrier; after it, all incoming
   and outgoing puts are visible);
-* ``allreduce_sum`` / ``exscan_sum`` / ``allgather`` back MPI_Allreduce /
-  MPI_Exscan / MPI_Allgather.
+* ``allreduce_sum`` / ``exscan_sum`` back MPI_Allreduce / MPI_Exscan.
 
 Ranks are Python threads. They run in parallel only inside native calls
 that release the GIL, such as ``np.sort``, ufunc arithmetic, fancy indexing
@@ -17,8 +16,7 @@ and the stable radix sort of 8/16-bit ids. Work that holds the GIL
 serializes the ranks: Python code, pandas frame construction, and in numpy
 1.26 the SIMD ``argsort`` and ``np.repeat``. The shared kernels in
 ``repro.core.radix`` are written to that rule. Per-rank statistics (bytes
-put, puts, windows, collective calls) feed the network-volume accounting of
-the experiments.
+put, puts, windows) feed the network-volume accounting of the experiments.
 """
 from __future__ import annotations
 
@@ -37,8 +35,6 @@ class RankStats:
     bytes_put: int = 0
     puts: int = 0
     windows_created: int = 0
-    collectives: int = 0
-    barriers: int = 0
 
 
 class Window:
@@ -51,8 +47,7 @@ class Window:
     region be registered and sized up front.
     """
 
-    def __init__(self, wid: int, n_slots: Sequence[int], columns: Sequence[str], dtypes: Dict[str, Any]):
-        self.wid = wid
+    def __init__(self, n_slots: Sequence[int], columns: Sequence[str], dtypes: Dict[str, Any]):
         self.columns = list(columns)
         self.buffers: List[Dict[str, np.ndarray]] = [
             {c: np.empty(n, dtype=dtypes.get(c, object)) for c in columns} for n in n_slots
@@ -73,9 +68,6 @@ class SimCluster:
         self.n_ranks = n_ranks
         self._barrier = threading.Barrier(n_ranks)
         self._slots: List[Any] = [None] * n_ranks
-        self._win_lock = threading.Lock()
-        self._windows: Dict[int, Window] = {}
-        self._wid = 0
         self.stats = [RankStats() for _ in range(n_ranks)]
 
     def comm(self, rank: int) -> "Comm":
@@ -130,20 +122,15 @@ class Comm:
 
     # -- collectives --------------------------------------------------------
     def barrier(self) -> None:
-        self.stats.barriers += 1
         self.cluster._barrier.wait()
 
     def _exchange(self, value: Any) -> List[Any]:
         """Deposit ``value``, gather everyone's (two-phase with barriers)."""
-        self.stats.collectives += 1
         self.cluster._slots[self.rank] = value
         self.cluster._barrier.wait()
         gathered = list(self.cluster._slots)
         self.cluster._barrier.wait()
         return gathered
-
-    def allgather(self, value: Any) -> List[Any]:
-        return self._exchange(value)
 
     def allreduce_sum(self, arr: np.ndarray) -> np.ndarray:
         parts = self._exchange(np.asarray(arr))
@@ -165,22 +152,12 @@ class Comm:
         dtypes: Optional[Dict[str, Any]] = None,
     ) -> Window:
         """Collective window registration (MPI_Win_create): every rank
-        contributes its local region size."""
+        contributes its local region size, and rank 0's ``Window`` handle
+        reaches its peers through a second exchange."""
         sizes = self._exchange(int(n_slots))
         self.stats.windows_created += 1
-        if self.rank == 0:
-            with self.cluster._win_lock:
-                wid = self.cluster._wid
-                self.cluster._wid += 1
-                self.cluster._windows[wid] = Window(
-                    wid, sizes, columns, dtypes or {}
-                )
-        self.cluster._barrier.wait()
-        with self.cluster._win_lock:
-            wid = self.cluster._wid - 1
-            win = self.cluster._windows[wid]
-        self.cluster._barrier.wait()
-        return win
+        win = Window(sizes, columns, dtypes or {}) if self.rank == 0 else None
+        return self._exchange(win)[0]
 
     def put(self, win: Window, target_rank: int, offset: int, pdf: pd.DataFrame) -> None:
         """One-sided write of ``pdf`` rows into ``target_rank``'s region at

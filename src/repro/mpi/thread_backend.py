@@ -1,14 +1,15 @@
-"""Run distributed sub-operator plans SPMD on the simulated MPI cluster.
+"""Run SPMD programs on the simulated MPI cluster.
 
-``MpiExecutor`` spawns the SimCluster itself; this module provides the
-driver-side conveniences: slicing input relations into per-rank frames
-(the paper's NFS-read inputs), packaging them as the plan's parameter
-structure, executing through the vectorized evaluator, and extracting the
-cluster's network statistics afterwards.
+Two kinds of program run here. A distributed sub-operator plan
+(``run_on_sim``) starts its cluster itself, in ``MpiExecutor``; a
+hand-written rank function (the monolithic baselines and the per-phase
+model) runs through ``run_spmd``. Both slice their input relations into
+per-rank frames (the paper's NFS-read inputs) and report one info record,
+``sim_info``: per-rank phase seconds and the cluster's network accounting.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
@@ -17,6 +18,7 @@ from repro.core import Plan, RowVector
 from repro.core.ops.base import ExecContext
 from repro.core.profiling import Profiler
 from repro.core import vectorized
+from repro.mpi.simcluster import SimCluster
 
 
 def split_relation(pdf: pd.DataFrame, n_ranks: int) -> List[pd.DataFrame]:
@@ -47,22 +49,42 @@ def run_on_sim(
 ) -> Tuple[pd.DataFrame, dict]:
     """Execute a distributed plan on the simulated MPI cluster.
 
-    Returns ``(result frame, info)`` where ``info`` carries the per-phase
-    exclusive-time breakdown (seconds, averaged per rank) and the
-    cluster's network accounting.
+    Returns ``(result frame, info)``, ``info`` as in :func:`sim_info`; the
+    phase breakdown is exclusive time, and empty unless ``profile``.
     """
     profiler = Profiler() if profile else None
     ctx = ExecContext(profiler=profiler)
     params = make_rank_inputs(n_ranks, **relations)
     out = vectorized.run_to_pdf(plan, ctx, params=params)
-    info: dict = {}
-    cluster = ctx.extra.get("last_cluster")
-    if cluster is not None:
-        info["bytes_put"] = cluster.total_bytes_put()
-        info["puts"] = sum(s.puts for s in cluster.stats)
-        info["windows"] = sum(s.windows_created for s in cluster.stats)
-    if profiler is not None:
-        info["phase_seconds"] = {
-            k: v / n_ranks for k, v in profiler.breakdown().items()
-        }
-    return out, info
+    return out, sim_info(ctx.extra["last_cluster"], profiler.breakdown() if profile else {})
+
+
+def run_spmd(
+    n_ranks: int,
+    rank_fn: Callable[..., Tuple[Any, Dict[str, float]]],
+    *relations: pd.DataFrame,
+) -> Tuple[List[Any], dict]:
+    """Run ``rank_fn(comm, *slices)`` on every rank of a new cluster, each
+    rank given its slice of every relation. ``rank_fn`` returns its result
+    and its phase seconds; returns the per-rank results and the info
+    record."""
+    cluster = SimCluster(n_ranks)
+    args = list(zip(*(split_relation(r, n_ranks) for r in relations)))
+    outs = cluster.run(lambda comm, slices: rank_fn(comm, *slices), args)
+    phases: Dict[str, float] = {}
+    for _, secs in outs:
+        for k, v in secs.items():
+            phases[k] = phases.get(k, 0.0) + v
+    return [res for res, _ in outs], sim_info(cluster, phases)
+
+
+def sim_info(cluster: SimCluster, phase_totals: Dict[str, float]) -> dict:
+    """The info record of a simulator run: ``phase_seconds`` (totals over
+    all ranks, averaged per rank), ``bytes_put``, ``puts`` and
+    ``windows``."""
+    return {
+        "phase_seconds": {k: v / cluster.n_ranks for k, v in phase_totals.items()},
+        "bytes_put": cluster.total_bytes_put(),
+        "puts": sum(s.puts for s in cluster.stats),
+        "windows": sum(s.windows_created for s in cluster.stats),
+    }

@@ -113,26 +113,6 @@ def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
     return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
 
 
-def customer_pdf(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return pdf
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
 def dense_kv_pdf(
     n: int,
     *,
@@ -153,34 +133,3 @@ def dense_kv_pdf(
     keys = np.tile(np.arange(n // multiplicity, dtype=np.int64), multiplicity)
     g.shuffle(keys)
     return pd.DataFrame({"k": keys, value_field: np.arange(n, dtype=np.int64)})
-
-
-def dense_kv(
-    spark: SparkSession,
-    *,
-    n: int,
-    value_field: str = "v",
-    multiplicity: int = 1,
-    seed: int = 7,
-) -> DataFrame:
-    """Spark wrapper around :func:`dense_kv_pdf`."""
-    return spark.createDataFrame(
-        dense_kv_pdf(n, value_field=value_field, multiplicity=multiplicity, seed=seed)
-    )
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )

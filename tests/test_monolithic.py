@@ -78,6 +78,19 @@ class TestMonolithicGroupBy:
             sorted_frame(out, ["k", "v"]), sorted_frame(expect, ["k", "v"])
         )
 
+    def test_int64_sums_above_2_53_are_exact(self):
+        """Sums beyond float64's exact integers: 2**60+1 + 2**60+2 once
+        read 2**61, and 2**60+9 read 2**60."""
+        t = pd.DataFrame({"k": [0, 0, 3, 1], "v": [2**60 + 1, 2**60 + 2, 2**60 + 9, 5]})
+        cfg = JoinConfig(n_net=2, loc_bits=1)
+        expect = t.groupby("k", as_index=False)["v"].sum()
+        assert expect["v"].tolist() == [2**61 + 3, 5, 2**60 + 9]
+        for out in (run_monolithic_groupby(2, t, cfg)[0],
+                    run_on_sim(distributed_groupby_plan(cfg), 2, {"T": t})[0]):
+            pd.testing.assert_frame_equal(
+                sorted_frame(out, ["k", "v"]), sorted_frame(expect, ["k", "v"])
+            )
+
     def test_modular_and_monolithic_agree(self):
         t = dense_kv_pdf(1 << 9, multiplicity=2, seed=39)
         cfg = JoinConfig(n_net=2, loc_bits=2)

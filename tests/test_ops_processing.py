@@ -1,8 +1,12 @@
 """Unit tests for data-processing sub-operators, run through the evaluator
 (each operator's batch kernel is its one semantics)."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Plan
 from repro.core.ops import (
@@ -174,7 +178,7 @@ class TestLocalHistogram:
 
     def test_out_of_range_bucket_raises(self):
         root = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda pdf: pdf["k"].to_numpy())
-        with pytest.raises(RuntimeError, match="out of range"):
+        with pytest.raises(ValueError, match=r"span \[1, 3\], outside \[0, 2\)"):
             vectorized.run_rows(Plan(root), params=params_of(t=KV))
 
     def test_empty_input_gives_zero_counts(self):
@@ -188,7 +192,7 @@ class TestBuildProbe:
     R = pd.DataFrame({"k": [2, 3, 1], "rv": [7, 8, 9]})
 
     def test_inner_join(self):
-        rows = run_plan(BuildProbe(source("l"), source("r"), keys=["k"]), l=self.L, r=self.R)
+        rows = run_plan(BuildProbe(source("l"), source("r"), key="k"), l=self.L, r=self.R)
         assert rows == [
             {"k": 1, "lv": 100, "rv": 9},
             {"k": 2, "lv": 200, "rv": 7},
@@ -197,21 +201,21 @@ class TestBuildProbe:
 
     def test_semi_join_returns_probe_tuples(self):
         rows = run_plan(
-            BuildProbe(source("l"), source("r"), keys=["k"], join_type="semi"),
+            BuildProbe(source("l"), source("r"), key="k", join_type="semi"),
             l=self.L, r=self.R,
         )
         assert rows == [{"k": 1, "rv": 9}, {"k": 2, "rv": 7}]
 
     def test_anti_join(self):
         rows = run_plan(
-            BuildProbe(source("l"), source("r"), keys=["k"], join_type="anti"),
+            BuildProbe(source("l"), source("r"), key="k", join_type="anti"),
             l=self.L, r=self.R,
         )
         assert rows == [{"k": 3, "rv": 8}]
 
     def test_outer_join_pads_unmatched_probe(self):
         rows = run_plan(
-            BuildProbe(source("l"), source("r"), keys=["k"], join_type="outer"),
+            BuildProbe(source("l"), source("r"), key="k", join_type="outer"),
             l=self.L, r=self.R,
         )
         assert len(rows) == 4
@@ -223,7 +227,7 @@ class TestBuildProbe:
     def test_outer_join_with_empty_build_side_pads_left_columns(self):
         """Every probe tuple is unmatched and keeps the build side's
         columns, NULL-padded, as the SQL outer join does."""
-        root = BuildProbe(source("l"), source("r"), keys=["k"], join_type="outer")
+        root = BuildProbe(source("l"), source("r"), key="k", join_type="outer")
         out = vectorized.run_to_pdf(Plan(root), params=params_of(l=self.L.iloc[:0], r=self.R))
         assert list(out.columns) == ["k", "lv", "rv"]
         assert_equivalent(
@@ -233,16 +237,61 @@ class TestBuildProbe:
     def test_field_overlap_rejected(self):
         with pytest.raises(RuntimeError, match="overlap"):
             vectorized.run_rows(
-                Plan(BuildProbe(source("l"), source("r"), keys=["k"])),
+                Plan(BuildProbe(source("l"), source("r"), key="k")),
                 params=params_of(l=self.L, r=self.L),
             )
 
     def test_unsupported_join_type(self):
         with pytest.raises(ValueError):
-            BuildProbe(source("l"), source("r"), keys=["k"], join_type="full")
+            BuildProbe(source("l"), source("r"), key="k", join_type="full")
 
-    def test_multi_key_join(self):
-        l = pd.DataFrame({"a": [1, 1], "b": [1, 2], "lv": [10, 20]})
-        r = pd.DataFrame({"a": [1, 1], "b": [2, 3], "rv": [5, 6]})
-        rows = run_plan(BuildProbe(source("l"), source("r"), keys=["a", "b"]), l=l, r=r)
-        assert rows == [{"a": 1, "b": 2, "lv": 20, "rv": 5}]
+    @pytest.mark.parametrize("join_type", ["inner", "semi", "anti", "outer"])
+    def test_non_integer_key_rejected(self, join_type):
+        l = pd.DataFrame({"k": [1.0, 2.0], "lv": [1, 2]})
+        with pytest.raises(TypeError, match="integers"):
+            vectorized.run_rows(
+                Plan(BuildProbe(source("l"), source("r"), key="k", join_type=join_type)),
+                params=params_of(l=l, r=self.R),
+            )
+
+
+@st.composite
+def join_sides(draw):
+    """Build side ``l`` and probe side ``r`` over one small key pool, so
+    both sides repeat keys and share some, with keys near 2**60 (beyond
+    float64's exact integers). Either side may be empty, and each key
+    column is int64 or uint64."""
+    pool = draw(st.lists(st.integers((1 << 60) - 3, (1 << 60) + 3) | st.integers(0, 3),
+                         min_size=1, max_size=6))
+    sides = []
+    for value_field in ("lv", "rv"):
+        keys = draw(st.lists(st.sampled_from(pool), max_size=10))
+        dtype = draw(st.sampled_from([np.int64, np.uint64]))
+        sides.append(pd.DataFrame({"k": np.array(keys, dtype=dtype),
+                                   value_field: np.arange(len(keys), dtype=np.int64)}))
+    return sides
+
+
+def join_oracle(l: pd.DataFrame, r: pd.DataFrame, join_type: str) -> Counter:
+    """Each join type's output tuples, over the keys as Python ints."""
+    lk, rk = [int(x) for x in l["k"]], [int(x) for x in r["k"]]
+    build = set(lk)
+    if join_type in ("semi", "anti"):
+        keep = (join_type == "semi")
+        return Counter((k, v) for k, v in zip(rk, r["rv"]) if (k in build) == keep)
+    out = Counter((k, lv, rv) for k, rv in zip(rk, r["rv"]) for k2, lv in zip(lk, l["lv"]) if k == k2)
+    if join_type == "outer":
+        out.update((k, None, rv) for k, rv in zip(rk, r["rv"]) if k not in build)
+    return out
+
+
+@pytest.mark.parametrize("join_type", ["inner", "semi", "anti", "outer"])
+@settings(max_examples=150, deadline=None)
+@given(sides=join_sides())
+def test_build_probe_matches_oracle(join_type, sides):
+    l, r = sides
+    root = BuildProbe(source("l"), source("r"), key="k", join_type=join_type)
+    out = vectorized.run_to_pdf(Plan(root), params=params_of(l=l, r=r))
+    assert out["k"].dtype == r["k"].dtype  # exact keys, never float64
+    cells = [[None if pd.isna(v) else int(v) for v in out[c]] for c in out.columns]
+    assert Counter(zip(*cells)) == join_oracle(l, r, join_type)

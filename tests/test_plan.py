@@ -55,7 +55,7 @@ class TestPipelines:
     def test_multi_consumer_cuts_pipeline(self):
         s = source("t")
         hist = LocalHistogram(s, 2, lambda pdf: pdf["k"] % 2)
-        probe = BuildProbe(s, s, keys=["k"])  # s consumed three times in total
+        probe = BuildProbe(s, s, key="k")  # s consumed three times in total
         plan = Plan(Zip([hist, probe]))
         mats = plan.materialization_points()
         assert s in mats  # multi-consumer => materialized
@@ -97,7 +97,7 @@ class TestTyping:
     def test_buildprobe_type_order(self):
         lt = TupleType([("k", INT64), ("lv", FLOAT64)])
         rt = TupleType([("k", INT64), ("rv", INT64)])
-        bp = BuildProbe(ParameterLookup(declared_type=lt), ParameterLookup(declared_type=rt), keys=["k"])
+        bp = BuildProbe(ParameterLookup(declared_type=lt), ParameterLookup(declared_type=rt), key="k")
         assert Plan(bp).out_type().names == ("k", "lv", "rv")
 
     def test_unknown_propagates_as_none(self):

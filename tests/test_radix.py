@@ -14,14 +14,6 @@ class TestPartitionIds:
     def test_low_bits(self):
         assert list(radix.partition_ids(np.array([0, 1, 8, 9]), 3)) == [0, 1, 0, 1]
 
-    def test_hash_partition_range(self):
-        pids = radix.hash_partition_ids(np.arange(1000), 7)
-        assert pids.min() >= 0 and pids.max() < 7
-
-    def test_hash_partition_spreads(self):
-        counts = np.bincount(radix.hash_partition_ids(np.arange(10000), 8), minlength=8)
-        assert counts.min() > 800  # roughly uniform
-
 
 class TestHistogram:
     def test_counts(self):
@@ -90,6 +82,8 @@ class TestScatterRejectsOutOfRange:
             radix.scatter(pd.DataFrame({"v": np.arange(len(pids))}), pids, n)
         with pytest.raises(ValueError, match=span):
             radix.scatter_arrays([np.arange(len(pids))], pids, n)
+        with pytest.raises(ValueError, match=span):
+            radix.histogram(pids, n)
 
 
 @pytest.mark.parametrize("n", [1, 256, 257, 65537])  # uint8, uint8, uint16, uint32 ids

@@ -7,11 +7,6 @@ from repro.mpi.simcluster import LocalComm, SimCluster
 
 
 class TestCollectives:
-    def test_allgather(self):
-        c = SimCluster(4)
-        out = c.run(lambda comm, x: comm.allgather(x), [10, 11, 12, 13])
-        assert all(o == [10, 11, 12, 13] for o in out)
-
     def test_allreduce_sum(self):
         c = SimCluster(3)
         out = c.run(
@@ -91,6 +86,18 @@ class TestWindows:
 
         out = c.run(prog, [None, None])
         assert out[0] == [1, 2]
+
+    def test_every_rank_gets_the_same_window(self):
+        """``win_create`` hands rank 0's window to every peer, and
+        back-to-back registrations never mix up their windows."""
+        c = SimCluster(8)
+        out = c.run(
+            lambda comm, _: [comm.win_create(comm.rank, ["v"]) for _ in range(20)], [None] * 8
+        )
+        for i in range(20):
+            assert all(o[i] is out[0][i] for o in out)
+            assert out[0][i].n_slots == list(range(8))
+        assert len({id(w) for w in out[0]}) == 20
 
     def test_stats_accounting(self):
         c = SimCluster(2)

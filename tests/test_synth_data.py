@@ -59,6 +59,4 @@ class TestTpchLite:
         assert li["l_partkey"].max() <= p["p_partkey"].max()
 
     def test_spark_wrappers(self, spark):
-        df = sd.dense_kv(spark, n=64)
-        assert df.count() == 64
         assert sd.lineitem(spark, sf=0.0005).count() >= 1

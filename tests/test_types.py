@@ -87,15 +87,6 @@ class TestRowVector:
         assert rows == [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.5}]
         assert all(type(r["a"]) is int for r in rows)
 
-    def test_from_rows_roundtrip(self):
-        rows = [{"a": 1}, {"a": 2}]
-        assert list(RowVector.from_rows(rows).iter_rows()) == rows
-
-    def test_from_rows_empty_with_columns(self):
-        rv = RowVector.from_rows([], columns=["x", "y"])
-        assert len(rv) == 0
-        assert rv.columns == ("x", "y")
-
     def test_equality(self):
         a = RowVector(pd.DataFrame({"a": [1]}))
         b = RowVector(pd.DataFrame({"a": [1]}))
