@@ -13,23 +13,29 @@ value fit one 64-bit word when 2*P - F <= 64:
 
 This halves the 16-byte <key, value> workload on the wire, exactly as in
 the paper. The word is an int64 (the exchange's declared wire type, and
-Spark's long): at 2*P - F = 64 its top bit is set, and the split below
-masks the sign extension off. ``CompressionSpec`` is the only code that
-knows this layout; plans restore the dropped bits through its methods in
-a ParametrizedMap.
+Spark's long): at 2*P - F = 64 its top bit is set, and ``key_high`` masks
+the arithmetic shift's sign extension off. ``CompressionSpec`` is the only
+code that knows this layout, and holds it as integer expressions
+(``repro.core.expr``): ``word`` packs, ``key_high`` and ``value`` split, and
+the evaluator (numpy) and the Spark lowering (``selectExpr``) both compile
+them. Plans restore the dropped bits through its methods in a
+ParametrizedMap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
 import pandas as pd
 
+from repro.core.expr import Expr, col, in_range
+from repro.core.types import INT64, TupleType
 
-def _low_bits(n: int) -> np.int64:
+
+def _low_bits(n: int) -> int:
     """An int64 mask of the ``n`` low bits (all 64 bits at ``n >= 64``)."""
-    return np.int64(-1 if n >= 64 else (1 << n) - 1)
+    return -1 if n >= 64 else (1 << n) - 1
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,10 @@ class CompressionSpec:
     ``f_bits`` — radix fan-out bits (partition count must be 2**f_bits);
     ``key_field``/``value_field`` — input columns; ``out_field`` — the
     single compressed int64 column on the wire.
+
+    The layout is three expressions: ``word`` over the input columns
+    (range-checking both against the dense domain), and ``key_high`` and
+    ``value`` over ``out_field``.
     """
 
     p_bits: int
@@ -47,6 +57,9 @@ class CompressionSpec:
     key_field: str = "k"
     value_field: str = "v"
     out_field: str = "kv"
+    word: Expr = field(init=False, repr=False, compare=False)
+    key_high: Expr = field(init=False, repr=False, compare=False)
+    value: Expr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if 2 * self.p_bits - self.f_bits > 64:
@@ -58,29 +71,28 @@ class CompressionSpec:
         # dropped, key and value still pack into one word if 2*P <= 64.
         if not (0 <= self.f_bits <= self.p_bits):
             raise ValueError("need 0 <= f_bits <= p_bits")
+        p, top = self.p_bits, _low_bits(self.p_bits)
+        k = in_range(col(self.key_field), 0, top, f"key outside dense {p}-bit domain")
+        v = in_range(col(self.value_field), 0, top, f"value outside dense {p}-bit domain")
+        w = col(self.out_field)
+        object.__setattr__(self, "word", ((k >> self.f_bits) << p) | v)
+        object.__setattr__(self, "key_high", (w >> p) & _low_bits(64 - p))
+        object.__setattr__(self, "value", w & top)
 
     @property
     def fanout(self) -> int:
         return 1 << self.f_bits
 
     def compress(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        k = np.asarray(keys).astype(np.int64, copy=False)
-        v = np.asarray(values).astype(np.int64, copy=False)
-        if len(k) and (int(k.min()) < 0 or int(k.max()) >> self.p_bits):
-            raise ValueError(f"key outside dense {self.p_bits}-bit domain")
-        if len(v) and (int(v.min()) < 0 or int(v.max()) >> self.p_bits):
-            raise ValueError(f"value outside dense {self.p_bits}-bit domain")
-        return ((k >> self.f_bits) << self.p_bits) | v
-
-    def key_high(self, words: np.ndarray) -> np.ndarray:
-        """The stored high bits of each word's key (``key >> F``)."""
-        return (np.asarray(words, dtype=np.int64) >> self.p_bits) & _low_bits(64 - self.p_bits)
+        """The ``word`` of every <key, value> pair."""
+        return self.word.eval({self.key_field: keys, self.value_field: values})
 
     def split(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(k_hi, value)`` per word: inside one partition ``k_hi`` is an
-        exact join/grouping key, without restoring the dropped bits."""
-        w = np.asarray(words, dtype=np.int64)
-        return self.key_high(w), w & _low_bits(self.p_bits)
+        """``(k_hi, value)`` per word: inside one partition ``k_hi`` (the
+        stored ``key >> F``) is an exact join/grouping key, without
+        restoring the dropped bits."""
+        frame = {self.out_field: words}
+        return self.key_high.eval(frame), self.value.eval(frame)
 
     def restore(self, k_hi: np.ndarray, partition_id: int) -> np.ndarray:
         """The full keys of partition ``partition_id`` from their high bits."""
@@ -90,15 +102,22 @@ class CompressionSpec:
         k_hi, values = self.split(words)
         return self.restore(k_hi, partition_id), values
 
+    def wire_type(self, in_type: TupleType) -> TupleType:
+        """The type of the compressed tuples of input type ``in_type``."""
+        self._check_pure(in_type.names)
+        return TupleType([(self.out_field, INT64)])
+
     def compress_pdf(self, pdf: pd.DataFrame) -> pd.DataFrame:
         """Replace <key, value> columns by the single compressed column."""
-        extra = [c for c in pdf.columns if c not in (self.key_field, self.value_field)]
+        self._check_pure(pdf.columns)
+        return pd.DataFrame({self.out_field: self.word.eval(pdf)}, copy=False)
+
+    def _check_pure(self, columns) -> None:
+        extra = [c for c in columns if c not in (self.key_field, self.value_field)]
         if extra:
             raise ValueError(
                 f"compression applies to pure <key,value> workloads, extra cols: {extra}"
             )
-        kv = self.compress(pdf[self.key_field].to_numpy(), pdf[self.value_field].to_numpy())
-        return pd.DataFrame({self.out_field: kv}, copy=False)
 
     def decompress_pdf(self, pdf: pd.DataFrame, partition_id: int) -> pd.DataFrame:
         keys, values = self.decompress(pdf[self.out_field].to_numpy(), partition_id)

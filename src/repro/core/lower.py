@@ -11,10 +11,12 @@ MpiExecutor           the Spark job itself (ranks = shuffle partitions)
 LocalHistogram +
 MpiHistogram          ``groupBy('__pid').count()`` + driver collect
                       (aggregate + AllReduce)
-MpiExchange           the shuffle exchange induced by ``groupBy('__pid')``
-                      (pid column and wire frame from ``MpiExchange.to_wire``
-                      in the pre-exchange pipeline, optionally compressed
-                      to one int64 word)
+MpiExchange           a Catalyst ``Project``, ``selectExpr`` of the
+                      exchange's wire columns and its pid expression
+                      (``MpiExchange.exprs``, compiled to Spark SQL) as
+                      ``__pid``, then the shuffle exchange induced by
+                      ``groupBy('__pid')``. Compressed, the wire is the one
+                      int64 ``CompressionSpec.word``, domain check included
 ===================  =====================================================
 
 Every Spark schema comes from the plan's static types (paper Section 3.2):
@@ -26,10 +28,12 @@ type cannot be inferred (a ``Map`` without ``declared_type``) is rejected.
 
 Everything else is platform-agnostic and reused verbatim:
 
-* each *pre-exchange pipeline* (scan/filter/map/projection + pid +
-  compression) is fused into one ``mapInPandas`` stage — one Catalyst
-  ``MapInPandas`` node per pipeline, the analogue of one JIT-compiled
-  pipeline;
+* the opaque operators of a *pre-exchange pipeline* (the ``Filter``s and
+  ``Map``s of a query's ``pre_scan``) run fused in one ``mapInPandas``
+  stage, one Catalyst ``MapInPandas`` node per side, before the exchange's
+  ``Project``. A side without them runs no Python before the shuffle: the
+  pid and the wire word are native Catalyst columns, computed from the
+  same expressions the evaluator runs with numpy;
 * ``Zip`` + ``NestedMap`` over matching network partitions become
   ``cogroup().applyInPandas`` (two sides), ``groupBy().applyInPandas``
   (one side) or a tagged union (N-ary join sequences); the pandas UDF runs
@@ -49,13 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core import vectorized
+from repro.core.expr import quote
 from repro.core.ops.base import ExecContext, SubOperator, concat_batches
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
@@ -155,9 +159,11 @@ def lower_distributed_plan(
     pre_dfs: List[DataFrame] = []
     for ex, (pre_ops, rel_name) in zip(exchanges, chains):
         wire = _collection(_require(rank_plan, types, ex), ex.data_field)
-        schema = _struct(wire, T.StructField("__pid", T.LongType()))
-        fn = _make_pre_fn(pre_ops, ex, batch_size)
-        pre_dfs.append(relations[rel_name].mapInPandas(fn, schema=schema))
+        df = relations[rel_name]
+        if pre_ops:
+            schema = _struct(_require(rank_plan, types, ex.upstreams[0]))
+            df = df.mapInPandas(_make_pre_fn(pre_ops, batch_size), schema=schema)
+        pre_dfs.append(df.selectExpr(*_wire_sql(ex, wire), f"{ex.bucket.sql()} AS __pid"))
 
     nested_schema = _struct(_collection(_require(rank_plan, types, nm1), inner_field))
     inner_df = _lower_nested(
@@ -328,15 +334,23 @@ def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, batch_size: Opti
     return concat_batches(batches, columns=pdf.columns)
 
 
-def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, batch_size: Optional[int]) -> Callable:
+def _make_pre_fn(pre_ops: Sequence[SubOperator], batch_size: Optional[int]) -> Callable:
     def fn(iterator):
         for pdf in iterator:
             out = _apply_chain(pre_ops, pdf, batch_size)
             if len(out):
-                pids, wire = ex.to_wire(out)
-                yield wire.assign(__pid=pids.astype(np.int64, copy=False))
+                yield out
 
     return fn
+
+
+def _wire_sql(ex: MpiExchange, wire: TupleType) -> List[str]:
+    """The exchange's wire columns as Spark SQL: its input columns, or the
+    compressed word."""
+    spec = ex.compression
+    if spec is None:
+        return [quote(c) for c in wire.names]
+    return [f"{spec.word.sql()} AS {quote(spec.out_field)}"]
 
 
 def _run_inner(

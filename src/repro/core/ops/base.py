@@ -16,11 +16,12 @@ multi-consumer materialization (pipeline cutting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 import pandas as pd
 
+from repro.core.expr import Expr
 from repro.core.types import TupleType
 
 
@@ -66,6 +67,12 @@ class SubOperator:
         """Output tuple type given upstream types; None = unknown/dynamic."""
         return None
 
+    def exprs(self) -> Dict[str, Expr]:
+        """The integer expressions the operator evaluates over its first
+        upstream's tuples, by the name of what each computes. ``Plan``
+        type-checks the columns they read and renders them."""
+        return {}
+
     # -- execution ---------------------------------------------------------
     def batches(
         self, ctx: ExecContext, ups: Sequence[Iterator[pd.DataFrame]]
@@ -104,14 +111,6 @@ def object_column(values: Sequence[Any]) -> np.ndarray:
     for i, v in enumerate(values):
         out[i] = v
     return out
-
-
-def bucket_ids(bucket_fn: Callable[[pd.DataFrame], np.ndarray], pdf: pd.DataFrame) -> np.ndarray:
-    """``bucket_fn(pdf)`` as an array; an empty frame, which may lack the
-    columns ``bucket_fn`` reads, has no ids."""
-    if not len(pdf):
-        return np.empty(0, dtype=np.int64)
-    return np.asarray(bucket_fn(pdf))
 
 
 def dense_counts(pdf: pd.DataFrame, n: int, who: str) -> np.ndarray:

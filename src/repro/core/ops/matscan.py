@@ -8,13 +8,14 @@ contiguous partitions.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import SubOperator, bucket_ids, concat_batches, dense_counts, object_column
+from repro.core.expr import Expr
+from repro.core.ops.base import SubOperator, concat_batches, dense_counts, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -77,7 +78,8 @@ class LocalPartitioning(SubOperator):
 
     Consumes the data from one upstream and its dense histogram from a
     second (the prefix sums of the histogram give each partition's extent),
-    then emits ``<partition_id, partition_data>`` pairs in dense order —
+    places each tuple in the partition its integer expression ``bucket``
+    gives, then emits ``<partition_id, partition_data>`` pairs in dense order —
     reused verbatim by joins and GROUP BY (design principle 1).
     """
 
@@ -89,15 +91,18 @@ class LocalPartitioning(SubOperator):
         data_upstream: SubOperator,
         histogram_upstream: SubOperator,
         n_partitions: int,
-        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
+        bucket: Expr,
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
     ) -> None:
         super().__init__([data_upstream, histogram_upstream])
         self.n_partitions = n_partitions
-        self.bucket_fn = bucket_fn
+        self.bucket = bucket
         self.pid_field = pid_field
         self.data_field = data_field
+
+    def exprs(self) -> Dict[str, Expr]:
+        return {"pid": self.bucket}
 
     def out_type(self, in_types) -> Optional[TupleType]:
         if in_types[0] is None:
@@ -109,7 +114,7 @@ class LocalPartitioning(SubOperator):
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         sizes = dense_counts(concat_batches(list(ups[1])), self.n_partitions, "LocalPartitioning")
         data = concat_batches(list(ups[0]))
-        frames = radix.scatter(data, bucket_ids(self.bucket_fn, data), self.n_partitions)
+        frames = radix.scatter(data, self.bucket.eval(data), self.n_partitions)
         for p, f in enumerate(frames):
             if len(f) != sizes[p]:
                 raise RuntimeError(

@@ -10,20 +10,15 @@ exchange) — same plan, different platform, which is the paper's whole point.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 
+from repro.core import radix
 from repro.core.compression import CompressionSpec
-from repro.core.ops.base import (
-    ExecContext,
-    SubOperator,
-    bucket_ids,
-    concat_batches,
-    dense_counts,
-    object_column,
-)
+from repro.core.expr import Expr
+from repro.core.ops.base import ExecContext, SubOperator, concat_batches, dense_counts, object_column
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -109,7 +104,7 @@ class MpiHistogram(SubOperator):
 class MpiExchange(SubOperator):
     """Partitions tuples across ranks through registered RMA windows.
 
-    ``bucket_fn(DataFrame) -> int array`` gives each tuple's partition.
+    The integer expression ``bucket`` gives each tuple's partition.
     Consumes (1) this rank's local histogram and (2) the global histogram
     from two dedicated upstreams, computes synchronization-free write
     offsets (region base from the global sizes, intra-region offset from an
@@ -117,9 +112,12 @@ class MpiExchange(SubOperator):
     partition's tuples into its owner's window with one-sided puts, fences,
     and returns this rank's ``<partition_id, partition_data>`` pairs.
 
-    With a ``CompressionSpec`` the <key,value> payload is compressed to one
-    int64 word on the wire (fan-out must be 2**F); partition data stays
-    compressed downstream until a ParametrizedMap restores the bits.
+    The wire carries the input columns as they are, or, with a
+    ``CompressionSpec``, only its ``word`` expression: the <key,value>
+    payload compressed to one int64 word (fan-out must be 2**F); partition
+    data stays compressed downstream until a ParametrizedMap restores the
+    bits. The Spark lowering compiles the same pid and wire expressions
+    (``exprs``) into one Catalyst ``Project`` before its shuffle.
     """
 
     op_name = "EX"
@@ -131,7 +129,7 @@ class MpiExchange(SubOperator):
         local_hist_upstream: SubOperator,
         global_hist_upstream: SubOperator,
         n_partitions: int,
-        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
+        bucket: Expr,
         compression: Optional[CompressionSpec] = None,
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
@@ -142,31 +140,31 @@ class MpiExchange(SubOperator):
                 f"compression fan-out {compression.fanout} != n_partitions {n_partitions}"
             )
         self.n_partitions = n_partitions
-        self.bucket_fn = bucket_fn
+        self.bucket = bucket
         self.compression = compression
         self.pid_field = pid_field
         self.data_field = data_field
+
+    def exprs(self) -> Dict[str, Expr]:
+        """``pid``, then the compressed wire column if any."""
+        spec = self.compression
+        return {"pid": self.bucket, **({} if spec is None else {spec.out_field: spec.word})}
 
     def out_type(self, in_types) -> Optional[TupleType]:
         t = in_types[0]
         if t is None:
             return None
         if self.compression is not None:
-            t = TupleType([(self.compression.out_field, INT64)])
+            t = self.compression.wire_type(t)
         return TupleType([(self.pid_field, INT64), (self.data_field, RowVectorType(t))])
 
     def to_wire(self, data: pd.DataFrame) -> Tuple[np.ndarray, pd.DataFrame]:
         """Each tuple's partition id and the frame sent on the wire
-        (compressed to one int64 word per tuple with a ``CompressionSpec``).
-        The Spark lowering's pre-exchange pipelines call this too, so both
-        substrates ship the same frame."""
-        pids = bucket_ids(self.bucket_fn, data)
-        if self.compression is not None:
-            data = self.compression.compress_pdf(data)
-        return pids, data
+        (compressed to one int64 word per tuple with a ``CompressionSpec``)."""
+        wire = data if self.compression is None else self.compression.compress_pdf(data)
+        return self.bucket.eval(data), wire
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        from repro.core import radix
         from repro.mpi.simcluster import LocalComm
 
         comm = ctx.comm or LocalComm()

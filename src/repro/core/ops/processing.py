@@ -12,7 +12,8 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import SubOperator, bucket_ids, concat_batches
+from repro.core.expr import Expr
+from repro.core.ops.base import SubOperator, concat_batches
 from repro.core.types import INT64, RowVector, TupleType
 
 
@@ -227,23 +228,21 @@ class Zip(SubOperator):
 
 
 class LocalHistogram(SubOperator):
-    """Counts input tuples per bucket, ``bucket_fn(DataFrame) -> int
-    array``; returns a dense, ordered
+    """Counts input tuples per bucket, each tuple's bucket given by the
+    integer expression ``bucket``; returns a dense, ordered
     ``<bucket_id, count>`` sequence of exactly ``n_buckets`` tuples (as
     required by MpiExchange)."""
 
     op_name = "LH"
     phase = "local_histogram"
 
-    def __init__(
-        self,
-        upstream: SubOperator,
-        n_buckets: int,
-        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
-    ) -> None:
+    def __init__(self, upstream: SubOperator, n_buckets: int, bucket: Expr) -> None:
         super().__init__([upstream])
         self.n_buckets = n_buckets
-        self.bucket_fn = bucket_fn
+        self.bucket = bucket
+
+    def exprs(self) -> Dict[str, Expr]:
+        return {"bucket_id": self.bucket}
 
     def out_type(self, in_types) -> TupleType:
         return TupleType([("bucket_id", INT64), ("count", INT64)])
@@ -251,7 +250,7 @@ class LocalHistogram(SubOperator):
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)
         for pdf in ups[0]:
-            counts += radix.histogram(bucket_ids(self.bucket_fn, pdf), self.n_buckets)
+            counts += radix.histogram(self.bucket.eval(pdf), self.n_buckets)
         yield pd.DataFrame(
             {"bucket_id": np.arange(self.n_buckets, dtype=np.int64), "count": counts}
         )

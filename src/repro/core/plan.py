@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.ops.base import SubOperator
 from repro.core.ops.orchestration import ParameterLookup
-from repro.core.types import TupleType
+from repro.core.types import INT64, TupleType
 
 
 class Plan:
@@ -72,24 +72,52 @@ class Plan:
             if isinstance(op, ParameterLookup):
                 types[op] = op.declared_type or param_type
             else:
-                types[op] = op.out_type([types[u] for u in op.upstreams])
+                in_types = [types[u] for u in op.upstreams]
+                if in_types:
+                    _check_reads(op, in_types[0])
+                types[op] = op.out_type(in_types)
         return types
 
     def out_type(self, param_type: Optional[TupleType] = None) -> Optional[TupleType]:
-        """Best-effort static type propagation (None where dynamic)."""
+        """Best-effort static type propagation (None where dynamic). Every
+        column an operator's expressions read must be an int64 column of
+        its first upstream's type, where that type is known; otherwise
+        typing raises ``TypeError`` naming the operator and the column."""
         return self.op_types(param_type)[self.root]
 
     def render(self) -> str:
-        """Compact textual rendering of the DAG (for docs and debugging)."""
+        """Compact textual rendering of the DAG (for docs and debugging),
+        with each operator's expressions, e.g. ``EX(2,3,4)[pid=pmod(k, 8)]``."""
         ids = {op: i for i, op in enumerate(self._ops)}
         lines = []
         for op in self._ops:
             ups = ",".join(str(ids[u]) for u in op.upstreams)
+            exprs = "; ".join(f"{name}={e}" for name, e in op.exprs().items())
+            exprs = f"[{exprs}]" if exprs else ""
             nested = ""
             if hasattr(op, "nested_plan"):
                 nested = " {" + op.nested_plan.render().replace("\n", "; ") + "}"
-            lines.append(f"#{ids[op]} {op.op_name}({ups}){nested}")
+            lines.append(f"#{ids[op]} {op.op_name}({ups}){exprs}{nested}")
         return "\n".join(lines)
+
+
+def _check_reads(op: SubOperator, in_type: Optional[TupleType]) -> None:
+    """Raise ``TypeError`` if an expression of ``op`` reads a column that
+    ``in_type`` (None: unknown, not checked) lacks or that is not int64."""
+    if in_type is None:
+        return
+    for name, e in op.exprs().items():
+        for c in e.columns():
+            if c not in in_type.names:
+                raise TypeError(
+                    f"{type(op).__name__} expression {name}={e} reads column {c!r}, "
+                    f"which its input {in_type!r} lacks"
+                )
+            if in_type.field_type(c) != INT64:
+                raise TypeError(
+                    f"{type(op).__name__} expression {name}={e} reads column {c!r} of "
+                    f"type {in_type.field_type(c)!r}, not int64"
+                )
 
 
 def _topo(root: SubOperator) -> List[SubOperator]:

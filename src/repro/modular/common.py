@@ -9,12 +9,10 @@ network partition id. Factoring these out *is* the paper's reuse claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
-import pandas as pd
+from typing import Optional
 
 from repro.core.compression import CompressionSpec
+from repro.core.expr import Expr, col, pmod
 from repro.core.ops import (
     CartesianProduct,
     LocalHistogram,
@@ -37,6 +35,10 @@ class JoinConfig:
     ``loc_bits`` bits (cache-sized sub-partitions in the paper).
     Compression (one int64 word on the wire, see ``CompressionSpec``)
     requires dense <key,value> inputs and ``n_net == 2**net_bits``.
+
+    The partition ids are integer expressions (``net_pid``, ``loc_pid``),
+    which the evaluator computes with numpy and the Spark lowering with
+    Catalyst.
     """
 
     n_net: int
@@ -65,19 +67,16 @@ class JoinConfig:
         )
 
     # -- partition-id functions (identity hash + radix, as in the paper) ----
-    def net_pid(self) -> Callable[[pd.DataFrame], np.ndarray]:
-        n, key = self.n_net, self.key
-        return lambda pdf: (pdf[key].to_numpy() % n).astype(np.int64)
+    def net_pid(self) -> Expr:
+        """``pmod(key, n_net)``: in ``[0, n_net)`` for negative keys too."""
+        return pmod(col(self.key), self.n_net)
 
-    def loc_pid(self, value_field: str) -> Callable[[pd.DataFrame], np.ndarray]:
+    def loc_pid(self, value_field: str) -> Expr:
         """Local radix on the key bits above the network bits; compressed
         data stores exactly those bits as the word's key-high part."""
-        mask = self.n_loc - 1
         spec = self.spec(value_field)
-        if spec is not None:
-            return lambda pdf: spec.key_high(pdf[spec.out_field].to_numpy()) & mask
-        nb, key = self.net_bits, self.key
-        return lambda pdf: (pdf[key].to_numpy().astype(np.int64) >> nb) & mask
+        high = spec.key_high if spec is not None else col(self.key) >> self.net_bits
+        return high & (self.n_loc - 1)
 
 
 def rank_input(field: str) -> RowScan:

@@ -42,7 +42,7 @@ def _rank_groupby(comm: Comm, t_pdf: pd.DataFrame, cfg: JoinConfig) -> Tuple[pd.
     n_loc = cfg.n_loc
     subs = []
     for pid, data in parts:
-        k_hi = spec.key_high(data[0]) if spec else data[0] >> cfg.net_bits
+        k_hi = spec.key_high.eval({spec.out_field: data[0]}) if spec else data[0] >> cfg.net_bits
         for arrs in radix.scatter_arrays(list(data), k_hi & (n_loc - 1), n_loc):
             subs.append((pid, arrs))
     t["local_partitioning"] = perf_counter() - t0

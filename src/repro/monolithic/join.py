@@ -100,7 +100,7 @@ def _rank_join(
         assert pid_r == pid_s
 
         def local_split(data, spec):
-            k_hi = spec.key_high(data[0]) if spec else data[0] >> cfg.net_bits
+            k_hi = spec.key_high.eval({spec.out_field: data[0]}) if spec else data[0] >> cfg.net_bits
             return radix.scatter_arrays(list(data), k_hi & (n_loc - 1), n_loc)
 
         subs_r = local_split(data_r, spec_r)

@@ -1,11 +1,12 @@
 """Monolithic distributed join lowered onto Spark — the Fig. 6b comparator.
 
-Same Catalyst stage structure as the modular lowering (mapInPandas
-pre-partitioning, shuffle on the radix pid, applyInPandas per partition)
-but each stage is one hand-fused numpy kernel specialized to the 16-byte
-<key, value> workload: no sub-operator dispatch, no generic evaluator, one
-combined histogram pass. The delta between this and the lowered modular
-plan is the "cost of modularity" measured in the paper (12–28 %).
+Same Catalyst stage structure as the modular lowering (a native
+pre-partitioning ``Project`` computing the radix pid and the compressed
+word, shuffle on the pid, applyInPandas per partition) but the join stage
+is one hand-fused numpy kernel specialized to the 16-byte <key, value>
+workload: no sub-operator dispatch, no generic evaluator, one combined
+histogram pass. The delta between this and the lowered modular plan is the
+"cost of modularity" measured in the paper (12–28 %).
 """
 from __future__ import annotations
 
@@ -21,21 +22,11 @@ from repro.modular.common import JoinConfig
 from repro.monolithic.join import _np_hash_join
 
 
-def _pre_fn(cfg: JoinConfig, value_field: str):
+def _pre(df: DataFrame, cfg: JoinConfig, value_field: str) -> DataFrame:
+    """The wire columns and ``__pid`` in one native ``selectExpr``."""
     spec = cfg.spec(value_field)
-    n = cfg.n_net
-
-    def fn(iterator):
-        for pdf in iterator:
-            k = pdf["k"].to_numpy().astype(np.int64)
-            v = pdf[value_field].to_numpy().astype(np.int64)
-            pid = k % n
-            if spec is not None:
-                yield pd.DataFrame({"kv": spec.compress(k, v), "__pid": pid})
-            else:
-                yield pd.DataFrame({"k": k, value_field: v, "__pid": pid})
-
-    return fn
+    wire = [f"{spec.word.sql()} AS kv"] if spec is not None else ["k", value_field]
+    return df.selectExpr(*wire, f"{cfg.net_pid().sql()} AS __pid")
 
 
 def _join_fn(cfg: JoinConfig):
@@ -77,9 +68,7 @@ def monolithic_join_stages(
     spark: SparkSession, r: DataFrame, s: DataFrame, cfg: JoinConfig
 ) -> Dict[str, object]:
     """Lowered stage handles (pre-exchange, histogram, join) for timing."""
-    pre_schema = "kv long, __pid long" if cfg.compress else None
-    pre_r = r.mapInPandas(_pre_fn(cfg, "vr"), schema=pre_schema or "k long, vr long, __pid long")
-    pre_s = s.mapInPandas(_pre_fn(cfg, "vs"), schema=pre_schema or "k long, vs long, __pid long")
+    pre_r, pre_s = _pre(r, cfg, "vr"), _pre(s, cfg, "vs")
     # one combined histogram job for both relations (the monolithic
     # algorithm's single MPI_Allreduce over the concatenated histograms)
     hist = (

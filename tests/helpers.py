@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import uuid
+from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -40,3 +41,31 @@ def spark_jobs(spark):
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
     jobs.count = len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+#: the Catalyst nodes that run Python: each is a round trip of its rows from
+#: the JVM to a Python worker and back
+PYTHON_NODES = ("MapInPandas", "FlatMapCoGroupsInPandas", "FlatMapGroupsInPandas", "PythonUDF")
+
+
+def python_nodes(df) -> Counter:
+    """The Python nodes of ``df``'s optimized logical plan, counted by
+    name: plan operators, and ``PythonUDF`` expressions outside them (a
+    Python operator holds its function as one)."""
+    counts: Counter = Counter()
+
+    def items(seq):
+        return [seq.apply(i) for i in range(seq.size())]
+
+    def visit(node, is_plan):
+        python = node.nodeName() in PYTHON_NODES
+        if python:
+            counts[node.nodeName()] += 1
+        for child in items(node.children()):
+            visit(child, is_plan)
+        if is_plan and not python:
+            for e in items(node.expressions()):
+                visit(e, False)
+
+    visit(df._jdf.queryExecution().optimizedPlan(), True)
+    return counts

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.compression import CompressionSpec
 from repro.core.radix import partition_ids
+from repro.core.types import INT64, TupleType
 
 
 class TestSpecValidation:
@@ -86,9 +87,13 @@ class TestRoundTrip:
         assert (k2 == keys).all() and (v2 == vals).all()
 
     def test_extra_columns_rejected(self):
+        """On a frame, and at typing, where the Spark lowering takes the
+        wire type from."""
         spec = CompressionSpec(p_bits=8, f_bits=2)
         with pytest.raises(ValueError, match="extra cols"):
             spec.compress_pdf(pd.DataFrame({"k": [1], "v": [2], "z": [3]}))
+        with pytest.raises(ValueError, match=r"extra cols: \['z'\]"):
+            spec.wire_type(TupleType([("k", INT64), ("v", INT64), ("z", INT64)]))
 
     def test_pdf_roundtrip(self):
         spec = CompressionSpec(p_bits=16, f_bits=2)

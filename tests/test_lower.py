@@ -6,9 +6,17 @@ import pandas as pd
 import pytest
 from pyspark.sql.types import StructType
 
-from repro.core import vectorized
+from repro.core import Plan, RowVector, vectorized
 from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
-from repro.core.ops import ExecContext, Filter, Map, MpiExchange, ParametrizedMap
+from repro.core.ops import (
+    ExecContext,
+    Filter,
+    Map,
+    MpiExchange,
+    MpiExecutor,
+    MpiHistogram,
+    ParametrizedMap,
+)
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVectorType, TupleType
 from repro.engines import run_presto_sim
 from repro.modular.common import JoinConfig
@@ -21,12 +29,12 @@ from repro.modular.join_sequence import (
     value_fields,
 )
 from repro.monolithic import run_monolithic_join
-from repro.mpi.thread_backend import make_rank_inputs, run_on_sim
+from repro.mpi.thread_backend import make_rank_inputs, run_on_sim, run_spmd
 from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
 from repro.queries.tpch import TpchQuery
 from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
-from tests.helpers import spark_jobs
+from tests.helpers import python_nodes, spark_jobs
 
 
 N = 1 << 11
@@ -203,6 +211,105 @@ class TestCompressionAtWordLimit:
         r, s = _top_bit_kv()
         out, _ = run_monolithic_join(2, r, s, self.CFG)
         assert_equivalent(out, JOIN_SQL, r=r, s=s)
+
+
+def _sim_global_histograms(plan, n_ranks, frames):
+    """Each exchange's global histogram, ``{pid: count}`` without empty
+    buckets, as the plan's own LocalHistogram + MpiHistogram compute it on
+    the simulated cluster (in the order of the lowering's sides)."""
+    me = next(op for op in plan.operators() if isinstance(op, MpiExecutor))
+    hists = [op for op in me.nested_plan.operators() if isinstance(op, MpiHistogram)]
+    names = list(frames)
+
+    def rank_fn(comm, *slices):
+        params = dict(zip(names, map(RowVector, slices)))
+        ctx = ExecContext(comm=comm)
+        return [vectorized.run_to_pdf(Plan(h), ctx, params=params) for h in hists], {}
+
+    outs, _ = run_spmd(n_ranks, rank_fn, *frames.values())
+    return [{int(b): int(c) for b, c in zip(h["bucket_id"], h["count"]) if c} for h in outs[0]]
+
+
+def _negative_kv(n, value_field, seed, multiplicity=1):
+    """A dense <key, value> relation with keys in [-n/2, n/2)."""
+    pdf = dense_kv_pdf(n, value_field=value_field, multiplicity=multiplicity, seed=seed)
+    return pdf.assign(k=pdf["k"] - n // 2)
+
+
+class TestNativeExchange:
+    """The pid and the wire word are native Catalyst columns compiled from
+    the plan's expressions; they must agree with the evaluator's numpy."""
+
+    #: three network partitions: not a power of two, so no radix bits
+    CFG = JoinConfig(n_net=3, loc_bits=2)
+
+    @pytest.mark.parametrize("query", ["join", "groupby"])
+    def test_negative_keys_three_partitions(self, spark, query):
+        """Correct rows on both substrates, and the Spark histograms are the
+        simulator's: a truncating ``%`` would still join correctly but put
+        negative keys in pid -1 and -2."""
+        if query == "join":
+            frames = {"R": _negative_kv(N, "vr", seed=90),
+                      "S": _negative_kv(N, "vs", seed=91, multiplicity=2)}
+            plan, sql = distributed_join_plan(self.CFG), JOIN_SQL
+        else:
+            frames = {"T": _negative_kv(N, "v", seed=92, multiplicity=4)}
+            plan = distributed_groupby_plan(self.CFG)
+            sql = "SELECT k, SUM(v) AS v FROM t GROUP BY k"
+        tables = {name.lower(): pdf for name, pdf in frames.items()}
+        sim_out, _ = run_on_sim(plan, 2, frames)
+        assert_equivalent(sim_out, sql, **tables)
+        lowered = lower_distributed_plan(
+            spark, plan, {name: spark.createDataFrame(pdf) for name, pdf in frames.items()}
+        )
+        assert_equivalent(lowered.result(), sql, **tables)
+        spark_hists = [{row["__pid"]: row["count"] for row in h.collect()}
+                       for h in lowered.histograms]
+        assert spark_hists == _sim_global_histograms(plan, 2, frames)
+
+    def test_key_outside_dense_domain_raises(self, spark, kv_frames):
+        r, s = kv_frames
+        r = r.assign(k=r["k"].where(r.index != 7, 1 << 22))  # 2**P at P = 22
+        cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
+        plan = distributed_join_plan(cfg)
+        with pytest.raises(ValueError, match="key outside dense 22-bit domain"):
+            run_on_sim(plan, 2, {"R": r, "S": s})
+        relations = {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
+        with pytest.raises(Exception, match="key outside dense 22-bit domain"):
+            run_distributed_on_spark(spark, plan, relations).collect()
+
+
+class TestPythonRoundTrips:
+    """Python runs only where the plan holds opaque callables: the nested
+    plan's UDF and the pre-exchange ``Filter``/``Map``s of ``pre_scan``."""
+
+    def test_join_runs_python_only_in_the_nested_plan(self, spark, kv_frames):
+        r, s = kv_frames
+        cfg = JoinConfig(n_net=8, loc_bits=3, compress=True, p_bits=27)
+        lowered = lower_distributed_plan(
+            spark, distributed_join_plan(cfg),
+            {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
+        )
+        assert [python_nodes(df) for df in lowered.pre] == [{}, {}]
+        assert python_nodes(lowered.inner) == {"FlatMapCoGroupsInPandas": 1}
+
+    def test_groupby_runs_no_python_before_the_exchange(self, spark):
+        t = dense_kv_pdf(256, seed=93)
+        lowered = lower_distributed_plan(
+            spark, distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2)),
+            {"T": spark.createDataFrame(t)},
+        )
+        assert python_nodes(lowered.pre[0]) == {}
+        assert python_nodes(lowered.inner) == {"FlatMapGroupsInPandas": 1}
+
+    @pytest.mark.parametrize("name", [q.name for q in QUERIES])
+    def test_tpch_side_runs_one_map_in_pandas(self, spark, plans, name):
+        """Every TPC-H side filters or projects in ``pre_scan``: one fused
+        ``MapInPandas`` per side, then the native exchange columns."""
+        plan, frames = plans[name]
+        relations = {f: spark.createDataFrame(pdf) for f, pdf in frames.items()}
+        lowered = lower_distributed_plan(spark, plan, relations)
+        assert [python_nodes(df) for df in lowered.pre] == [{"MapInPandas": 1}] * 2
 
 
 def _per_tuple(fn):

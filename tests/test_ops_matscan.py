@@ -1,10 +1,10 @@
 """Unit tests for RowScan, MaterializeRowVector, LocalPartitioning."""
-import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import Plan, RowVector
 from repro.core import vectorized
+from repro.core.expr import col, pmod
 from repro.core.ops import (
     LocalHistogram,
     LocalPartitioning,
@@ -37,11 +37,8 @@ class TestRowScan:
 
 def lp_plan(n=4):
     data = source("t")
-    def pid(pdf):
-        return (pdf["k"] % n).to_numpy()
-
-    hist = LocalHistogram(source("t"), n_buckets=n, bucket_fn=pid)
-    return LocalPartitioning(data, hist, n_partitions=n, bucket_fn=pid)
+    hist = LocalHistogram(source("t"), n_buckets=n, bucket=pmod(col("k"), n))
+    return LocalPartitioning(data, hist, n_partitions=n, bucket=pmod(col("k"), n))
 
 
 class TestLocalPartitioning:
@@ -64,16 +61,16 @@ class TestLocalPartitioning:
 
     def test_histogram_size_mismatch_raises(self):
         data = source("t")
-        hist = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda pdf: pdf["k"] % 2)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda pdf: pdf["k"] % 4)
+        hist = LocalHistogram(source("t"), n_buckets=2, bucket=pmod(col("k"), 2))
+        lp = LocalPartitioning(data, hist, n_partitions=4, bucket=pmod(col("k"), 4))
         with pytest.raises(RuntimeError, match="histogram has 2 buckets"):
             vectorized.run_rows(Plan(lp), params=params_of(t=KV))
 
     def test_wrong_histogram_counts_raise(self):
         data = source("t")
         # histogram claims everything is in bucket 0
-        hist = LocalHistogram(source("t"), n_buckets=4, bucket_fn=lambda pdf: pdf["k"] * 0)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda pdf: pdf["k"] % 4)
+        hist = LocalHistogram(source("t"), n_buckets=4, bucket=col("k") & 0)
+        lp = LocalPartitioning(data, hist, n_partitions=4, bucket=pmod(col("k"), 4))
         with pytest.raises(RuntimeError, match="histogram says"):
             vectorized.run_rows(Plan(lp), params=params_of(t=KV))
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core import Plan, RowVector
 from repro.core import vectorized
 from repro.core.compression import CompressionSpec
+from repro.core.expr import col, pmod
 from repro.core.ops import (
     LocalHistogram,
     MaterializeRowVector,
@@ -27,7 +28,7 @@ def kv(n, seed=0):
 
 
 def hist_plan(n_buckets):
-    return LocalHistogram(source("T"), n_buckets, lambda pdf: (pdf["k"] % n_buckets).to_numpy())
+    return LocalHistogram(source("T"), n_buckets, pmod(col("k"), n_buckets))
 
 
 class TestMpiHistogram:
@@ -61,9 +62,7 @@ class TestMpiHistogram:
 
 def exchange_plan(n_parts, compression=None):
     data = source("T")
-    def pid(pdf):
-        return (pdf["k"] % n_parts).to_numpy()
-
+    pid = pmod(col("k"), n_parts)
     lh = LocalHistogram(data, n_parts, pid)
     gh = MpiHistogram(lh, n_parts)
     ex = MpiExchange(data, lh, gh, n_parts, pid, compression=compression)
@@ -132,8 +131,8 @@ class TestMpiExchange:
     def test_histogram_disagreeing_with_pids_raises(self):
         # the local histogram buckets by k // 4 % 4, the exchange by k % 4
         data = source("T")
-        lh = LocalHistogram(data, 4, lambda pdf: (pdf["k"] // 4 % 4).to_numpy())
-        ex = MpiExchange(data, lh, MpiHistogram(lh, 4), 4, lambda pdf: (pdf["k"] % 4).to_numpy())
+        lh = LocalHistogram(data, 4, (col("k") >> 2) & 3)
+        ex = MpiExchange(data, lh, MpiHistogram(lh, 4), 4, pmod(col("k"), 4))
         T = pd.DataFrame({"k": np.arange(8), "v": np.arange(8)})
         with pytest.raises(RuntimeError, match=r"local histogram \[4, 4, 0, 0\] does not match"):
             vectorized.run_rows(Plan(ex), params=params_of(T=T))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Plan
+from repro.core.expr import col, pmod
 from repro.core.ops import (
     BuildProbe,
     CartesianProduct,
@@ -171,18 +172,18 @@ class TestZip:
 
 class TestLocalHistogram:
     def test_dense_ordered_counts(self):
-        root = LocalHistogram(source("t"), n_buckets=4, bucket_fn=lambda pdf: (pdf["k"] % 4).to_numpy())
+        root = LocalHistogram(source("t"), n_buckets=4, bucket=pmod(col("k"), 4))
         rows = run_plan(root, t=KV)
         assert [r["bucket_id"] for r in rows] == [0, 1, 2, 3]
         assert [r["count"] for r in rows] == [0, 2, 2, 1]
 
     def test_out_of_range_bucket_raises(self):
-        root = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda pdf: pdf["k"].to_numpy())
+        root = LocalHistogram(source("t"), n_buckets=2, bucket=col("k"))
         with pytest.raises(ValueError, match=r"span \[1, 3\], outside \[0, 2\)"):
             vectorized.run_rows(Plan(root), params=params_of(t=KV))
 
     def test_empty_input_gives_zero_counts(self):
-        root = LocalHistogram(source("t"), n_buckets=3, bucket_fn=lambda pdf: np.zeros(len(pdf), dtype=int))
+        root = LocalHistogram(source("t"), n_buckets=3, bucket=col("k") & 0)
         rows = run_plan(root, t=KV.iloc[:0])
         assert [r["count"] for r in rows] == [0, 0, 0]
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import Plan
+from repro.core.expr import col, pmod
 from repro.core.types import FLOAT64, INT64, RowVectorType, TupleType
 from repro.core.ops import (
     BuildProbe,
@@ -33,8 +34,8 @@ class TestTopology:
 
     def test_shared_upstream_counted_once(self):
         s = source("t")
-        h = LocalHistogram(s, 2, lambda pdf: pdf["k"] % 2)
-        z = Zip([h, LocalHistogram(s, 2, lambda pdf: np.zeros(len(pdf), dtype=np.int64))])
+        h = LocalHistogram(s, 2, pmod(col("k"), 2))
+        z = Zip([h, LocalHistogram(s, 2, col("k") & 0)])
         # Zip would fail at runtime on field overlap; topology only here.
         plan = Plan(z)
         assert plan.operators().count(s) == 1
@@ -54,7 +55,7 @@ class TestPipelines:
 
     def test_multi_consumer_cuts_pipeline(self):
         s = source("t")
-        hist = LocalHistogram(s, 2, lambda pdf: pdf["k"] % 2)
+        hist = LocalHistogram(s, 2, pmod(col("k"), 2))
         probe = BuildProbe(s, s, key="k")  # s consumed three times in total
         plan = Plan(Zip([hist, probe]))
         mats = plan.materialization_points()
@@ -64,8 +65,8 @@ class TestPipelines:
 
     def test_pipeline_members_do_not_cross_materialization(self):
         s = source("t")
-        h1 = LocalHistogram(s, 2, lambda pdf: np.zeros(len(pdf), dtype=np.int64))
-        h2 = LocalHistogram(s, 2, lambda pdf: np.zeros(len(pdf), dtype=np.int64))
+        h1 = LocalHistogram(s, 2, col("k") & 0)
+        h2 = LocalHistogram(s, 2, col("k") & 0)
         plan = Plan(Zip([h1, h2]))
         for pipe in plan.pipelines():
             interior = [op for op in pipe[1:]]  # pipe[0] is its end point
@@ -111,6 +112,20 @@ class TestTyping:
         rk = ReduceByKey(pl, ["k"], {"v": "sum"})
         assert Plan(rk).out_type() == kv_type()
 
+    @pytest.mark.parametrize("typ, problem", [
+        (TupleType([("v", INT64)]), "which its input .* lacks"),
+        (TupleType([("k", FLOAT64)]), "of type float64, not int64"),
+    ])
+    def test_expression_columns_checked(self, typ, problem):
+        """A partition expression must read int64 columns of its input: a
+        missing or non-integer column fails at typing, naming the operator
+        and the column."""
+        data = RowScan(Projection(ParameterLookup(), ["t"]), "t")
+        hist = LocalHistogram(data, 2, pmod(col("k"), 2))
+        with pytest.raises(TypeError, match=f"LocalHistogram expression bucket_id=pmod\\(k, 2\\) "
+                                            f"reads column 'k'.*{problem}"):
+            Plan(hist).out_type(param_type=TupleType([("t", RowVectorType(typ))]))
+
 
 class TestRender:
     def test_render_mentions_all_ops(self):
@@ -118,6 +133,17 @@ class TestRender:
         text = plan.render()
         for name in ("PL", "PR", "RS", "FL"):
             assert name in text
+
+    def test_render_shows_partition_expressions(self):
+        from repro.modular.common import JoinConfig
+        from repro.modular.groupby import distributed_groupby_plan
+
+        cfg = JoinConfig(n_net=8, compress=True, p_bits=20)
+        text = distributed_groupby_plan(cfg).render()
+        assert "LH(2)[bucket_id=pmod(k, 8)]" in text
+        assert ("EX(2,3,4)[pid=pmod(k, 8); kv=(((in_range(k, 0, 1048575) >> 3) << 20) | "
+                "in_range(v, 0, 1048575))]") in text
+        assert "LP(3,4)[pid=(((kv >> 20) & 17592186044415) & 7)]" in text
 
 
 class TestEveryOperatorIsUsed:

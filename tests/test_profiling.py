@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core import Plan, vectorized
+from repro.core.expr import col, pmod
 from repro.core.ops import Filter, LocalHistogram, Map
 from repro.core.ops.base import ExecContext
 from repro.core.profiling import PHASES, Profiler
@@ -26,7 +27,7 @@ class TestProfiler:
 
     def test_wrap_attributes_operator_phase(self):
         df = pd.DataFrame({"k": range(100)})
-        hist = LocalHistogram(source("t"), 4, bucket_fn=lambda pdf: pdf["k"] % 4)
+        hist = LocalHistogram(source("t"), 4, bucket=pmod(col("k"), 4))
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         vectorized.run_rows(Plan(hist), ctx, params=params_of(t=df))
@@ -46,7 +47,7 @@ class TestProfiler:
         def boom(pdf):
             raise ValueError("boom")
 
-        m = LocalHistogram(Map(source("t"), boom), 2, bucket_fn=lambda pdf: pdf["k"] * 0)
+        m = LocalHistogram(Map(source("t"), boom), 2, bucket=col("k") & 0)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         with pytest.raises(ValueError, match="boom"):
