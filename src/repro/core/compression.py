@@ -104,15 +104,12 @@ class CompressionSpec:
 
     def wire_type(self, in_type: TupleType) -> TupleType:
         """The type of the compressed tuples of input type ``in_type``."""
-        self._check_pure(in_type.names)
+        self.check_pure(in_type.names)
         return TupleType([(self.out_field, INT64)])
 
-    def compress_pdf(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        """Replace <key, value> columns by the single compressed column."""
-        self._check_pure(pdf.columns)
-        return pd.DataFrame({self.out_field: self.word.eval(pdf)}, copy=False)
-
-    def _check_pure(self, columns) -> None:
+    def check_pure(self, columns) -> None:
+        """Raise unless ``columns`` are only the key and value: the word
+        carries nothing else."""
         extra = [c for c in columns if c not in (self.key_field, self.value_field)]
         if extra:
             raise ValueError(

@@ -63,7 +63,7 @@ from repro.core.expr import quote
 from repro.core.ops.base import ExecContext, SubOperator, concat_batches
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
-from repro.core.ops.orchestration import NestedMap, ParameterLookup
+from repro.core.ops.orchestration import NestedMap, ParameterLookup, _single
 from repro.core.ops.processing import ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType
@@ -367,9 +367,7 @@ def _run_inner(
         params[ex.pid_field] = pid
         params[ex.data_field] = RowVector(pdf)
     out = vectorized.run_rows(inner_plan, ExecContext(batch_size=batch_size), params)
-    if len(out) != 1:
-        raise RuntimeError(f"nested plan produced {len(out)} tuples, expected 1")
-    return out[0][inner_field].df
+    return _single(out, "NestedMap")[inner_field].df
 
 
 def _lower_nested(

@@ -114,7 +114,10 @@ class LocalPartitioning(SubOperator):
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         sizes = dense_counts(concat_batches(list(ups[1])), self.n_partitions, "LocalPartitioning")
         data = concat_batches(list(ups[0]))
-        frames = radix.scatter(data, self.bucket.eval(data), self.n_partitions)
+        parts = radix.scatter_arrays(
+            [data[c].to_numpy() for c in data.columns], self.bucket.eval(data), self.n_partitions
+        )
+        frames = [pd.DataFrame(dict(zip(data.columns, arrays)), copy=False) for arrays in parts]
         for p, f in enumerate(frames):
             if len(f) != sizes[p]:
                 raise RuntimeError(

@@ -4,13 +4,15 @@ operators.
 On the simulated MPI substrate (``repro.mpi.simcluster``) they execute the
 exact RDMA protocol of Barthels et al.: histogram-driven offset computation
 (exscan over ranks), collective window registration, synchronization-free
-one-sided puts, and a fence epoch. On Spark, ``repro.core.lower`` replaces
-them with Catalyst stages (aggregate + collect = AllReduce; shuffle =
-exchange) — same plan, different platform, which is the paper's whole point.
+one-sided puts, and a fence epoch. The protocol is written once, over numpy
+columns, in ``rma_exchange``; ``MpiExchange`` and the monolithic baselines
+both call it. On Spark, ``repro.core.lower`` replaces these operators with
+Catalyst stages (aggregate + collect = AllReduce; shuffle = exchange) — same
+plan, different platform, which is the paper's whole point.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
@@ -19,6 +21,7 @@ from repro.core import radix
 from repro.core.compression import CompressionSpec
 from repro.core.expr import Expr
 from repro.core.ops.base import ExecContext, SubOperator, concat_batches, dense_counts, object_column
+from repro.core.ops.orchestration import _single
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -38,6 +41,45 @@ def window_layout(global_hist: np.ndarray, n_ranks: int) -> Tuple[np.ndarray, np
         mine = owners == r
         base[mine] = np.cumsum(global_hist[mine]) - global_hist[mine]
     return owners, base
+
+
+def rma_exchange(
+    comm, columns: Dict[str, np.ndarray], pids: np.ndarray,
+    local_hist: np.ndarray, global_hist: np.ndarray,
+) -> List[Tuple[int, Dict[str, np.ndarray]]]:
+    """Barthels et al.'s exchange: sends row ``i`` of ``columns`` to
+    partition ``pids[i]`` and returns this rank's partitions as
+    ``(partition_id, {column: view into the window})``, in increasing id.
+
+    Each partition's region in its owner's window is sized by the global
+    histogram (``window_layout``), and each rank writes at the exscan of
+    the local histograms inside it, so the one-sided puts need no
+    synchronization until the fence. The global histogram must be the sum
+    of the local ones, and each local one the partition sizes of its
+    rank's rows: together, every slot of every region is written exactly
+    once. Both checks raise instead of leaving window slots unwritten."""
+    total = comm.allreduce_sum(local_hist)
+    if not np.array_equal(total, global_hist):
+        raise RuntimeError(
+            f"exchange global histogram {global_hist.tolist()} is not the sum "
+            f"{total.tolist()} of the local histograms"
+        )
+    owners, base = window_layout(global_hist, comm.size)
+    my_parts = np.flatnonzero(owners == comm.rank)
+    win = comm.win_create(int(global_hist[my_parts].sum()), {c: a.dtype for c, a in columns.items()})
+    offsets = comm.exscan_sum(local_hist)  # this rank's offset inside each region
+    parts = radix.scatter_arrays(list(columns.values()), pids, len(global_hist))
+    sizes = np.array([len(p[0]) for p in parts])
+    if not np.array_equal(sizes, local_hist):
+        raise RuntimeError(
+            f"exchange local histogram {local_hist.tolist()} does not match "
+            f"the partition sizes {sizes.tolist()} of the data"
+        )
+    for p, arrays in enumerate(parts):
+        if sizes[p]:
+            comm.put(win, int(owners[p]), int(base[p] + offsets[p]), dict(zip(columns, arrays)))
+    comm.fence(win)
+    return [(int(p), win.local(comm.rank, base[p], base[p] + global_hist[p])) for p in my_parts]
 
 
 class MpiExecutor(SubOperator):
@@ -66,12 +108,8 @@ class MpiExecutor(SubOperator):
         ctx.extra["last_cluster"] = cluster  # exposes network stats to harnesses
 
         def rank_main(comm, param):
-            out = list(ctx.run_nested(self.nested_plan, ctx.child(param).with_comm(comm)))
-            if len(out) != 1:
-                raise RuntimeError(
-                    f"nested plan of MpiExecutor must produce exactly one tuple, got {len(out)}"
-                )
-            return out[0]
+            out = ctx.run_nested(self.nested_plan, ctx.child(param).with_comm(comm))
+            return _single(out, "MpiExecutor")
 
         results = cluster.run(rank_main, params)
         yield pd.DataFrame({k: object_column([r[k] for r in results]) for k in results[0]}, copy=False)
@@ -158,46 +196,25 @@ class MpiExchange(SubOperator):
             t = self.compression.wire_type(t)
         return TupleType([(self.pid_field, INT64), (self.data_field, RowVectorType(t))])
 
-    def to_wire(self, data: pd.DataFrame) -> Tuple[np.ndarray, pd.DataFrame]:
-        """Each tuple's partition id and the frame sent on the wire
+    def to_wire(self, data: pd.DataFrame) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Each tuple's partition id and the columns sent on the wire
         (compressed to one int64 word per tuple with a ``CompressionSpec``)."""
-        wire = data if self.compression is None else self.compression.compress_pdf(data)
+        spec = self.compression
+        if spec is None:
+            wire = {c: data[c].to_numpy() for c in data.columns}
+        else:
+            spec.check_pure(data.columns)
+            wire = {spec.out_field: spec.word.eval(data)}
         return self.bucket.eval(data), wire
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
         from repro.mpi.simcluster import LocalComm
 
-        comm = ctx.comm or LocalComm()
         n = self.n_partitions
         local_hist = dense_counts(concat_batches(list(ups[1])), n, "MpiExchange local")
         global_hist = dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
-        pids, data = self.to_wire(concat_batches(list(ups[0])))
-
-        owners, base = window_layout(global_hist, comm.size)
-        my_parts = np.flatnonzero(owners == comm.rank)
-        win = comm.win_create(
-            int(global_hist[my_parts].sum()), list(data.columns), dtypes=dict(data.dtypes)
-        )
-        my_offsets = comm.exscan_sum(local_hist)  # offset inside each region
-
-        frames = radix.scatter(data, pids, n)
-        sizes = np.array([len(f) for f in frames])
-        if not np.array_equal(sizes, local_hist):
-            raise RuntimeError(
-                f"MpiExchange local histogram {local_hist.tolist()} does not match "
-                f"the partition sizes {sizes.tolist()} of the data"
-            )
-        for p in range(n):
-            if len(frames[p]):
-                comm.put(win, int(owners[p]), int(base[p] + my_offsets[p]), frames[p])
-        comm.fence(win)
-
-        # this rank's partitions, in place: region p spans base[p] onwards
-        parts = [
-            RowVector(win.local_frame(comm.rank, base[p], base[p] + global_hist[p]))
-            for p in my_parts
-        ]
-        yield pd.DataFrame(
-            {self.pid_field: my_parts.astype(np.int64), self.data_field: object_column(parts)},
-            copy=False,
-        )
+        pids, wire = self.to_wire(concat_batches(list(ups[0])))
+        parts = rma_exchange(ctx.comm or LocalComm(), wire, pids, local_hist, global_hist)
+        ids = np.array([p for p, _ in parts], dtype=np.int64)
+        data = object_column([RowVector(pd.DataFrame(cols, copy=False)) for _, cols in parts])
+        yield pd.DataFrame({self.pid_field: ids, self.data_field: data}, copy=False)

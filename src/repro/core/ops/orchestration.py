@@ -57,7 +57,7 @@ class NestedMap(SubOperator):
     def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
         for pdf in ups[0]:
             outs = [
-                _single(ctx.run_nested(self.nested_plan, ctx.child(t)), self)
+                _single(ctx.run_nested(self.nested_plan, ctx.child(t)), "NestedMap")
                 for t in RowVector(pdf).iter_rows()
             ]
             if outs:
@@ -66,11 +66,12 @@ class NestedMap(SubOperator):
                 )
 
 
-def _single(out_rows, op) -> dict:
+def _single(out_rows, owner: str) -> dict:
+    """The one tuple a nested plan run by ``owner`` produced."""
     out_rows = list(out_rows)
     if len(out_rows) != 1:
         raise RuntimeError(
-            f"nested plan of {type(op).__name__} must produce exactly one "
+            f"nested plan of {owner} must produce exactly one "
             f"tuple (got {len(out_rows)}); end nested plans with "
             "MaterializeRowVector"
         )

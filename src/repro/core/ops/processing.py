@@ -173,8 +173,9 @@ class ReduceByKey(SubOperator):
     """Combines all tuples sharing key-field values: ``aggs`` maps every
     other field to 'sum', 'count', 'min' or 'max', and the result is
     re-augmented with the key (paper semantics). Output tuples keep the
-    input type; empty input has no groups. The Spark lowering emits the
-    same spec as a native Catalyst aggregate."""
+    input type; empty input has no groups and passes on as it is, so its
+    schema reaches the consumer. The Spark lowering emits the same spec as
+    a native Catalyst aggregate."""
 
     op_name = "RK"
 
@@ -188,10 +189,9 @@ class ReduceByKey(SubOperator):
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         pdf = concat_batches(list(ups[0]))
-        if not len(pdf):
-            return
-        out = pdf.groupby(self.keys, as_index=False, sort=False).agg(self.aggs)
-        yield out[list(pdf.columns)]
+        if len(pdf):
+            pdf = pdf.groupby(self.keys, as_index=False, sort=False).agg(self.aggs)[list(pdf.columns)]
+        yield pdf
 
 
 class Zip(SubOperator):

@@ -3,8 +3,9 @@
 The paper's monolithic join uses software-write-combining radix
 partitioning; the numpy equivalent here is a stable counting scatter:
 ``partition_ids`` extracts the low ``bits`` of the key (identity hash, as in
-the compression scheme of Barthels et al.), and ``scatter`` reorders rows so
-each partition is a contiguous slice whose extent comes from a histogram.
+the compression scheme of Barthels et al.), and ``scatter_arrays`` reorders
+the rows of numpy columns so each partition is a contiguous slice whose
+extent comes from a histogram.
 ``join_indices`` is the build/probe kernel: a sort-merge equi-join over one
 integer key column.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
 
 
 def partition_ids(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -31,7 +31,7 @@ def partition_ids(keys: np.ndarray, bits: int) -> np.ndarray:
 
 def histogram(pids: np.ndarray, n: int) -> np.ndarray:
     """Dense partition-size histogram of length ``n``; ids outside
-    ``[0, n)`` raise, as in :func:`scatter`."""
+    ``[0, n)`` raise, as in :func:`scatter_arrays`."""
     return np.bincount(_checked_ids(pids, n), minlength=n).astype(np.int64)
 
 
@@ -60,28 +60,16 @@ def _partition_order(pids: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
-def scatter(pdf: pd.DataFrame, pids: np.ndarray, n: int) -> List[pd.DataFrame]:
-    """Stable-partition ``pdf`` into ``n`` frames ordered by partition id.
-
-    Works column-wise on raw numpy arrays (one fancy-index per column, then
-    zero-copy views per partition) — the frame-level equivalent of the
-    monolithic ``scatter_arrays``."""
-    if len(pids) != len(pdf):
-        raise ValueError(f"{len(pids)} partition ids for {len(pdf)} rows")
-    if not len(pdf):
-        return [pdf.iloc[:0] for _ in range(n)]
-    order, bounds = _partition_order(pids, n)
-    cols = {c: pdf[c].to_numpy()[order] for c in pdf.columns}
-    return [
-        pd.DataFrame({c: a[bounds[p] : bounds[p + 1]] for c, a in cols.items()}, copy=False)
-        for p in range(n)
-    ]
-
-
 def scatter_arrays(
     arrays: Sequence[np.ndarray], pids: np.ndarray, n: int
 ) -> List[List[np.ndarray]]:
-    """Like :func:`scatter` but over raw numpy columns (monolithic fast path)."""
+    """Stable-partition the rows of the columns ``arrays`` into ``n``
+    partitions ordered by partition id: one fancy-index per column, then
+    zero-copy views per partition. Element ``[p][i]`` is column ``i`` of
+    partition ``p``."""
+    for a in arrays:
+        if len(a) != len(pids):
+            raise ValueError(f"{len(pids)} partition ids for {len(a)} rows")
     order, bounds = _partition_order(pids, n)
     reordered = [a[order] for a in arrays]
     return [[a[bounds[p] : bounds[p + 1]] for a in reordered] for p in range(n)]

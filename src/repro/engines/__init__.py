@@ -1,8 +1,8 @@
 """Comparator engines for the TPC-H evaluation (paper Fig. 9).
 
-* ``presto_sim`` — a generic *interpreted* SQL engine: the same logical
-  plans executed row-at-a-time through the Volcano interpreter inside the
-  same distributed stages. Stands in for Presto (per-row dispatch, no
+* ``presto_sim`` — a generic *interpreted* SQL engine: the same plans in
+  the same distributed stages, run by the one evaluator at one tuple per
+  batch (``batch_size=1``). Stands in for Presto (per-tuple dispatch, no
   compilation) — the paper's 6–9x gap is interpretation vs compilation.
 * ``memsql_sim`` — a specialized *compiled* in-memory SQL engine: native
   Spark SQL (Catalyst + whole-stage codegen) over cached tables with

@@ -1,13 +1,14 @@
 """Monolithic distributed radix hash join (the Barthels et al. baseline).
 
-One imperative code path per rank, phases fused over raw numpy arrays and
-the raw MPI window API — the "highly engineered, monolithic operator" the
-paper compares against. The algorithm is exactly Section 4.1.1:
+One imperative code path per rank, phases fused over raw numpy arrays —
+the "highly engineered, monolithic operator" the paper compares against. The algorithm is exactly Section 4.1.1:
 
   (1) local histograms of both relations in one pass, one combined
       MPI_Allreduce for the global histogram;
-  (2) network partitioning through RMA windows with histogram-derived,
-      synchronization-free offsets, with the 16B->8B key/value compression;
+  (2) network partitioning with the 16B->8B key/value compression,
+      through the RMA exchange it shares with ``MpiExchange``
+      (``network.rma_exchange``: histogram-derived, synchronization-free
+      offsets into registered windows);
   (3) cache-sized local radix re-partitioning;
   (4) per-partition build & probe with inline decompression.
 
@@ -16,13 +17,13 @@ Returns per-phase wall times so the Fig. 6 breakdown can be reproduced.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.network import window_layout
+from repro.core.ops.network import rma_exchange
 from repro.modular.common import JoinConfig
 from repro.mpi.simcluster import Comm
 from repro.mpi.thread_backend import run_spmd
@@ -37,29 +38,11 @@ def _np_hash_join(bk, bv, pk, pv):
 
 
 def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, spec):
-    """Fused network-partitioning phase: compress, scatter, window, puts."""
-    n = cfg.n_net
-    pids = keys % n
-    wire = spec.compress(keys, vals) if spec else None
-    owners, base = window_layout(global_hist, comm.size)
-    my_parts = np.flatnonzero(owners == comm.rank)
-    cols = ["kv"] if spec else ["k", "v"]
-    dtypes = dict.fromkeys(cols, np.int64)
-    win = comm.win_create(int(global_hist[my_parts].sum()), cols, dtypes=dtypes)
-    offsets = comm.exscan_sum(local_hist)
-    arrays = [wire] if spec else [keys, vals]
-    scattered = radix.scatter_arrays(arrays, pids, n)
-    for p in range(n):
-        rows = scattered[p]
-        if len(rows[0]):
-            pdf = pd.DataFrame(dict(zip(cols, rows)), copy=False)
-            comm.put(win, int(owners[p]), int(base[p] + offsets[p]), pdf)
-    comm.fence(win)
-    buf = win.buffers[comm.rank]
-    return [
-        (int(p), tuple(buf[c][base[p] : base[p] + global_hist[p]] for c in cols))
-        for p in my_parts
-    ]
+    """Network-partitioning phase: compress, then the shared RMA exchange;
+    returns this rank's ``(partition_id, columns)`` pairs."""
+    cols = {"kv": spec.compress(keys, vals)} if spec else {"k": keys, "v": vals}
+    parts = rma_exchange(comm, cols, keys % cfg.n_net, local_hist, global_hist)
+    return [(p, tuple(data.values())) for p, data in parts]
 
 
 def _rank_join(

@@ -3,9 +3,10 @@
 Faithful to the MPI-3 RMA subset the paper uses (Section 2):
 
 * ``win_create`` is a *collective* that registers a per-rank memory region;
-* ``put`` writes rows one-sidedly into a remote rank's window at a given
-  offset (the receiver's "CPU" is not involved — no locking, no handshake;
-  offsets are computed from histograms exactly as in Barthels et al.);
+* ``put`` writes rows, given as one numpy array per column, one-sidedly
+  into a remote rank's window at a given offset (the receiver's "CPU" is
+  not involved — no locking, no handshake; offsets are computed from
+  histograms exactly as in Barthels et al.);
 * ``fence`` delimits RMA epochs (collective barrier; after it, all incoming
   and outgoing puts are visible);
 * ``allreduce_sum`` / ``exscan_sum`` back MPI_Allreduce / MPI_Exscan.
@@ -15,17 +16,18 @@ that release the GIL, such as ``np.sort``, ufunc arithmetic, fancy indexing
 and the stable radix sort of 8/16-bit ids. Work that holds the GIL
 serializes the ranks: Python code, pandas frame construction, and in numpy
 1.26 the SIMD ``argsort`` and ``np.repeat``. The shared kernels in
-``repro.core.radix`` are written to that rule. Per-rank statistics (bytes
-put, puts, windows) feed the network-volume accounting of the experiments.
+``repro.core.radix`` are written to that rule. Windows hold numpy columns
+and know nothing of frames; the one protocol that uses them is
+``repro.core.ops.network.rma_exchange``. Per-rank statistics (bytes put,
+puts, windows) feed the network-volume accounting of the experiments.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-import pandas as pd
 
 
 @dataclass
@@ -40,23 +42,21 @@ class RankStats:
 class Window:
     """A collectively created, per-rank registered memory region.
 
-    Each rank's region holds ``n_slots[rank]`` fixed-layout records with the
-    given columns; buffers are preallocated numpy arrays of the dtypes the
-    caller registers (int64 for the compressed wire word, object for a
-    column without a dtype), mirroring RDMA's requirement that the target
+    Each rank's region holds ``n_slots[rank]`` fixed-layout records, one
+    preallocated numpy array per registered ``{column: dtype}`` (int64 for
+    the compressed wire word), mirroring RDMA's requirement that the target
     region be registered and sized up front.
     """
 
-    def __init__(self, n_slots: Sequence[int], columns: Sequence[str], dtypes: Dict[str, Any]):
-        self.columns = list(columns)
+    def __init__(self, n_slots: Sequence[int], dtypes: Dict[str, Any]):
         self.buffers: List[Dict[str, np.ndarray]] = [
-            {c: np.empty(n, dtype=dtypes.get(c, object)) for c in columns} for n in n_slots
+            {c: np.empty(n, dtype=d) for c, d in dtypes.items()} for n in n_slots
         ]
         self.n_slots = list(n_slots)
 
-    def local_frame(self, rank: int, start: int = 0, stop: Optional[int] = None) -> pd.DataFrame:
-        stop = self.n_slots[rank] if stop is None else stop
-        return pd.DataFrame({c: self.buffers[rank][c][start:stop] for c in self.columns})
+    def local(self, rank: int, start: int = 0, stop: Optional[int] = None) -> Dict[str, np.ndarray]:
+        """Views of slots ``[start, stop)`` of ``rank``'s region, by column."""
+        return {c: buf[start:stop] for c, buf in self.buffers[rank].items()}
 
 
 class SimCluster:
@@ -145,34 +145,31 @@ class Comm:
         return np.sum(parts[: self.rank], axis=0)
 
     # -- one-sided RMA -------------------------------------------------------
-    def win_create(
-        self,
-        n_slots: int,
-        columns: Sequence[str],
-        dtypes: Optional[Dict[str, Any]] = None,
-    ) -> Window:
-        """Collective window registration (MPI_Win_create): every rank
-        contributes its local region size, and rank 0's ``Window`` handle
-        reaches its peers through a second exchange."""
+    def win_create(self, n_slots: int, dtypes: Dict[str, Any]) -> Window:
+        """Collective window registration (MPI_Win_create) of records with
+        one ``{column: dtype}`` layout: every rank contributes its local
+        region size, and rank 0's ``Window`` handle reaches its peers
+        through a second exchange."""
         sizes = self._exchange(int(n_slots))
         self.stats.windows_created += 1
-        win = Window(sizes, columns, dtypes or {}) if self.rank == 0 else None
+        win = Window(sizes, dtypes) if self.rank == 0 else None
         return self._exchange(win)[0]
 
-    def put(self, win: Window, target_rank: int, offset: int, pdf: pd.DataFrame) -> None:
-        """One-sided write of ``pdf`` rows into ``target_rank``'s region at
-        ``offset`` — no involvement of the target rank (RDMA write)."""
-        n = len(pdf)
+    def put(self, win: Window, target_rank: int, offset: int, columns: Dict[str, np.ndarray]) -> None:
+        """One-sided write of rows, one array per window column, into
+        ``target_rank``'s region at ``offset`` — no involvement of the
+        target rank (RDMA write)."""
+        buf = win.buffers[target_rank]
+        n = len(columns[next(iter(buf))])
         if offset + n > win.n_slots[target_rank]:
             raise RuntimeError(
                 f"put overflows window of rank {target_rank}: "
                 f"{offset}+{n} > {win.n_slots[target_rank]}"
             )
-        buf = win.buffers[target_rank]
-        for c in win.columns:
-            buf[c][offset : offset + n] = pdf[c].to_numpy()
+        for c, dst in buf.items():
+            dst[offset : offset + n] = columns[c]
         self.stats.puts += 1
-        self.stats.bytes_put += _frame_bytes(pdf)
+        self.stats.bytes_put += sum(_wire_bytes(columns[c]) for c in buf)
 
     def fence(self, win: Window) -> None:
         """Collective epoch boundary (MPI_Win_fence): all pending RMA
@@ -187,14 +184,9 @@ class LocalComm(Comm):
         super().__init__(SimCluster(1), 0)
 
 
-def _frame_bytes(pdf: pd.DataFrame) -> int:
-    """Wire-size estimate: 8 bytes per numeric cell, string lengths for
-    object cells."""
-    total = 0
-    for c in pdf.columns:
-        col = pdf[c]
-        if col.dtype == object:
-            total += int(col.map(lambda v: len(str(v))).sum())
-        else:
-            total += 8 * len(col)
-    return total
+def _wire_bytes(column: np.ndarray) -> int:
+    """Wire-size estimate of one column: 8 bytes per non-object cell, the
+    string length of each object cell."""
+    if column.dtype == object:
+        return sum(len(str(v)) for v in column)
+    return 8 * len(column)

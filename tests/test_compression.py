@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compression import CompressionSpec
+from repro.core.expr import col
+from repro.core.ops import MpiExchange
 from repro.core.radix import partition_ids
 from repro.core.types import INT64, TupleType
+from tests.helpers import source
 
 
 class TestSpecValidation:
@@ -50,11 +53,14 @@ class TestRoundTrip:
             assert (v2 == vals[m]).all()
 
     def test_wire_is_one_word(self):
+        """The exchange sends the one int64 ``word`` column."""
         spec = CompressionSpec(p_bits=20, f_bits=3)
+        ex = MpiExchange(source("T"), source("H"), source("H"), 8, col("k") & 7, compression=spec)
         pdf = pd.DataFrame({"k": [1, 9], "v": [2, 3]})
-        out = spec.compress_pdf(pdf)
-        assert list(out.columns) == ["kv"]
-        assert out["kv"].dtype == np.int64
+        pids, wire = ex.to_wire(pdf)
+        assert list(pids) == [1, 1] and list(wire) == ["kv"]
+        assert wire["kv"].dtype == np.int64
+        assert list(wire["kv"]) == list(spec.compress(pdf["k"].to_numpy(), pdf["v"].to_numpy()))
 
     def test_domain_violation_rejected(self):
         spec = CompressionSpec(p_bits=8, f_bits=2)
@@ -87,18 +93,20 @@ class TestRoundTrip:
         assert (k2 == keys).all() and (v2 == vals).all()
 
     def test_extra_columns_rejected(self):
-        """On a frame, and at typing, where the Spark lowering takes the
-        wire type from."""
+        """On the exchange's frame, and at typing, where the Spark lowering
+        takes the wire type from."""
         spec = CompressionSpec(p_bits=8, f_bits=2)
+        ex = MpiExchange(source("T"), source("H"), source("H"), 4, col("k") & 3, compression=spec)
         with pytest.raises(ValueError, match="extra cols"):
-            spec.compress_pdf(pd.DataFrame({"k": [1], "v": [2], "z": [3]}))
+            ex.to_wire(pd.DataFrame({"k": [1], "v": [2], "z": [3]}))
         with pytest.raises(ValueError, match=r"extra cols: \['z'\]"):
             spec.wire_type(TupleType([("k", INT64), ("v", INT64), ("z", INT64)]))
 
     def test_pdf_roundtrip(self):
         spec = CompressionSpec(p_bits=16, f_bits=2)
         pdf = pd.DataFrame({"k": [4, 8, 12], "v": [1, 2, 3]})  # all pid 0
-        back = spec.decompress_pdf(spec.compress_pdf(pdf), partition_id=0)
+        words = spec.compress(pdf["k"].to_numpy(), pdf["v"].to_numpy())
+        back = spec.decompress_pdf(pd.DataFrame({"kv": words}), partition_id=0)
         pd.testing.assert_frame_equal(back, pdf.astype("int64"))
 
 

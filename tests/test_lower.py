@@ -7,7 +7,8 @@ import pytest
 from pyspark.sql.types import StructType
 
 from repro.core import Plan, RowVector, vectorized
-from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
+from repro.core.expr import col
+from repro.core.lower import _run_inner, lower_distributed_plan, run_distributed_on_spark
 from repro.core.ops import (
     ExecContext,
     Filter,
@@ -34,7 +35,7 @@ from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
 from repro.queries.tpch import TpchQuery
 from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
-from tests.helpers import python_nodes, spark_jobs
+from tests.helpers import python_nodes, source, spark_jobs
 
 
 N = 1 << 11
@@ -119,6 +120,15 @@ class TestJoinLowering:
             lower_distributed_plan(
                 spark, distributed_join_plan(cfg), {"R": spark.createDataFrame(r)}
             )
+
+    def test_nested_plan_must_return_one_tuple(self):
+        """The partition UDF checks its nested plan's result as NestedMap
+        does: a plan that does not end in MaterializeRowVector yields one
+        tuple per row."""
+        side = (MpiExchange(source("T"), source("H"), source("H"), 1, col("k") & 0),
+                pd.DataFrame({"k": [1, 2, 3]}))
+        with pytest.raises(RuntimeError, match="nested plan of NestedMap must produce exactly one"):
+            _run_inner(Plan(source("partition_data")), "k", 0, [side], None)
 
 
 class TestGroupByLowering:
@@ -424,6 +434,12 @@ class TestEmptyRelations:
             spark, distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2)),
             {"T": _empty(spark, t)},
         )
+        assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t.iloc[:0])
+
+    def test_compressed_groupby_over_empty_t(self, spark):
+        t = dense_kv_pdf(64, seed=69)
+        cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
+        out = run_distributed_on_spark(spark, distributed_groupby_plan(cfg), {"T": _empty(spark, t)})
         assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t.iloc[:0])
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.mpi.thread_backend import run_on_sim
+from repro.oracle import assert_equivalent
 from repro.synth_data import dense_kv_pdf
 
 
@@ -74,3 +75,12 @@ def test_groupby_phase_breakdown():
     _, info = run_on_sim(plan, 2, {"T": t}, profile=True)
     assert "network_partitioning" in info["phase_seconds"]
     assert "local_partitioning" in info["phase_seconds"]
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_empty_relation_matches_duckdb(compress):
+    """An empty T has no groups; the result still has T's columns."""
+    t = dense_kv_pdf(0)
+    cfg = JoinConfig(n_net=4, loc_bits=2, compress=compress, p_bits=20)
+    out, _ = run_gb(t, 2, cfg)
+    assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t)

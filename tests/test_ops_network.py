@@ -17,8 +17,12 @@ from repro.core.ops import (
 )
 from repro.core.ops.base import ExecContext
 from repro.core.ops.network import owner_of
+from repro.modular.common import JoinConfig
+from repro.modular.join import distributed_join_plan
+from repro.monolithic import run_monolithic_join
 from repro.mpi.simcluster import SimCluster
-from repro.mpi.thread_backend import make_rank_inputs, split_relation
+from repro.mpi.thread_backend import make_rank_inputs, run_on_sim, split_relation
+from repro.synth_data import dense_kv_pdf
 from tests.helpers import params_of, source
 
 
@@ -137,6 +141,40 @@ class TestMpiExchange:
         with pytest.raises(RuntimeError, match=r"local histogram \[4, 4, 0, 0\] does not match"):
             vectorized.run_rows(Plan(ex), params=params_of(T=T))
 
+    @pytest.mark.parametrize("n_ranks", [1, 2])
+    @pytest.mark.parametrize("global_counts", [[3, 1], [1, 3]])
+    def test_wrong_global_histogram_raises(self, n_ranks, global_counts):
+        """A global histogram that is not the sum of the local ones would
+        size the windows' regions wrongly; on one rank, [1, 3] used to
+        return an unwritten slot as a row, with no error."""
+        data = source("T")
+        pid = pmod(col("k"), 2)
+        ex = MpiExchange(data, LocalHistogram(data, 2, pid), source("G"), 2, pid)
+        T = pd.DataFrame({"k": np.arange(4), "v": np.arange(4) * 10})  # counts [2, 2]
+        G = pd.DataFrame({"bucket_id": [0, 1], "count": global_counts})
+
+        def prog(comm, t):
+            return vectorized.run_rows(Plan(ex), ExecContext(comm=comm), params=params_of(T=t, G=G))
+
+        want = rf"global histogram \[{global_counts[0]}, {global_counts[1]}\] is not the sum \[2, 2\]"
+        with pytest.raises(RuntimeError, match=want):
+            SimCluster(n_ranks).run(prog, split_relation(T, n_ranks))
+
+    def test_wire_bytes_of_every_column_kind(self):
+        """8 bytes per int64, float64 and datetime64 cell, the string
+        length per object cell; the columns come back with their dtypes."""
+        n = 60
+        data = pd.DataFrame({
+            "k": np.arange(n, dtype=np.int64),
+            "x": np.linspace(0.0, 1.0, n),
+            "d": pd.date_range("1995-01-01", periods=n, freq="D"),
+            "s": ["ab" * (i % 4) for i in range(n)],  # empty strings included
+        })
+        outs, cluster = self.run_exchange(2, 4, data)
+        assert cluster.total_bytes_put() == 8 * 3 * n + sum(len(v) for v in data["s"])
+        got = pd.concat([r["partition_data"].df for rows in outs for r in rows])
+        pd.testing.assert_frame_equal(got.sort_values("k").reset_index(drop=True), data)
+
     def test_fanout_mismatch_rejected(self):
         spec = CompressionSpec(p_bits=20, f_bits=2)
         with pytest.raises(ValueError, match="fan-out"):
@@ -170,3 +208,19 @@ class TestMpiExecutor:
         me = MpiExecutor(source("rank_inputs"), nested)
         with pytest.raises(RuntimeError, match="exactly one"):
             vectorized.run_rows(Plan(me), params=make_rank_inputs(2, T=kv(10)))
+
+
+@pytest.mark.parametrize("impl", ["modular", "monolithic"])
+def test_compressed_join_wire_counters(impl):
+    """The counters ``sim-join`` reports at 2^21 rows/side on 4 ranks, at
+    2^12: each rank puts one run per partition and side (4 x 4 x 2), opens
+    one window per side, and sends one 8-byte word per input row."""
+    n = 1 << 12
+    cfg = JoinConfig(n_net=4, loc_bits=4, compress=True, p_bits=27)
+    rels = {"R": dense_kv_pdf(n, value_field="vr", seed=41),
+            "S": dense_kv_pdf(n, value_field="vs", seed=42)}
+    if impl == "modular":
+        _, info = run_on_sim(distributed_join_plan(cfg), 4, rels)
+    else:
+        _, info = run_monolithic_join(4, rels["R"], rels["S"], cfg)
+    assert (info["puts"], info["windows"], info["bytes_put"]) == (32, 8, 8 * 2 * n)

@@ -26,26 +26,31 @@ class TestHistogram:
 
 class TestScatter:
     def test_partitions_contiguous_and_stable(self):
-        pdf = pd.DataFrame({"k": [3, 1, 2, 1, 3], "seq": [0, 1, 2, 3, 4]})
-        pids = pdf["k"].to_numpy() % 2
-        parts = radix.scatter(pdf, pids, 2)
-        assert sorted(parts[0]["k"]) == [2]
-        assert list(parts[1]["seq"]) == [0, 1, 3, 4]  # stability preserved
+        ks = np.array([3, 1, 2, 1, 3])
+        parts = radix.scatter_arrays([ks, np.arange(5)], ks % 2, 2)
+        assert sorted(parts[0][0]) == [2]
+        assert list(parts[1][1]) == [0, 1, 3, 4]  # stability preserved
 
     def test_empty_input(self):
-        pdf = pd.DataFrame({"k": pd.Series([], dtype="int64")})
-        parts = radix.scatter(pdf, np.array([], dtype=np.int64), 3)
-        assert len(parts) == 3 and all(len(p) == 0 for p in parts)
+        parts = radix.scatter_arrays([np.array([], dtype=np.int64)], np.array([], dtype=np.int64), 3)
+        assert len(parts) == 3 and all(len(p[0]) == 0 and p[0].dtype == np.int64 for p in parts)
 
     def test_scatter_arrays_matches_scatter(self):
+        """Every column moves with its row: the partitions of ``[k, v]``
+        are those of ``k`` and of ``v`` scattered alone."""
         ks = np.array([5, 6, 7, 8, 9])
         vs = np.array([50, 60, 70, 80, 90])
         pids = ks % 4
-        by_arrays = radix.scatter_arrays([ks, vs], pids, 4)
-        by_frame = radix.scatter(pd.DataFrame({"k": ks, "v": vs}), pids, 4)
+        both = radix.scatter_arrays([ks, vs], pids, 4)
+        by_k = radix.scatter_arrays([ks], pids, 4)
+        by_v = radix.scatter_arrays([vs], pids, 4)
         for p in range(4):
-            assert list(by_arrays[p][0]) == list(by_frame[p]["k"])
-            assert list(by_arrays[p][1]) == list(by_frame[p]["v"])
+            assert list(both[p][0]) == list(by_k[p][0]) == [k for k in ks if k % 4 == p]
+            assert list(both[p][1]) == list(by_v[p][0]) == [v for k, v in zip(ks, vs) if k % 4 == p]
+
+    def test_ids_and_rows_must_match(self):
+        with pytest.raises(ValueError, match="3 partition ids for 2 rows"):
+            radix.scatter_arrays([np.arange(2)], np.array([0, 1, 0]), 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -55,15 +60,14 @@ class TestScatter:
 )
 def test_scatter_partition_property(keys, bits):
     ks = np.array(keys, dtype=np.int64)
-    pdf = pd.DataFrame({"k": ks})
     pids = radix.partition_ids(ks, bits)
     n = 1 << bits
-    parts = radix.scatter(pdf, pids, n)
+    parts = radix.scatter_arrays([ks], pids, n)
     # every row lands in the partition matching its low bits; none lost
-    assert sum(len(p) for p in parts) == len(ks)
-    for p, frame in enumerate(parts):
-        if len(frame):
-            assert (radix.partition_ids(frame["k"].to_numpy(), bits) == p).all()
+    assert sum(len(p[0]) for p in parts) == len(ks)
+    for p, (part_keys,) in enumerate(parts):
+        if len(part_keys):
+            assert (radix.partition_ids(part_keys, bits) == p).all()
 
 
 class TestScatterRejectsOutOfRange:
@@ -79,9 +83,9 @@ class TestScatterRejectsOutOfRange:
     def test_raises_naming_the_range(self, pids, n, span):
         pids = np.array(pids, dtype=np.int64)
         with pytest.raises(ValueError, match=span):
-            radix.scatter(pd.DataFrame({"v": np.arange(len(pids))}), pids, n)
-        with pytest.raises(ValueError, match=span):
             radix.scatter_arrays([np.arange(len(pids))], pids, n)
+        with pytest.raises(ValueError, match=span):
+            radix.scatter_arrays([np.arange(len(pids)), np.zeros(len(pids), object)], pids, n)
         with pytest.raises(ValueError, match=span):
             radix.histogram(pids, n)
 
@@ -95,12 +99,11 @@ def test_scatter_matches_int64_stable_argsort(n, data):
     vals = np.arange(len(pids)) * 7
     order = np.argsort(pids, kind="stable")
     sizes = np.bincount(pids, minlength=n)
-    parts = radix.scatter_arrays([vals], pids, n)
+    parts = radix.scatter_arrays([vals, vals.astype(str).astype(object)], pids, n)
     assert [len(p[0]) for p in parts] == list(sizes)
     assert np.array_equal(np.concatenate([p[0] for p in parts]), vals[order])
-    if n <= 257:  # one frame per partition: keep the 65 537-way case cheap
-        frames = radix.scatter(pd.DataFrame({"v": vals}), pids, n)
-        assert np.array_equal(np.concatenate([f["v"].to_numpy() for f in frames]), vals[order])
+    # an object column follows its rows exactly as an int64 column does
+    assert list(np.concatenate([p[1] for p in parts])) == [str(v) for v in vals[order]]
 
 
 # --- join_indices ------------------------------------------------------------

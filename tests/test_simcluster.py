@@ -1,6 +1,5 @@
 """Unit tests for the simulated MPI/RDMA substrate."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.mpi.simcluster import LocalComm, SimCluster
@@ -53,14 +52,14 @@ class TestWindows:
         c = SimCluster(2)
 
         def prog(comm, x):
-            win = comm.win_create(2, ["v"], dtypes={"v": np.int64})
+            win = comm.win_create(2, {"v": np.int64})
             # slot layout: slot r belongs to writer rank r (disjoint offsets,
             # exactly how histogram-derived offsets avoid synchronization)
             other = 1 - comm.rank
-            comm.put(win, other, comm.rank, pd.DataFrame({"v": [x]}))
-            comm.put(win, comm.rank, comm.rank, pd.DataFrame({"v": [x * 100]}))
+            comm.put(win, other, comm.rank, {"v": np.array([x])})
+            comm.put(win, comm.rank, comm.rank, {"v": np.array([x * 100])})
             comm.fence(win)
-            return list(win.local_frame(comm.rank)["v"])
+            return list(win.local(comm.rank)["v"])
 
         out = c.run(prog, [7, 8])
         assert out[0] == [700, 8]
@@ -70,8 +69,8 @@ class TestWindows:
         c = SimCluster(1)
 
         def prog(comm, _):
-            win = comm.win_create(1, ["v"], dtypes={"v": np.int64})
-            comm.put(win, 0, 1, pd.DataFrame({"v": [1]}))
+            win = comm.win_create(1, {"v": np.int64})
+            comm.put(win, 0, 1, {"v": np.array([1])})
 
         with pytest.raises(RuntimeError, match="overflows"):
             c.run(prog, [None])
@@ -80,7 +79,7 @@ class TestWindows:
         c = SimCluster(2)
 
         def prog(comm, _):
-            win = comm.win_create(comm.rank + 1, ["v"], dtypes={"v": np.int64})
+            win = comm.win_create(comm.rank + 1, {"v": np.int64})
             comm.fence(win)
             return win.n_slots
 
@@ -92,7 +91,8 @@ class TestWindows:
         back-to-back registrations never mix up their windows."""
         c = SimCluster(8)
         out = c.run(
-            lambda comm, _: [comm.win_create(comm.rank, ["v"]) for _ in range(20)], [None] * 8
+            lambda comm, _: [comm.win_create(comm.rank, {"v": object}) for _ in range(20)],
+            [None] * 8,
         )
         for i in range(20):
             assert all(o[i] is out[0][i] for o in out)
@@ -103,13 +103,14 @@ class TestWindows:
         c = SimCluster(2)
 
         def prog(comm, _):
-            win = comm.win_create(4, ["v"], dtypes={"v": np.int64})
-            comm.put(win, comm.rank, 0, pd.DataFrame({"v": [1, 2]}))
+            win = comm.win_create(4, {"v": np.int64, "s": object})
+            comm.put(win, comm.rank, 0, {"v": np.array([1, 2]), "s": np.array(["ab", "c"], object)})
             comm.fence(win)
             return None
 
         c.run(prog, [None, None])
-        assert c.total_bytes_put() == 2 * 2 * 8
+        # 8 bytes per int64 cell, the string length per object cell
+        assert c.total_bytes_put() == 2 * (2 * 8 + 3)
         assert all(s.puts == 1 and s.windows_created == 1 for s in c.stats)
 
 
@@ -119,7 +120,8 @@ class TestLocalComm:
         assert comm.size == 1 and comm.rank == 0
         assert list(comm.allreduce_sum(np.array([3]))) == [3]
         assert list(comm.exscan_sum(np.array([3]))) == [0]
-        win = comm.win_create(2, ["v"], dtypes={"v": np.int64})
-        comm.put(win, 0, 0, pd.DataFrame({"v": [1, 2]}))
+        win = comm.win_create(2, {"v": np.int64})
+        comm.put(win, 0, 0, {"v": np.array([1, 2])})
         comm.fence(win)
-        assert list(win.local_frame(0)["v"]) == [1, 2]
+        assert list(win.local(0)["v"]) == [1, 2]
+        assert list(win.local(0, 1, 2)["v"]) == [2]
