@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-import pandas as pd
 
 from repro.core.expr import Expr, col, in_range
 from repro.core.types import INT64, TupleType
@@ -115,7 +114,3 @@ class CompressionSpec:
             raise ValueError(
                 f"compression applies to pure <key,value> workloads, extra cols: {extra}"
             )
-
-    def decompress_pdf(self, pdf: pd.DataFrame, partition_id: int) -> pd.DataFrame:
-        keys, values = self.decompress(pdf[self.out_field].to_numpy(), partition_id)
-        return pd.DataFrame({self.key_field: keys, self.value_field: values}, copy=False)

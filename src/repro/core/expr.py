@@ -7,7 +7,8 @@ not Python callables: each is one tree of int64 operations with two
 compilers, so both substrates compute it from one definition.
 
 * ``eval(frame)`` — numpy, for the evaluator: an int64 array with one value
-  per row of ``frame`` (a DataFrame, or a dict of equal-length arrays);
+  per row of ``frame`` (a ``RowVector`` batch, or any mapping of name to
+  equal-length arrays);
 * ``sql()`` — one Spark SQL expression string, which the Spark lowering
   passes to ``selectExpr``, so Catalyst computes the column natively and no
   Python runs for it.
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import pandas as pd
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -39,10 +39,7 @@ class Expr:
         return tuple(dict.fromkeys(c for e in self._children() for c in e.columns()))
 
     def eval(self, frame) -> np.ndarray:
-        """The value for every row of ``frame``. An empty DataFrame, which
-        may lack the columns read, has no values."""
-        if isinstance(frame, pd.DataFrame) and not len(frame):
-            return np.empty(0, dtype=np.int64)
+        """The value for every row of ``frame``."""
         return np.asarray(self._np(frame), dtype=np.int64)
 
     def sql(self) -> str:

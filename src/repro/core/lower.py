@@ -60,13 +60,13 @@ from pyspark.sql import types as T
 
 from repro.core import vectorized
 from repro.core.expr import quote
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core.ops.base import ExecContext, SubOperator
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
 from repro.core.ops.orchestration import NestedMap, ParameterLookup, _single
 from repro.core.ops.processing import ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
-from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType
+from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType, concat
 
 _NATIVE_AGGS = {"sum": F.sum, "min": F.min, "max": F.max, "count": F.count}
 
@@ -325,13 +325,13 @@ def _root_field(inner_plan: Plan) -> str:
 # ---------------------------------------------------------------------------
 
 def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, batch_size: Optional[int]) -> pd.DataFrame:
-    """Run a linear chain of single-input operators over ``pdf``, scanned
-    in batches of ``batch_size`` tuples, as ``RowScan`` would."""
+    """Run a linear chain of single-input operators over the frame ``pdf``,
+    scanned in batches of ``batch_size`` tuples, as ``RowScan`` would."""
     ctx = ExecContext(batch_size=batch_size)
     batches = list(RowVector(pdf).batches(batch_size))
     for op in ops:
         batches = list(op.batches(ctx, [iter(batches)]))
-    return concat_batches(batches, columns=pdf.columns)
+    return concat(batches).to_pandas()
 
 
 def _make_pre_fn(pre_ops: Sequence[SubOperator], batch_size: Optional[int]) -> Callable:
@@ -367,7 +367,7 @@ def _run_inner(
         params[ex.pid_field] = pid
         params[ex.data_field] = RowVector(pdf)
     out = vectorized.run_rows(inner_plan, ExecContext(batch_size=batch_size), params)
-    return _single(out, "NestedMap")[inner_field].df
+    return _single(out, "NestedMap")[inner_field].to_pandas()
 
 
 def _lower_nested(
@@ -434,7 +434,7 @@ def _lower_nested(
     def nfn(key, pdf):
         sides = []
         for i, ex in enumerate(exchanges):
-            part = pdf[pdf["__side"] == i][side_cols[i]].reset_index(drop=True)
+            part = pdf[pdf["__side"] == i][side_cols[i]]
             sides.append((ex, part))
         return finish(_run_inner(inner_plan, inner_field, int(key[0]), sides, batch_size))
 
@@ -450,7 +450,7 @@ def _lower_post_native(df: DataFrame, op: SubOperator) -> Optional[DataFrame]:
     (the caller falls back to driver-side kernels)."""
     if isinstance(op, (Reduce, ReduceByKey)):
         aggs = [_NATIVE_AGGS[a](c).alias(c) for c, a in op.aggs.items()]
-        return df.groupBy(*op.keys).agg(*aggs) if isinstance(op, ReduceByKey) else df.agg(*aggs)
+        return df.groupBy(op.key).agg(*aggs) if isinstance(op, ReduceByKey) else df.agg(*aggs)
     if isinstance(op, Projection):
         return df.select(*op.fields)
     return None

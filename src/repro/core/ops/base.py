@@ -1,8 +1,9 @@
 """Sub-operator base class and execution context.
 
 Sub-operators follow the Volcano iterator model extended with nested
-collections (paper Section 3.2), over pandas DataFrame batches: each
-operator's ``batches(ctx, ups)`` kernel is its one execution semantics.
+collections (paper Section 3.2), over ``RowVector`` batches of numpy
+columns: each operator's ``batches(ctx, ups)`` kernel is its one execution
+semantics.
 This is the reproduction's analogue of the paper's JIT-compiled pipelines,
 which remove the per-tuple interpretation overhead from inner loops.
 ``ExecContext.batch_size`` bounds the batches that scans emit; at one
@@ -19,10 +20,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
-import pandas as pd
 
 from repro.core.expr import Expr
-from repro.core.types import TupleType
+from repro.core.types import RowVector, TupleType
 
 
 @dataclass
@@ -75,8 +75,8 @@ class SubOperator:
 
     # -- execution ---------------------------------------------------------
     def batches(
-        self, ctx: ExecContext, ups: Sequence[Iterator[pd.DataFrame]]
-    ) -> Iterator[pd.DataFrame]:
+        self, ctx: ExecContext, ups: Sequence[Iterator[RowVector]]
+    ) -> Iterator[RowVector]:
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batches"
         )
@@ -85,40 +85,17 @@ class SubOperator:
         return f"{type(self).__name__}"
 
 
-def concat_batches(batches: Sequence[pd.DataFrame], columns: Optional[Sequence[str]] = None) -> pd.DataFrame:
-    """Concatenate batches; an empty stream yields an empty typed frame.
-
-    A lone non-empty batch with a default index is returned as is, not
-    copied: kernels must not modify the frames they receive."""
-    mats = [b for b in batches if len(b)]
-    if len(mats) == 1:
-        idx = mats[0].index
-        if isinstance(idx, pd.RangeIndex) and idx.start == 0 and idx.step == 1:
-            return mats[0]
-    if mats:
-        return pd.concat(mats, ignore_index=True)
-    for b in batches:
-        return b.iloc[:0]
-    return pd.DataFrame(columns=list(columns or []))
-
-
-def object_column(values: Sequence[Any]) -> np.ndarray:
-    """``values`` as an object array, each stored as is (a ``RowVector`` is
-    never unpacked). Framing it costs a fraction of
-    ``pd.Series(values, dtype=object)``, which every nested-plan invocation
-    would otherwise pay several times."""
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        out[i] = v
-    return out
-
-
-def dense_counts(pdf: pd.DataFrame, n: int, who: str) -> np.ndarray:
-    """Validate and read a dense ``<bucket_id, count>`` histogram frame of
+def dense_counts(hist: RowVector, n: int, who: str) -> np.ndarray:
+    """Validate and read a dense ``<bucket_id, count>`` histogram batch of
     exactly ``n`` buckets (LocalHistogram's output format) into a count
     array indexed by bucket id."""
-    if len(pdf) != n:
-        raise RuntimeError(f"{who} histogram has {len(pdf)} buckets, expected exactly {n}")
+    if len(hist) != n:
+        raise RuntimeError(f"{who} histogram has {len(hist)} buckets, expected exactly {n}")
     counts = np.zeros(n, dtype=np.int64)
-    counts[pdf["bucket_id"].to_numpy(dtype=np.int64)] = pdf["count"].to_numpy(dtype=np.int64)
+    counts[hist["bucket_id"].astype(np.int64)] = hist["count"]
     return counts
+
+
+def histogram_batch(counts: np.ndarray) -> RowVector:
+    """The dense ``<bucket_id, count>`` batch of a count array."""
+    return RowVector({"bucket_id": np.arange(len(counts), dtype=np.int64), "count": counts})

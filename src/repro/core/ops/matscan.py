@@ -11,12 +11,11 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional
 
 import numpy as np
-import pandas as pd
 
 from repro.core import radix
 from repro.core.expr import Expr
-from repro.core.ops.base import SubOperator, concat_batches, dense_counts, object_column
-from repro.core.types import INT64, RowVector, RowVectorType, TupleType
+from repro.core.ops.base import SubOperator, dense_counts
+from repro.core.types import INT64, RowVector, RowVectorType, TupleType, concat, object_column
 
 
 class RowScan(SubOperator):
@@ -42,10 +41,9 @@ class RowScan(SubOperator):
             raise TypeError(f"RowScan field {self.field!r} is not a collection: {item!r}")
         return item.tuple_type
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
-            for t in RowVector(pdf).iter_rows():
-                rv = t[self.field]
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        for b in ups[0]:
+            for rv in b[self.field]:
                 if not isinstance(rv, RowVector):
                     raise RuntimeError(f"RowScan field {self.field!r} does not hold a RowVector")
                 yield from rv.batches(ctx.batch_size)
@@ -68,9 +66,8 @@ class MaterializeRowVector(SubOperator):
             return None
         return TupleType([(self.field, RowVectorType(in_types[0]))])
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        pdf = concat_batches(list(ups[0]))
-        yield pd.DataFrame({self.field: object_column([RowVector(pdf)])}, copy=False)
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        yield RowVector({self.field: object_column([concat(list(ups[0]))])})
 
 
 class LocalPartitioning(SubOperator):
@@ -111,22 +108,19 @@ class LocalPartitioning(SubOperator):
             [(self.pid_field, INT64), (self.data_field, RowVectorType(in_types[0]))]
         )
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        sizes = dense_counts(concat_batches(list(ups[1])), self.n_partitions, "LocalPartitioning")
-        data = concat_batches(list(ups[0]))
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        sizes = dense_counts(concat(list(ups[1])), self.n_partitions, "LocalPartitioning")
+        data = concat(list(ups[0]))
         parts = radix.scatter_arrays(
-            [data[c].to_numpy() for c in data.columns], self.bucket.eval(data), self.n_partitions
+            [data[c] for c in data.columns], self.bucket.eval(data), self.n_partitions
         )
-        frames = [pd.DataFrame(dict(zip(data.columns, arrays)), copy=False) for arrays in parts]
-        for p, f in enumerate(frames):
-            if len(f) != sizes[p]:
+        batches = [RowVector(dict(zip(data.columns, arrays))) for arrays in parts]
+        for p, b in enumerate(batches):
+            if len(b) != sizes[p]:
                 raise RuntimeError(
-                    f"partition {p}: histogram says {sizes[p]} tuples, saw {len(f)}"
+                    f"partition {p}: histogram says {sizes[p]} tuples, saw {len(b)}"
                 )
-        yield pd.DataFrame(
-            {
-                self.pid_field: np.arange(self.n_partitions, dtype=np.int64),
-                self.data_field: object_column([RowVector(f) for f in frames]),
-            },
-            copy=False,
-        )
+        yield RowVector({
+            self.pid_field: np.arange(self.n_partitions, dtype=np.int64),
+            self.data_field: object_column(batches),
+        })

@@ -15,14 +15,13 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-import pandas as pd
 
 from repro.core import radix
 from repro.core.compression import CompressionSpec
 from repro.core.expr import Expr
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches, dense_counts, object_column
-from repro.core.ops.orchestration import _single
-from repro.core.types import INT64, RowVector, RowVectorType, TupleType
+from repro.core.ops.base import ExecContext, SubOperator, dense_counts, histogram_batch
+from repro.core.ops.orchestration import _single, tuples
+from repro.core.types import INT64, RowVector, RowVectorType, TupleType, concat, object_column
 
 
 def owner_of(partition_id: int, n_ranks: int) -> int:
@@ -54,10 +53,11 @@ def rma_exchange(
     Each partition's region in its owner's window is sized by the global
     histogram (``window_layout``), and each rank writes at the exscan of
     the local histograms inside it, so the one-sided puts need no
-    synchronization until the fence. The global histogram must be the sum
-    of the local ones, and each local one the partition sizes of its
-    rank's rows: together, every slot of every region is written exactly
-    once. Both checks raise instead of leaving window slots unwritten."""
+    synchronization until the fence; each put gathers a partition's rows
+    straight into the window. The global histogram must be the sum of the
+    local ones, and each local one the partition sizes of its rank's rows:
+    together, every slot of every region is written exactly once. Both
+    checks raise instead of leaving window slots unwritten."""
     total = comm.allreduce_sum(local_hist)
     if not np.array_equal(total, global_hist):
         raise RuntimeError(
@@ -68,16 +68,19 @@ def rma_exchange(
     my_parts = np.flatnonzero(owners == comm.rank)
     win = comm.win_create(int(global_hist[my_parts].sum()), {c: a.dtype for c, a in columns.items()})
     offsets = comm.exscan_sum(local_hist)  # this rank's offset inside each region
-    parts = radix.scatter_arrays(list(columns.values()), pids, len(global_hist))
-    sizes = np.array([len(p[0]) for p in parts])
+    if any(len(a) != len(pids) for a in columns.values()):
+        lengths = [len(a) for a in columns.values()]
+        raise ValueError(f"{len(pids)} partition ids for columns of {lengths} rows")
+    order, bounds = radix.partition_order(pids, len(global_hist))
+    sizes = np.diff(bounds)
     if not np.array_equal(sizes, local_hist):
         raise RuntimeError(
             f"exchange local histogram {local_hist.tolist()} does not match "
             f"the partition sizes {sizes.tolist()} of the data"
         )
-    for p, arrays in enumerate(parts):
-        if sizes[p]:
-            comm.put(win, int(owners[p]), int(base[p] + offsets[p]), dict(zip(columns, arrays)))
+    for p in np.flatnonzero(sizes):
+        rows = order[bounds[p] : bounds[p + 1]]
+        comm.put(win, int(owners[p]), int(base[p] + offsets[p]), columns, rows)
     comm.fence(win)
     return [(int(p), win.local(comm.rank, base[p], base[p] + global_hist[p])) for p in my_parts]
 
@@ -100,10 +103,10 @@ class MpiExecutor(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.nested_plan.out_type(param_type=in_types[0])
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         from repro.mpi.simcluster import SimCluster
 
-        params = list(RowVector(concat_batches(list(ups[0]))).iter_rows())
+        params = list(concat(list(ups[0])).iter_rows())
         cluster = SimCluster(len(params))
         ctx.extra["last_cluster"] = cluster  # exposes network stats to harnesses
 
@@ -111,8 +114,7 @@ class MpiExecutor(SubOperator):
             out = ctx.run_nested(self.nested_plan, ctx.child(param).with_comm(comm))
             return _single(out, "MpiExecutor")
 
-        results = cluster.run(rank_main, params)
-        yield pd.DataFrame({k: object_column([r[k] for r in results]) for k in results[0]}, copy=False)
+        yield tuples(cluster.run(rank_main, params))
 
 
 class MpiHistogram(SubOperator):
@@ -130,13 +132,11 @@ class MpiHistogram(SubOperator):
     def out_type(self, in_types) -> TupleType:
         return TupleType([("bucket_id", INT64), ("count", INT64)])
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        counts = dense_counts(concat_batches(list(ups[0])), self.n_buckets, "MpiHistogram")
+    def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
+        counts = dense_counts(concat(list(ups[0])), self.n_buckets, "MpiHistogram")
         if ctx.comm is not None:
             counts = ctx.comm.allreduce_sum(counts)
-        yield pd.DataFrame(
-            {"bucket_id": np.arange(self.n_buckets, dtype=np.int64), "count": counts}
-        )
+        yield histogram_batch(counts)
 
 
 class MpiExchange(SubOperator):
@@ -196,25 +196,26 @@ class MpiExchange(SubOperator):
             t = self.compression.wire_type(t)
         return TupleType([(self.pid_field, INT64), (self.data_field, RowVectorType(t))])
 
-    def to_wire(self, data: pd.DataFrame) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    def to_wire(self, data: RowVector) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Each tuple's partition id and the columns sent on the wire
         (compressed to one int64 word per tuple with a ``CompressionSpec``)."""
         spec = self.compression
         if spec is None:
-            wire = {c: data[c].to_numpy() for c in data.columns}
+            wire = dict(data.items())
         else:
             spec.check_pure(data.columns)
             wire = {spec.out_field: spec.word.eval(data)}
         return self.bucket.eval(data), wire
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         from repro.mpi.simcluster import LocalComm
 
         n = self.n_partitions
-        local_hist = dense_counts(concat_batches(list(ups[1])), n, "MpiExchange local")
-        global_hist = dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
-        pids, wire = self.to_wire(concat_batches(list(ups[0])))
+        local_hist = dense_counts(concat(list(ups[1])), n, "MpiExchange local")
+        global_hist = dense_counts(concat(list(ups[2])), n, "MpiExchange global")
+        pids, wire = self.to_wire(concat(list(ups[0])))
         parts = rma_exchange(ctx.comm or LocalComm(), wire, pids, local_hist, global_hist)
-        ids = np.array([p for p, _ in parts], dtype=np.int64)
-        data = object_column([RowVector(pd.DataFrame(cols, copy=False)) for _, cols in parts])
-        yield pd.DataFrame({self.pid_field: ids, self.data_field: data}, copy=False)
+        yield RowVector({
+            self.pid_field: np.array([p for p, _ in parts], dtype=np.int64),
+            self.data_field: object_column([RowVector(cols) for _, cols in parts]),
+        })

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import pandas as pd
-
-from repro.core.ops.base import ExecContext, SubOperator, object_column
-from repro.core.types import RowVector, TupleType
+from repro.core.ops.base import ExecContext, SubOperator
+from repro.core.types import RowVector, TupleType, object_column
 
 
 class ParameterLookup(SubOperator):
@@ -30,10 +28,10 @@ class ParameterLookup(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.declared_type
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         if ctx.params is None:
             raise RuntimeError("ParameterLookup evaluated without plan parameters")
-        yield pd.DataFrame({k: object_column([v]) for k, v in ctx.params.items()}, copy=False)
+        yield RowVector({k: object_column([v]) for k, v in ctx.params.items()})
 
 
 class NestedMap(SubOperator):
@@ -54,16 +52,19 @@ class NestedMap(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.nested_plan.out_type(param_type=in_types[0])
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
+    def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
+        for b in ups[0]:
             outs = [
                 _single(ctx.run_nested(self.nested_plan, ctx.child(t)), "NestedMap")
-                for t in RowVector(pdf).iter_rows()
+                for t in b.iter_rows()
             ]
             if outs:
-                yield pd.DataFrame(
-                    {k: object_column([o[k] for o in outs]) for k in outs[0]}, copy=False
-                )
+                yield tuples(outs)
+
+
+def tuples(rows) -> RowVector:
+    """The batch of the row dicts ``rows``, each value stored as is."""
+    return RowVector({k: object_column([r[k] for r in rows]) for k in rows[0]})
 
 
 def _single(out_rows, owner: str) -> dict:

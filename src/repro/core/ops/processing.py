@@ -1,32 +1,33 @@
 """Data-processing sub-operators (paper Section 3.3.2).
 
 These express the computations inside inner loops. Each operator's one
-semantics is its batch kernel over pandas/numpy (the JIT analogue); user
-code enters as one callable per operator, over a whole batch.
+semantics is its batch kernel over the numpy columns of a ``RowVector``
+(the JIT analogue); user code enters as one callable per operator, over a
+whole batch.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 import pandas as pd
 
 from repro.core import radix
 from repro.core.expr import Expr
-from repro.core.ops.base import SubOperator, concat_batches
-from repro.core.types import INT64, RowVector, TupleType
+from repro.core.ops.base import SubOperator, histogram_batch
+from repro.core.types import INT64, RowVector, TupleType, concat
 
 
 class Map(SubOperator):
-    """Applies a function to every input tuple: ``fn(DataFrame) ->
-    DataFrame`` maps a batch of tuples to the batch of their images."""
+    """Applies a function to every input tuple: ``fn(RowVector) ->
+    RowVector`` maps a batch of tuples to the batch of their images."""
 
     op_name = "MP"
 
     def __init__(
         self,
         upstream: SubOperator,
-        fn: Callable[[pd.DataFrame], pd.DataFrame],
+        fn: Callable[[RowVector], RowVector],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([upstream])
@@ -36,16 +37,16 @@ class Map(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.declared_type
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
-            yield self.fn(pdf)
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        for b in ups[0]:
+            yield self.fn(b)
 
 
 class ParametrizedMap(SubOperator):
     """Map that additionally receives one parameter tuple from a second
     upstream, passed to every function call (used e.g. to restore bits
-    dropped by the exchange compression): ``fn(DataFrame, dict) ->
-    DataFrame``."""
+    dropped by the exchange compression): ``fn(RowVector, dict) ->
+    RowVector``."""
 
     op_name = "PM"
 
@@ -53,7 +54,7 @@ class ParametrizedMap(SubOperator):
         self,
         param_upstream: SubOperator,
         data_upstream: SubOperator,
-        fn: Callable[[pd.DataFrame, dict], pd.DataFrame],
+        fn: Callable[[RowVector, dict], RowVector],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([param_upstream, data_upstream])
@@ -63,14 +64,14 @@ class ParametrizedMap(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.declared_type
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        params = list(RowVector(concat_batches(list(ups[0]))).iter_rows())
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        params = list(concat(list(ups[0])).iter_rows())
         if len(params) != 1:
             raise RuntimeError(
                 f"ParametrizedMap expects exactly one parameter tuple, got {len(params)}"
             )
-        for pdf in ups[1]:
-            yield self.fn(pdf, params[0])
+        for b in ups[1]:
+            yield self.fn(b, params[0])
 
 
 class Projection(SubOperator):
@@ -85,9 +86,9 @@ class Projection(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0].project(self.fields) if in_types[0] is not None else None
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
-            yield pd.DataFrame({f: pdf[f] for f in self.fields}, copy=False)
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        for b in ups[0]:
+            yield RowVector({f: b[f] for f in self.fields})
 
 
 class CartesianProduct(SubOperator):
@@ -104,28 +105,23 @@ class CartesianProduct(SubOperator):
             return None
         return in_types[0].concat(in_types[1])
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        left = concat_batches(list(ups[0]))
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        left = concat(list(ups[0]))
         for right in ups[1]:
-            overlap = set(left.columns) & set(right.columns)
-            if overlap:
-                raise RuntimeError(f"CartesianProduct field overlap: {sorted(overlap)}")
-            # left-major order, as merge(how="cross"), by one take per column
+            # left-major order, by one take per column
             li = np.repeat(np.arange(len(left)), len(right))
             ri = np.tile(np.arange(len(right)), len(left))
-            cols = {c: left[c].array.take(li) for c in left.columns}
-            cols.update({c: right[c].array.take(ri) for c in right.columns})
-            yield pd.DataFrame(cols, copy=False)
+            yield _union([left.take(li), right.take(ri)], "CartesianProduct")
 
 
 class Filter(SubOperator):
     """Relational selection: keeps tuples satisfying a predicate,
-    ``pred(DataFrame) -> bool array``."""
+    ``pred(RowVector) -> bool array``."""
 
     op_name = "FL"
 
     def __init__(
-        self, upstream: SubOperator, pred: Callable[[pd.DataFrame], np.ndarray]
+        self, upstream: SubOperator, pred: Callable[[RowVector], np.ndarray]
     ) -> None:
         super().__init__([upstream])
         self.pred = pred
@@ -133,9 +129,9 @@ class Filter(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0]
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
-            yield pdf[np.asarray(self.pred(pdf), dtype=bool)].reset_index(drop=True)
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        for b in ups[0]:
+            yield b.take(np.asarray(self.pred(b), dtype=bool))
 
 
 class Reduce(SubOperator):
@@ -157,41 +153,36 @@ class Reduce(SubOperator):
             (c, INT64 if a == "count" else in_types[0].field_type(c)) for c, a in self.aggs.items()
         ])
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        pdf = concat_batches(list(ups[0]))
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        b = concat(list(ups[0]))
         out = {}
         for c, a in self.aggs.items():
-            col = pdf[c] if c in pdf else pd.Series([], dtype=np.float64)
-            if a == "count":
-                out[c] = [int(col.count())]
-            else:
-                out[c] = [col.sum(min_count=1) if a == "sum" else getattr(col, a)()]
-        yield pd.DataFrame(out)
+            values = b[c] if c in b else np.empty(0)  # an empty stream has no columns
+            out[c] = radix.aggregate(values, np.zeros(len(values), dtype=np.int64), 1, a)
+        yield RowVector(out)
 
 
 class ReduceByKey(SubOperator):
-    """Combines all tuples sharing key-field values: ``aggs`` maps every
-    other field to 'sum', 'count', 'min' or 'max', and the result is
-    re-augmented with the key (paper semantics). Output tuples keep the
-    input type; empty input has no groups and passes on as it is, so its
-    schema reaches the consumer. The Spark lowering emits the same spec as
-    a native Catalyst aggregate."""
+    """Combines all tuples sharing the value of field ``key`` (not NULL):
+    ``aggs`` maps every other field to 'sum', 'count', 'min' or 'max', as
+    ``Reduce`` per group, and the result is re-augmented with the key
+    (paper semantics). Output tuples keep the input type; empty input passes
+    on as it is, so its schema reaches the consumer. The kernel is the
+    monolithic GROUP BY's (``radix.reduce_by_key``); the Spark lowering
+    emits the same spec as a native Catalyst aggregate."""
 
     op_name = "RK"
 
-    def __init__(self, upstream: SubOperator, keys: Sequence[str], aggs: Dict[str, str]) -> None:
+    def __init__(self, upstream: SubOperator, key: str, aggs: Dict[str, str]) -> None:
         super().__init__([upstream])
-        self.keys = list(keys)
+        self.key = key
         self.aggs = _checked(aggs)
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0]
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        pdf = concat_batches(list(ups[0]))
-        if len(pdf):
-            pdf = pdf.groupby(self.keys, as_index=False, sort=False).agg(self.aggs)[list(pdf.columns)]
-        yield pdf
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        yield radix.reduce_by_key(concat(list(ups[0])), self.key, self.aggs)
 
 
 class Zip(SubOperator):
@@ -211,20 +202,14 @@ class Zip(SubOperator):
             out = out.concat(t)
         return out
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        mats = [concat_batches(list(u)) for u in ups]
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        mats = [concat(list(u)) for u in ups]
         lengths = {len(m) for m in mats}
         if len(lengths) > 1:
             raise RuntimeError(
                 f"Zip upstreams returned different numbers of tuples: {[len(m) for m in mats]}"
             )
-        cols: List[str] = []
-        for m in mats:
-            overlap = set(cols) & set(m.columns)
-            if overlap:
-                raise RuntimeError(f"Zip field overlap: {sorted(overlap)}")
-            cols.extend(m.columns)
-        yield pd.concat([m.reset_index(drop=True) for m in mats], axis=1)
+        yield _union(mats, "Zip")
 
 
 class LocalHistogram(SubOperator):
@@ -247,13 +232,11 @@ class LocalHistogram(SubOperator):
     def out_type(self, in_types) -> TupleType:
         return TupleType([("bucket_id", INT64), ("count", INT64)])
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)
-        for pdf in ups[0]:
-            counts += radix.histogram(self.bucket.eval(pdf), self.n_buckets)
-        yield pd.DataFrame(
-            {"bucket_id": np.arange(self.n_buckets, dtype=np.int64), "count": counts}
-        )
+        for b in ups[0]:
+            counts += radix.histogram(self.bucket.eval(b), self.n_buckets)
+        yield histogram_batch(counts)
 
 
 class BuildProbe(SubOperator):
@@ -291,24 +274,24 @@ class BuildProbe(SubOperator):
         rest_r = [n for n in rt.names if n != self.key]
         return lt.project([self.key] + rest_l).concat(rt.project(rest_r))
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        left = concat_batches(list(ups[0]))
+    def batches(self, ctx, ups) -> Iterator[RowVector]:
+        left = concat(list(ups[0]))
         probes = list(ups[1])
         if not probes:
             return
-        # one probe frame, so the build side is sorted once per operator
-        right = concat_batches(probes)
+        # one probe batch, so the build side is sorted once per operator
+        right = concat(probes)
         rest_l = [c for c in left.columns if c != self.key]
         rest_r = [c for c in right.columns if c != self.key]
         overlap = set(rest_l) & set(rest_r)
         if overlap:
             raise RuntimeError(f"BuildProbe field overlap: {sorted(overlap)}")
-        bk, pk = left[self.key].to_numpy(), right[self.key].to_numpy()
+        bk, pk = left[self.key], right[self.key]
         if self.join_type in ("semi", "anti"):
             # distinct build keys: every probe tuple matches at most once
             hit = np.zeros(len(pk), dtype=bool)
             hit[radix.join_indices(np.unique(bk), pk)[1]] = True
-            yield right[hit if self.join_type == "semi" else ~hit].reset_index(drop=True)
+            yield right.take(hit if self.join_type == "semi" else ~hit)
             return
         bi, pi = radix.join_indices(bk, pk)
         if self.join_type == "outer":
@@ -318,14 +301,22 @@ class BuildProbe(SubOperator):
             pi = np.concatenate([pi, np.flatnonzero(unmatched)])
             bi = np.concatenate([bi, np.full(len(pi) - len(bi), -1)])
         out = {self.key: pk[pi]}
-        for c in rest_l:
-            col = left[c].to_numpy()
-            if self.join_type == "inner":
-                out[c] = col[bi]
-            else:
-                out[c] = pd.api.extensions.take(col, bi, allow_fill=True)
-        out.update({c: right[c].to_numpy()[pi] for c in rest_r})
-        yield pd.DataFrame(out, copy=False)
+        outer = self.join_type == "outer"
+        out.update({c: pd.api.extensions.take(left[c], bi, allow_fill=outer) for c in rest_l})
+        out.update({c: right[c][pi] for c in rest_r})
+        yield RowVector(out)
+
+
+def _union(batches: Sequence[RowVector], who: str) -> RowVector:
+    """The fields of equal-length ``batches`` side by side; a field name in
+    two of them raises."""
+    cols: Dict[str, np.ndarray] = {}
+    for b in batches:
+        overlap = set(cols) & set(b.columns)
+        if overlap:
+            raise RuntimeError(f"{who} field overlap: {sorted(overlap)}")
+        cols.update(b.items())
+    return RowVector(cols)
 
 
 _AGGS = ("sum", "count", "min", "max")

@@ -1,32 +1,32 @@
-"""Radix partitioning and join kernels shared by every join implementation.
+"""Radix partitioning, join and aggregation kernels shared by the
+operators and the monolithic baselines.
 
 The paper's monolithic join uses software-write-combining radix
 partitioning; the numpy equivalent here is a stable counting scatter:
-``partition_ids`` extracts the low ``bits`` of the key (identity hash, as in
-the compression scheme of Barthels et al.), and ``scatter_arrays`` reorders
-the rows of numpy columns so each partition is a contiguous slice whose
-extent comes from a histogram.
+``partition_order`` sorts rows by partition id, and ``scatter_arrays``
+reorders the rows of numpy columns so each partition is a contiguous slice
+whose extent comes from a histogram.
 ``join_indices`` is the build/probe kernel: a sort-merge equi-join over one
-integer key column.
+integer key column. ``reduce_by_key`` is the grouping kernel: a sort by the
+key, then one ``ufunc.reduceat`` per aggregate.
 
-The modular ``BuildProbe``/``LocalPartitioning``/``MpiExchange`` operators
-and the monolithic baselines call these same kernels, so the cost of
-modularity compares plans, not kernels. On the simulated cluster the ranks
-are threads, so the kernels keep their bulk work in numpy calls that release
-the GIL: ``np.sort`` and the stable (radix) sort of 8/16-bit partition ids.
+The modular ``BuildProbe``/``LocalPartitioning``/``MpiExchange``/
+``ReduceByKey`` operators and the monolithic baselines call these same
+kernels, so the cost of modularity compares plans, not kernels. On the
+simulated cluster the ranks are threads, so the kernels keep their bulk
+work in numpy calls that release the GIL: ``np.sort`` and the stable
+(radix) sort of 8/16-bit partition ids.
 numpy's SIMD ``argsort`` holds the GIL and is only the fallback for key
 spans too wide to pack.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import pandas as pd
 
-
-def partition_ids(keys: np.ndarray, bits: int) -> np.ndarray:
-    """Radix partition id = low ``bits`` bits of the (identity-hashed) key."""
-    return (np.asarray(keys).astype(np.int64, copy=False)) & ((1 << bits) - 1)
+from repro.core.types import RowVector
 
 
 def histogram(pids: np.ndarray, n: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def _checked_ids(pids: np.ndarray, n: int) -> np.ndarray:
     return pids
 
 
-def _partition_order(pids: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def partition_order(pids: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Stable row order grouping rows by partition id, and the partition
     boundaries (length ``n + 1``).
 
@@ -70,7 +70,7 @@ def scatter_arrays(
     for a in arrays:
         if len(a) != len(pids):
             raise ValueError(f"{len(pids)} partition ids for {len(a)} rows")
-    order, bounds = _partition_order(pids, n)
+    order, bounds = partition_order(pids, n)
     reordered = [a[order] for a in arrays]
     return [[a[bounds[p] : bounds[p + 1]] for a in reordered] for p in range(n)]
 
@@ -166,3 +166,38 @@ def _widen(keys: np.ndarray) -> np.ndarray:
     if keys.dtype.kind not in "iu":
         raise TypeError(f"join keys must be integers, got {keys.dtype}")
     return keys.astype(np.int64 if keys.dtype.kind == "i" else np.uint64, copy=False)
+
+
+_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def reduce_by_key(batch: RowVector, key: str, aggs: Dict[str, str]) -> RowVector:
+    """GROUP BY ``key``: one tuple per distinct non-NULL key, in ascending
+    key order and the input's column order, every other column reduced by
+    ``aggs`` (:func:`aggregate`). A batch without groups passes on as is."""
+    if len(batch) and batch[key].dtype.kind in "fmMO":
+        batch = batch.take(~pd.isna(batch[key]))
+    if not len(batch):
+        return batch
+    order = np.argsort(batch[key], kind="stable")
+    keys = batch[key][order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    groups = np.cumsum(first) - 1
+    out = {c: aggregate(batch[c][order], groups, int(groups[-1]) + 1, a) for c, a in aggs.items()}
+    out[key] = keys[first]
+    return RowVector({c: out[c] for c in batch.columns})
+
+
+def aggregate(values: np.ndarray, groups: np.ndarray, n: int, agg: str) -> np.ndarray:
+    """``agg`` ('sum', 'count', 'min' or 'max') of ``values`` per group
+    ``0..n-1`` (``groups``, ascending), as in SQL: NULLs (NaN, NaT, None)
+    are skipped, and 'sum'/'min'/'max' over none are NULL."""
+    if values.dtype.kind in "fmMO":
+        ok = ~pd.isna(values)
+        values, groups = values[ok], groups[ok]
+    counts = np.bincount(groups, minlength=n)
+    if agg == "count":
+        return counts
+    has = counts > 0
+    out = _UFUNCS[agg].reduceat(values, (np.cumsum(counts) - counts)[has])
+    return pd.api.extensions.take(out, np.where(has, np.cumsum(has) - 1, -1), allow_fill=True)

@@ -8,8 +8,9 @@ The paper extends First-Normal-Form tuples with *collections*:
 ``TupleType`` maps static field names to item types; an item type is an
 ``Atom`` (int64/float64/str/date/bool) or a ``RowVectorType`` wrapping a
 nested ``TupleType``. ``RowVector`` is the physical collection format used
-throughout this reproduction: a thin wrapper around a pandas DataFrame (the
-batch analogue of the paper's C-array-of-C-structs).
+throughout this reproduction and the batch passed between sub-operators:
+named 1-D numpy columns of one length (the batch analogue of the paper's
+C-array-of-C-structs); pandas frames exist only at the program's edges.
 
 Typing is *best-effort*: operators whose output type depends on opaque user
 functions (``Map``) may declare their output type explicitly or propagate
@@ -19,7 +20,7 @@ plans whose lowered operators have unknown types.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pandas as pd
@@ -112,54 +113,101 @@ class TupleType:
 
 
 class RowVector:
-    """Physical collection of tuples: a wrapper around a pandas DataFrame.
+    """Physical collection of tuples and the batch passed between
+    sub-operators: an ordered mapping from name to a 1-D numpy column, all
+    of one length; strings and nested ``RowVector``s in object arrays.
+    ``RowVector(columns)`` takes any mapping of name to array-like (a
+    DataFrame too) without copying numpy columns; ``b[name]`` is the array.
+    Kernels never write into a batch's arrays: they may be views of the
+    caller's columns."""
 
-    Nested collections are stored as ``RowVector`` objects inside
-    object-dtype DataFrame cells.
-    """
+    __slots__ = ("_cols", "_len")
 
-    __slots__ = ("df",)
-
-    def __init__(self, df: pd.DataFrame) -> None:
-        if not isinstance(df, pd.DataFrame):
-            raise TypeError(f"RowVector wraps a pandas DataFrame, got {type(df)}")
-        # normalize the index without copying when it is already canonical
-        idx = df.index
-        if isinstance(idx, pd.RangeIndex) and idx.start == 0 and idx.step == 1:
-            self.df = df
-        else:
-            self.df = df.reset_index(drop=True)
+    def __init__(self, columns: Mapping[str, Any]) -> None:
+        self._cols = {c: _column(columns[c]) for c in columns}
+        lengths = {c: len(a) for c, a in self._cols.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns of unequal lengths: {lengths}")
+        self._len = next(iter(lengths.values()), 0)
 
     def __len__(self) -> int:
-        return len(self.df)
+        return self._len
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._cols[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._cols)
+
+    def keys(self):
+        return self._cols.keys()
+
+    def items(self):
+        return self._cols.items()
 
     @property
     def columns(self) -> Tuple[str, ...]:
-        return tuple(self.df.columns)
+        return tuple(self._cols)
 
-    def batches(self, size: Optional[int] = None) -> Iterator[pd.DataFrame]:
-        """The collection as frames of at most ``size`` tuples (None: one
-        frame). An empty collection is one empty frame, so its columns
-        reach the consumer."""
-        if size is None or len(self.df) <= size:
-            yield self.df
+    def take(self, rows) -> "RowVector":
+        """The tuples at ``rows``: positions, a boolean mask or a slice (views)."""
+        return RowVector({c: a[rows] for c, a in self._cols.items()})
+
+    def batches(self, size: Optional[int] = None) -> Iterator["RowVector"]:
+        """The collection as batches of at most ``size`` tuples (None: one
+        batch), each a view. An empty collection is one empty batch, so its
+        columns reach the consumer."""
+        if size is None or self._len <= size:
+            yield self
             return
-        for start in range(0, len(self.df), size):
-            yield self.df.iloc[start : start + size].reset_index(drop=True)
+        for start in range(0, self._len, size):
+            yield self.take(slice(start, start + size))
 
     def iter_rows(self) -> Iterator[dict]:
-        cols = list(self.df.columns)
-        arrays = [self.df[c].to_numpy() for c in cols]
-        for i in range(len(self.df)):
-            yield {c: _unbox(a[i]) for c, a in zip(cols, arrays)}
+        for i in range(self._len):
+            yield {c: _unbox(a[i]) for c, a in self._cols.items()}
+
+    def to_pandas(self) -> pd.DataFrame:
+        """The tuples as a DataFrame, for callers outside the operator layer
+        (results, Spark UDF frames, the oracle)."""
+        return pd.DataFrame(self._cols, copy=False)
 
     def __repr__(self) -> str:
-        return f"RowVector({len(self)} rows, cols={list(self.df.columns)})"
+        return f"RowVector({len(self)} rows, cols={list(self._cols)})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RowVector):
             return NotImplemented
-        return self.df.equals(other.df)
+        return self.to_pandas().equals(other.to_pandas())
+
+
+def concat(batches: Sequence[RowVector]) -> RowVector:
+    """One batch of all tuples of ``batches``. A lone non-empty batch is
+    returned as is, not copied; an all-empty stream yields its first (empty)
+    batch, so its columns reach the consumer."""
+    mats = [b for b in batches if len(b)]
+    if len(mats) == 1:
+        return mats[0]
+    if mats:
+        return RowVector({c: np.concatenate([b[c] for b in mats]) for c in mats[0].columns})
+    return batches[0] if batches else RowVector({})
+
+
+def object_column(values: Sequence[Any]) -> np.ndarray:
+    """``values`` as an object array, each stored as is. ``np.array`` would
+    unpack a ``RowVector`` value (it reads as a sequence), so nested
+    collections are stored through this."""
+    out = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out
+
+
+def _column(values: Any) -> np.ndarray:
+    a = values.to_numpy() if hasattr(values, "to_numpy") else np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"a column must be 1-D, got shape {a.shape}")
+    return a.astype(object) if a.dtype.kind in "US" else a
 
 
 def _unbox(v):

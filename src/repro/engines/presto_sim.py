@@ -5,8 +5,8 @@ layers and interprets its operators tuple by tuple. This stand-in preserves
 the property the comparison measures — per-tuple dispatch in every inner
 loop — by executing the *identical* sub-operator plan through the same
 evaluator and Spark stages as the Modularis lowering, at one tuple per
-batch (``batch_size=1``): every scan hands each operator kernel one-row
-frames, in the pre-exchange ``mapInPandas`` pipelines and inside the
+batch (``batch_size=1``): every scan hands each operator kernel one-tuple
+batches, in the pre-exchange ``mapInPandas`` pipelines and inside the
 nested-plan UDFs alike. The gap to the lowering at its default batch size
 is therefore exactly "per-tuple dispatch vs vectorized sub-operator
 pipelines", with no second evaluator whose semantics could drift.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core import Plan
+from repro.core import Plan, RowVector
 from repro.core.ops import (
     MaterializeRowVector,
     MpiExecutor,
@@ -33,11 +33,13 @@ def groupby_inner2_plan(cfg: JoinConfig, value_field: str, aggs: Dict[str, str])
         # restore <k, v> with the network partition id of the enclosing scope
         spec = cfg.spec(value_field)
         typ = TupleType([(cfg.key, INT64), (value_field, INT64)])
-        data = ParametrizedMap(
-            Projection(pl, ["net_pid"]), data,
-            lambda pdf, p: spec.decompress_pdf(pdf, int(p["net_pid"])), typ,
-        )
-    rk = ReduceByKey(data, [cfg.key], aggs)
+
+        def restore(b: RowVector, p: dict) -> RowVector:
+            k, v = spec.decompress(b[spec.out_field], int(p["net_pid"]))
+            return RowVector({cfg.key: k, value_field: v})
+
+        data = ParametrizedMap(Projection(pl, ["net_pid"]), data, restore, typ)
+    rk = ReduceByKey(data, cfg.key, aggs)
     return Plan(MaterializeRowVector(rk, field="agg"), name="groupby-inner2")
 
 
@@ -50,7 +52,7 @@ def groupby_inner1_plan(cfg: JoinConfig, value_field: str, aggs: Dict[str, str])
     )
     nm2 = NestedMap(cp, groupby_inner2_plan(cfg, value_field, aggs))
     rs = RowScan(nm2, "agg")
-    post = ReduceByKey(rs, [cfg.key], aggs)
+    post = ReduceByKey(rs, cfg.key, aggs)
     return Plan(MaterializeRowVector(post, field="part_agg"), name="groupby-inner1")
 
 
@@ -59,7 +61,7 @@ def rank_groupby_plan(cfg: JoinConfig, field: str, value_field: str, aggs: Dict[
     ex = network_partition(cfg, data, value_field, "net_pid", "net_data")
     nm1 = NestedMap(ex, groupby_inner1_plan(cfg, value_field, aggs))
     rs = RowScan(nm1, "part_agg")
-    post = ReduceByKey(rs, [cfg.key], aggs)
+    post = ReduceByKey(rs, cfg.key, aggs)
     return Plan(MaterializeRowVector(post, field="rank_result"), name="groupby-rank")
 
 
@@ -84,5 +86,5 @@ def distributed_groupby_plan(
             )
     me = MpiExecutor(rank_input("rank_inputs"), rank_groupby_plan(cfg, field, value_field, aggs))
     rs = RowScan(me, "rank_result")
-    final = ReduceByKey(rs, [cfg.key], aggs)
+    final = ReduceByKey(rs, cfg.key, aggs)
     return Plan(final, name="distributed-groupby")

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-import pandas as pd
-
-from repro.core import Plan
+from repro.core import Plan, RowVector
 from repro.core.compression import CompressionSpec
 from repro.core.ops import (
     BuildProbe,
@@ -48,9 +46,9 @@ def split_word(up: SubOperator, spec: CompressionSpec) -> Map:
     """Map splitting each compressed word into the stored key-high bits
     ``k_hi`` (the probe key inside one network partition) and the value."""
 
-    def batch(pdf: pd.DataFrame) -> pd.DataFrame:
-        k_hi, value = spec.split(pdf[spec.out_field].to_numpy())
-        return pd.DataFrame({"k_hi": k_hi, spec.value_field: value}, copy=False)
+    def batch(b: RowVector) -> RowVector:
+        k_hi, value = spec.split(b[spec.out_field])
+        return RowVector({"k_hi": k_hi, spec.value_field: value})
 
     return Map(up, batch, TupleType([("k_hi", INT64), (spec.value_field, INT64)]))
 
@@ -87,10 +85,10 @@ def join_inner2_plan(
         keep = [value_fields[1]] if join_type in ("semi", "anti") else list(value_fields)
         typ = TupleType([(cfg.key, INT64)] + [(vf, INT64) for vf in keep])
 
-        def restore_key(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
-            cols = {cfg.key: spec.restore(pdf["k_hi"].to_numpy(), int(p[pid_field]))}
-            cols.update({c: pdf[c].to_numpy() for c in pdf.columns if c != "k_hi"})
-            return pd.DataFrame(cols, copy=False)
+        def restore_key(b: RowVector, p: dict) -> RowVector:
+            cols = {cfg.key: spec.restore(b["k_hi"], int(p[pid_field]))}
+            cols.update((c, a) for c, a in b.items() if c != "k_hi")
+            return RowVector(cols)
 
         out = ParametrizedMap(param, out, restore_key, typ)
 

@@ -1,8 +1,9 @@
 """Monolithic distributed GROUP BY baseline.
 
 Same structure as the monolithic join (histogram -> network partitioning
--> local partitioning) but the last phase aggregates each partition with a
-fused unique+bincount kernel instead of probing a hash table.
+-> local partitioning) but the last phase aggregates each partition with
+the grouping kernel ``ReduceByKey`` runs (``radix.reduce_by_key``: sort by
+key, ``np.add.reduceat``) instead of probing a hash table.
 """
 from __future__ import annotations
 
@@ -13,20 +14,20 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
+from repro.core.types import RowVector, concat
 from repro.modular.common import JoinConfig
 from repro.monolithic.join import _exchange
 from repro.mpi.simcluster import Comm
 from repro.mpi.thread_backend import run_spmd
 
 
-def _rank_groupby(comm: Comm, t_pdf: pd.DataFrame, cfg: JoinConfig) -> Tuple[pd.DataFrame, Dict[str, float]]:
+def _rank_groupby(comm: Comm, rel: RowVector, cfg: JoinConfig) -> Tuple[RowVector, Dict[str, float]]:
     t: Dict[str, float] = {}
     n = cfg.n_net
     spec = cfg.spec("v")
 
     t0 = perf_counter()
-    keys = t_pdf["k"].to_numpy().astype(np.int64)
-    vals = t_pdf["v"].to_numpy().astype(np.int64)
+    keys, vals = rel["k"].astype(np.int64, copy=False), rel["v"].astype(np.int64, copy=False)
     hist = radix.histogram(keys % n, n)
     t["local_histogram"] = perf_counter() - t0
 
@@ -51,21 +52,15 @@ def _rank_groupby(comm: Comm, t_pdf: pd.DataFrame, cfg: JoinConfig) -> Tuple[pd.
     outs = []
     for pid, arrs in subs:
         k, v = spec.split(arrs[0]) if spec else arrs
-        uk, inv = np.unique(k, return_inverse=True)
-        sums = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(sums, inv, v)  # exact in int64, unlike a float64 bincount
-        if spec:
-            uk = spec.restore(uk, pid)  # recover dropped bits
-        outs.append((uk, sums))
+        agg = radix.reduce_by_key(RowVector({"k": k, "v": v}), "k", {"v": "sum"})
+        uk = spec.restore(agg["k"], pid) if spec else agg["k"]  # recover dropped bits
+        outs.append((uk, agg["v"]))
     t["build_probe"] = perf_counter() - t0  # aggregation phase slot
 
     t0 = perf_counter()
-    result = pd.DataFrame(
-        {
-            "k": np.concatenate([o[0] for o in outs]) if outs else np.array([], np.int64),
-            "v": np.concatenate([o[1] for o in outs]) if outs else np.array([], np.int64),
-        }
-    )
+    result = RowVector({
+        c: np.concatenate([o[i] for o in outs] + [np.zeros(0, np.int64)]) for i, c in enumerate("kv")
+    })
     t["materialize"] = perf_counter() - t0
     return result, t
 
@@ -76,4 +71,4 @@ def run_monolithic_groupby(
     """Driver: SPMD fused GROUP BY; per-key results are already disjoint
     across ranks after the exchange, so the merge is a plain concat."""
     outs, info = run_spmd(n_ranks, lambda comm, t: _rank_groupby(comm, t, cfg), t_pdf)
-    return pd.concat(outs, ignore_index=True), info
+    return concat(outs).to_pandas(), info

@@ -24,6 +24,7 @@ import pandas as pd
 
 from repro.core import radix
 from repro.core.ops.network import rma_exchange
+from repro.core.types import RowVector, concat
 from repro.modular.common import JoinConfig
 from repro.mpi.simcluster import Comm
 from repro.mpi.thread_backend import run_spmd
@@ -46,8 +47,8 @@ def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, 
 
 
 def _rank_join(
-    comm: Comm, r_pdf: pd.DataFrame, s_pdf: pd.DataFrame, cfg: JoinConfig
-) -> Tuple[pd.DataFrame, Dict[str, float]]:
+    comm: Comm, r: RowVector, s: RowVector, cfg: JoinConfig
+) -> Tuple[RowVector, Dict[str, float]]:
     t: Dict[str, float] = {}
     n = cfg.n_net
     spec_r = cfg.spec("vr")
@@ -55,10 +56,8 @@ def _rank_join(
 
     # -- phase 1a: local histograms, both relations in one pass ------------
     t0 = perf_counter()
-    rk = r_pdf["k"].to_numpy().astype(np.int64)
-    rv = r_pdf["vr"].to_numpy().astype(np.int64)
-    sk = s_pdf["k"].to_numpy().astype(np.int64)
-    sv = s_pdf["vs"].to_numpy().astype(np.int64)
+    rk, rv = r["k"].astype(np.int64, copy=False), r["vr"].astype(np.int64, copy=False)
+    sk, sv = s["k"].astype(np.int64, copy=False), s["vs"].astype(np.int64, copy=False)
     hist_r = radix.histogram(rk % n, n)
     hist_s = radix.histogram(sk % n, n)
     t["local_histogram"] = perf_counter() - t0
@@ -106,14 +105,10 @@ def _rank_join(
 
     # -- phase 5: materialize (added for parity with MaterializeRowVector) --
     t0 = perf_counter()
-    result = pd.DataFrame(
-        {
-            "k": np.concatenate([o[0] for o in outs]) if outs else np.array([], np.int64),
-            "vr": np.concatenate([o[1] for o in outs]) if outs else np.array([], np.int64),
-            "vs": np.concatenate([o[2] for o in outs]) if outs else np.array([], np.int64),
-        },
-        copy=False,
-    )
+    result = RowVector({
+        c: np.concatenate([o[i] for o in outs] + [np.zeros(0, np.int64)])
+        for i, c in enumerate(("k", "vr", "vs"))
+    })
     t["materialize"] = perf_counter() - t0
     return result, t
 
@@ -126,4 +121,4 @@ def run_monolithic_join(
     Returns ``(result, info)``, ``info`` as in ``thread_backend.sim_info``.
     """
     outs, info = run_spmd(n_ranks, lambda comm, r, s: _rank_join(comm, r, s, cfg), r, s)
-    return pd.concat(outs, ignore_index=True), info
+    return concat(outs).to_pandas(), info

@@ -3,10 +3,10 @@
 Faithful to the MPI-3 RMA subset the paper uses (Section 2):
 
 * ``win_create`` is a *collective* that registers a per-rank memory region;
-* ``put`` writes rows, given as one numpy array per column, one-sidedly
-  into a remote rank's window at a given offset (the receiver's "CPU" is
-  not involved — no locking, no handshake; offsets are computed from
-  histograms exactly as in Barthels et al.);
+* ``put`` gathers rows of numpy columns one-sidedly into a remote rank's
+  window at a given offset (the receiver's "CPU" is not involved — no
+  locking, no handshake; offsets are computed from histograms exactly as in
+  Barthels et al.);
 * ``fence`` delimits RMA epochs (collective barrier; after it, all incoming
   and outgoing puts are visible);
 * ``allreduce_sum`` / ``exscan_sum`` back MPI_Allreduce / MPI_Exscan.
@@ -14,11 +14,11 @@ Faithful to the MPI-3 RMA subset the paper uses (Section 2):
 Ranks are Python threads. They run in parallel only inside native calls
 that release the GIL, such as ``np.sort``, ufunc arithmetic, fancy indexing
 and the stable radix sort of 8/16-bit ids. Work that holds the GIL
-serializes the ranks: Python code, pandas frame construction, and in numpy
-1.26 the SIMD ``argsort`` and ``np.repeat``. The shared kernels in
-``repro.core.radix`` are written to that rule. Windows hold numpy columns
-and know nothing of frames; the one protocol that uses them is
-``repro.core.ops.network.rma_exchange``. Per-rank statistics (bytes put,
+serializes the ranks: Python code (the operator generators and each
+batch's dict of columns), object-array work, and in numpy 1.26 the SIMD
+``argsort`` and ``np.repeat``. The shared kernels in ``repro.core.radix``
+are written to that rule. Windows hold numpy columns; the one protocol
+that uses them is ``repro.core.ops.network.rma_exchange``. Per-rank statistics (bytes put,
 puts, windows) feed the network-volume accounting of the experiments.
 """
 from __future__ import annotations
@@ -155,21 +155,23 @@ class Comm:
         win = Window(sizes, dtypes) if self.rank == 0 else None
         return self._exchange(win)[0]
 
-    def put(self, win: Window, target_rank: int, offset: int, columns: Dict[str, np.ndarray]) -> None:
-        """One-sided write of rows, one array per window column, into
-        ``target_rank``'s region at ``offset`` — no involvement of the
-        target rank (RDMA write)."""
+    def put(self, win: Window, target_rank: int, offset: int,
+            columns: Dict[str, np.ndarray], rows: np.ndarray) -> None:
+        """One-sided write (RDMA write, no involvement of the target rank):
+        gathers rows ``rows`` of ``columns`` straight into ``target_rank``'s
+        region at ``offset``, one array per window column."""
         buf = win.buffers[target_rank]
-        n = len(columns[next(iter(buf))])
+        n = len(rows)
         if offset + n > win.n_slots[target_rank]:
             raise RuntimeError(
                 f"put overflows window of rank {target_rank}: "
                 f"{offset}+{n} > {win.n_slots[target_rank]}"
             )
         for c, dst in buf.items():
-            dst[offset : offset + n] = columns[c]
+            # "clip" gathers in place ("raise" buffers); valid rows never clip
+            np.take(columns[c], rows, out=dst[offset : offset + n], mode="clip")
+            self.stats.bytes_put += _wire_bytes(dst[offset : offset + n])
         self.stats.puts += 1
-        self.stats.bytes_put += sum(_wire_bytes(columns[c]) for c in buf)
 
     def fence(self, win: Window) -> None:
         """Collective epoch boundary (MPI_Win_fence): all pending RMA

@@ -4,8 +4,9 @@ Two kinds of program run here. A distributed sub-operator plan
 (``run_on_sim``) starts its cluster itself, in ``MpiExecutor``; a
 hand-written rank function (the monolithic baselines and the per-phase
 model) runs through ``run_spmd``. Both slice their input relations into
-per-rank frames (the paper's NFS-read inputs) and report one info record,
-``sim_info``: per-rank phase seconds and the cluster's network accounting.
+per-rank ``RowVector``s of column views with ``split_relation`` (the
+paper's NFS-read inputs) and report one info record, ``sim_info``:
+per-rank phase seconds and the cluster's network accounting.
 """
 from __future__ import annotations
 
@@ -18,27 +19,25 @@ from repro.core import Plan, RowVector
 from repro.core.ops.base import ExecContext
 from repro.core.profiling import Profiler
 from repro.core import vectorized
+from repro.core.types import object_column
 from repro.mpi.simcluster import SimCluster
 
 
-def split_relation(pdf: pd.DataFrame, n_ranks: int) -> List[pd.DataFrame]:
-    """Contiguous near-equal slices, one per rank (each process reads its
-    part of the input, paper Section 4.1.1)."""
-    bounds = np.linspace(0, len(pdf), n_ranks + 1).astype(int)
-    return [pdf.iloc[bounds[r] : bounds[r + 1]].reset_index(drop=True) for r in range(n_ranks)]
+def split_relation(relation, n_ranks: int) -> List[RowVector]:
+    """Contiguous near-equal slices of ``relation``, one per rank, as views
+    of its columns (each process reads its part of the input, paper
+    Section 4.1.1)."""
+    rel = RowVector(relation)
+    bounds = np.linspace(0, len(rel), n_ranks + 1).astype(int)
+    return [rel.take(slice(bounds[r], bounds[r + 1])) for r in range(n_ranks)]
 
 
-def make_rank_inputs(n_ranks: int, **relations: pd.DataFrame) -> dict:
+def make_rank_inputs(n_ranks: int, **relations) -> dict:
     """Build the plan parameter structure: one tuple per rank, each field a
     RowVector slice of the named relation."""
-    slices = {name: split_relation(pdf, n_ranks) for name, pdf in relations.items()}
-    frame = pd.DataFrame(
-        {
-            name: pd.Series([RowVector(parts[r]) for r in range(n_ranks)], dtype=object)
-            for name, parts in slices.items()
-        }
-    )
-    return {"rank_inputs": RowVector(frame)}
+    return {"rank_inputs": RowVector({
+        name: object_column(split_relation(rel, n_ranks)) for name, rel in relations.items()
+    })}
 
 
 def run_on_sim(
@@ -65,9 +64,9 @@ def run_spmd(
     *relations: pd.DataFrame,
 ) -> Tuple[List[Any], dict]:
     """Run ``rank_fn(comm, *slices)`` on every rank of a new cluster, each
-    rank given its slice of every relation. ``rank_fn`` returns its result
-    and its phase seconds; returns the per-rank results and the info
-    record."""
+    rank given its slice of every relation (``split_relation``).
+    ``rank_fn`` returns its result and its phase seconds; returns the
+    per-rank results and the info record."""
     cluster = SimCluster(n_ranks)
     args = list(zip(*(split_relation(r, n_ranks) for r in relations)))
     outs = cluster.run(lambda comm, slices: rank_fn(comm, *slices), args)

@@ -13,7 +13,9 @@ join result. Each query here carries
 * ``table_map`` — which input relation feeds which plan field.
 
 Every ``Map`` declares its output type, so the Spark lowering derives all
-of its schemas from the plan (``repro.core.lower``).
+of its schemas from the plan (``repro.core.lower``). The kernels read and
+build ``RowVector`` batches of numpy columns; dates are datetime64 columns,
+strings object columns.
 
 Predicate constants are the official TPC-H ones, evaluated over the
 synthetic TPC-H-lite generators of ``repro.synth_data`` (substitution
@@ -25,9 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-import pandas as pd
 
-from repro.core import Plan
+from repro.core import Plan, RowVector
 from repro.core.ops import Filter, Map, Reduce, ReduceByKey
 from repro.core.ops.base import SubOperator
 from repro.core.types import FLOAT64, INT64, STR, TupleType
@@ -44,8 +45,19 @@ class TpchQuery:
     build_plan: Callable[[JoinConfig], Plan]
 
 
-def _revenue(pdf: pd.DataFrame) -> np.ndarray:
-    return (pdf["l_extendedprice"] * (1.0 - pdf["l_discount"])).to_numpy()
+def _revenue(b: RowVector) -> np.ndarray:
+    return b["l_extendedprice"] * (1.0 - b["l_discount"])
+
+
+def _in_dates(b: RowVector, column: str, lo: str, hi: str) -> np.ndarray:
+    """``lo <= column < hi`` over a datetime64 column."""
+    return (b[column] >= np.datetime64(lo)) & (b[column] < np.datetime64(hi))
+
+
+def _project(**renames: str) -> Callable[[RowVector], RowVector]:
+    """A Map kernel keeping input column ``renames[name]`` as ``name``."""
+    return lambda b: RowVector({name: b[c] for name, c in renames.items()})
+
 
 
 # ---------------------------------------------------------------------------
@@ -65,33 +77,25 @@ GROUP BY o_orderpriority
 def q4_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "L":  # build side: matching lineitem order keys
-            op = Filter(op, lambda pdf: (pdf["l_commitdate"] < pdf["l_receiptdate"]).to_numpy())
-            return Map(op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"]}), TupleType([("k", INT64)]))
-        op = Filter(
-            op,
-            lambda pdf: (
-                (pdf["o_orderdate"] >= pd.Timestamp("1993-07-01"))
-                & (pdf["o_orderdate"] < pd.Timestamp("1993-10-01"))
-            ).to_numpy(),
-        )
+            op = Filter(op, lambda b: b["l_commitdate"] < b["l_receiptdate"])
+            return Map(op, _project(k="l_orderkey"), TupleType([("k", INT64)]))
+        op = Filter(op, lambda b: _in_dates(b, "o_orderdate", "1993-07-01", "1993-10-01"))
         return Map(
-            op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
+            op, _project(k="o_orderkey", o_orderpriority="o_orderpriority"),
             TupleType([("k", INT64), ("o_orderpriority", STR)]),
         )
 
     def count_rows(op: SubOperator) -> SubOperator:
         counted = Map(
             op,
-            lambda pdf: pd.DataFrame(
-                {"o_orderpriority": pdf["o_orderpriority"],
-                 "order_count": np.ones(len(pdf), dtype=np.int64)}
-            ),
+            lambda b: RowVector({"o_orderpriority": b["o_orderpriority"],
+                                 "order_count": np.ones(len(b), dtype=np.int64)}),
             TupleType([("o_orderpriority", STR), ("order_count", INT64)]),
         )
         return _rk(counted)
 
     def _rk(op: SubOperator) -> ReduceByKey:
-        return ReduceByKey(op, ["o_orderpriority"], {"order_count": "sum"})
+        return ReduceByKey(op, "o_orderpriority", {"order_count": "sum"})
 
     return distributed_join_plan(
         cfg, fields=("L", "O"), value_fields=("_", "_"), join_type="semi",
@@ -123,34 +127,31 @@ def q12_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "O":  # build side
             return Map(
-                op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
+                op, _project(k="o_orderkey", o_orderpriority="o_orderpriority"),
                 TupleType([("k", INT64), ("o_orderpriority", STR)]),
             )
         op = Filter(
             op,
-            lambda pdf: (
-                pdf["l_shipmode"].isin(["MAIL", "SHIP"])
-                & (pdf["l_commitdate"] < pdf["l_receiptdate"])
-                & (pdf["l_shipdate"] < pdf["l_commitdate"])
-                & (pdf["l_receiptdate"] >= pd.Timestamp("1994-01-01"))
-                & (pdf["l_receiptdate"] < pd.Timestamp("1995-01-01"))
-            ).to_numpy(),
+            lambda b: (
+                np.isin(b["l_shipmode"], ["MAIL", "SHIP"])
+                & (b["l_commitdate"] < b["l_receiptdate"])
+                & (b["l_shipdate"] < b["l_commitdate"])
+                & _in_dates(b, "l_receiptdate", "1994-01-01", "1995-01-01")
+            ),
         )
         return Map(
-            op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"], "l_shipmode": pdf["l_shipmode"]}),
+            op, _project(k="l_orderkey", l_shipmode="l_shipmode"),
             TupleType([("k", INT64), ("l_shipmode", STR)]),
         )
 
     def classify(op: SubOperator) -> SubOperator:
-        def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-            high = pdf["o_orderpriority"].isin(["1-URGENT", "2-HIGH"]).to_numpy()
-            return pd.DataFrame(
-                {
-                    "l_shipmode": pdf["l_shipmode"],
-                    "high_line_count": high.astype(np.int64),
-                    "low_line_count": (~high).astype(np.int64),
-                }
-            )
+        def kernel(b: RowVector) -> RowVector:
+            high = np.isin(b["o_orderpriority"], ["1-URGENT", "2-HIGH"])
+            return RowVector({
+                "l_shipmode": b["l_shipmode"],
+                "high_line_count": high.astype(np.int64),
+                "low_line_count": (~high).astype(np.int64),
+            })
 
         return _rk(Map(
             op, kernel,
@@ -158,7 +159,7 @@ def q12_plan(cfg: JoinConfig) -> Plan:
         ))
 
     def _rk(op: SubOperator) -> ReduceByKey:
-        return ReduceByKey(op, ["l_shipmode"], {"high_line_count": "sum", "low_line_count": "sum"})
+        return ReduceByKey(op, "l_shipmode", {"high_line_count": "sum", "low_line_count": "sum"})
 
     return distributed_join_plan(
         cfg, fields=("O", "L"), value_fields=("_", "_"),
@@ -189,26 +190,19 @@ def q14_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "P":  # build side
             return Map(
-                op, lambda pdf: pd.DataFrame({"k": pdf["p_partkey"], "p_type": pdf["p_type"]}),
+                op, _project(k="p_partkey", p_type="p_type"),
                 TupleType([("k", INT64), ("p_type", STR)]),
             )
-        op = Filter(
-            op,
-            lambda pdf: (
-                (pdf["l_shipdate"] >= pd.Timestamp("1995-09-01"))
-                & (pdf["l_shipdate"] < pd.Timestamp("1995-10-01"))
-            ).to_numpy(),
-        )
+        op = Filter(op, lambda b: _in_dates(b, "l_shipdate", "1995-09-01", "1995-10-01"))
         return Map(
-            op, lambda pdf: pd.DataFrame({"k": pdf["l_partkey"], "rev": _revenue(pdf)}),
+            op, lambda b: RowVector({"k": b["l_partkey"], "rev": _revenue(b)}),
             TupleType([("k", INT64), ("rev", FLOAT64)]),
         )
 
     def split_revenue(op: SubOperator) -> SubOperator:
-        def kernel(pdf: pd.DataFrame) -> pd.DataFrame:
-            promo = pdf["p_type"].str.startswith("PROMO").to_numpy()
-            rev = pdf["rev"].to_numpy()
-            return pd.DataFrame({"promo_rev": np.where(promo, rev, 0.0), "total_rev": rev})
+        def kernel(b: RowVector) -> RowVector:
+            promo = np.char.startswith(b["p_type"].astype(str), "PROMO")
+            return RowVector({"promo_rev": np.where(promo, b["rev"], 0.0), "total_rev": b["rev"]})
 
         return _sum("promo_rev", "total_rev")(
             Map(op, kernel, TupleType([("promo_rev", FLOAT64), ("total_rev", FLOAT64)]))
@@ -217,9 +211,7 @@ def q14_plan(cfg: JoinConfig) -> Plan:
     def ratio(op: SubOperator) -> SubOperator:
         return Map(
             _sum("promo_rev", "total_rev")(op),
-            lambda pdf: pd.DataFrame(
-                {"promo_revenue": 100.0 * pdf["promo_rev"] / pdf["total_rev"]}
-            ),
+            lambda b: RowVector({"promo_revenue": 100.0 * b["promo_rev"] / b["total_rev"]}),
             TupleType([("promo_revenue", FLOAT64)]),
         )
 
@@ -263,17 +255,17 @@ _Q19_BRANCHES = (
 )
 
 
-def _q19_joined_pred(pdf: pd.DataFrame) -> np.ndarray:
-    mask = np.zeros(len(pdf), dtype=bool)
+def _q19_joined_pred(b: RowVector) -> np.ndarray:
+    mask = np.zeros(len(b), dtype=bool)
     for brand, containers, qlo, qhi, smax in _Q19_BRANCHES:
         mask |= (
-            (pdf["p_brand"] == brand)
-            & pdf["p_container"].isin(containers)
-            & (pdf["l_quantity"] >= qlo)
-            & (pdf["l_quantity"] <= qhi)
-            & (pdf["p_size"] >= 1)
-            & (pdf["p_size"] <= smax)
-        ).to_numpy()
+            (b["p_brand"] == brand)
+            & np.isin(b["p_container"], containers)
+            & (b["l_quantity"] >= qlo)
+            & (b["l_quantity"] <= qhi)
+            & (b["p_size"] >= 1)
+            & (b["p_size"] <= smax)
+        )
     return mask
 
 
@@ -282,38 +274,31 @@ def q19_plan(cfg: JoinConfig) -> Plan:
         if field == "P":  # build side, pre-filtered to the brand superset
             op = Filter(
                 op,
-                lambda pdf: (
-                    pdf["p_brand"].isin([b for b, *_ in _Q19_BRANCHES])
-                    & (pdf["p_size"] >= 1) & (pdf["p_size"] <= 15)
-                ).to_numpy(),
+                lambda b: (
+                    np.isin(b["p_brand"], [brand for brand, *_ in _Q19_BRANCHES])
+                    & (b["p_size"] >= 1) & (b["p_size"] <= 15)
+                ),
             )
             return Map(
-                op,
-                lambda pdf: pd.DataFrame(
-                    {"k": pdf["p_partkey"], "p_brand": pdf["p_brand"],
-                     "p_container": pdf["p_container"], "p_size": pdf["p_size"]}
-                ),
+                op, _project(k="p_partkey", p_brand="p_brand", p_container="p_container", p_size="p_size"),
                 TupleType([("k", INT64), ("p_brand", STR), ("p_container", STR), ("p_size", INT64)]),
             )
         op = Filter(
             op,
-            lambda pdf: (
-                pdf["l_shipmode"].isin(["AIR", "REG AIR"])
-                & (pdf["l_shipinstruct"] == "DELIVER IN PERSON")
-            ).to_numpy(),
+            lambda b: (
+                np.isin(b["l_shipmode"], ["AIR", "REG AIR"]) & (b["l_shipinstruct"] == "DELIVER IN PERSON")
+            ),
         )
         return Map(
             op,
-            lambda pdf: pd.DataFrame(
-                {"k": pdf["l_partkey"], "l_quantity": pdf["l_quantity"], "rev": _revenue(pdf)}
-            ),
+            lambda b: RowVector({"k": b["l_partkey"], "l_quantity": b["l_quantity"], "rev": _revenue(b)}),
             TupleType([("k", INT64), ("l_quantity", FLOAT64), ("rev", FLOAT64)]),
         )
 
     def residual(op: SubOperator) -> SubOperator:
         filtered = Filter(op, _q19_joined_pred)
         revenue = TupleType([("revenue", FLOAT64)])
-        return _sum("revenue")(Map(filtered, lambda pdf: pd.DataFrame({"revenue": pdf["rev"]}), revenue))
+        return _sum("revenue")(Map(filtered, _project(revenue="rev"), revenue))
 
     return distributed_join_plan(
         cfg, fields=("P", "L"), value_fields=("_", "_"),

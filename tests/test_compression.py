@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.core.compression import CompressionSpec
 from repro.core.expr import col
 from repro.core.ops import MpiExchange
-from repro.core.radix import partition_ids
-from repro.core.types import INT64, TupleType
+from repro.core.types import INT64, RowVector, TupleType
 from tests.helpers import source
 
 
@@ -45,7 +44,7 @@ class TestRoundTrip:
         keys = np.array([0, 1, 7, 8, 9, 123456, (1 << 20) - 1])
         vals = np.array([5, 6, 7, 8, 9, 10, 11])
         words = spec.compress(keys, vals)
-        pids = partition_ids(keys, 3)
+        pids = keys & 7
         for p in range(8):
             m = pids == p
             k2, v2 = spec.decompress(words[m], p)
@@ -57,10 +56,10 @@ class TestRoundTrip:
         spec = CompressionSpec(p_bits=20, f_bits=3)
         ex = MpiExchange(source("T"), source("H"), source("H"), 8, col("k") & 7, compression=spec)
         pdf = pd.DataFrame({"k": [1, 9], "v": [2, 3]})
-        pids, wire = ex.to_wire(pdf)
+        pids, wire = ex.to_wire(RowVector(pdf))
         assert list(pids) == [1, 1] and list(wire) == ["kv"]
         assert wire["kv"].dtype == np.int64
-        assert list(wire["kv"]) == list(spec.compress(pdf["k"].to_numpy(), pdf["v"].to_numpy()))
+        assert list(wire["kv"]) == list(spec.compress(pdf["k"], pdf["v"]))
 
     def test_domain_violation_rejected(self):
         spec = CompressionSpec(p_bits=8, f_bits=2)
@@ -98,15 +97,16 @@ class TestRoundTrip:
         spec = CompressionSpec(p_bits=8, f_bits=2)
         ex = MpiExchange(source("T"), source("H"), source("H"), 4, col("k") & 3, compression=spec)
         with pytest.raises(ValueError, match="extra cols"):
-            ex.to_wire(pd.DataFrame({"k": [1], "v": [2], "z": [3]}))
+            ex.to_wire(RowVector({"k": [1], "v": [2], "z": [3]}))
         with pytest.raises(ValueError, match=r"extra cols: \['z'\]"):
             spec.wire_type(TupleType([("k", INT64), ("v", INT64), ("z", INT64)]))
 
     def test_pdf_roundtrip(self):
+        """A relation's columns round-trip, as the GROUP BY restores them."""
         spec = CompressionSpec(p_bits=16, f_bits=2)
         pdf = pd.DataFrame({"k": [4, 8, 12], "v": [1, 2, 3]})  # all pid 0
-        words = spec.compress(pdf["k"].to_numpy(), pdf["v"].to_numpy())
-        back = spec.decompress_pdf(pd.DataFrame({"kv": words}), partition_id=0)
+        keys, values = spec.decompress(spec.compress(pdf["k"], pdf["v"]), partition_id=0)
+        back = pd.DataFrame({"k": keys, "v": values})
         pd.testing.assert_frame_equal(back, pdf.astype("int64"))
 
 
@@ -128,7 +128,7 @@ def test_roundtrip_property(p_bits, data):
         dtype=np.int64,
     )
     words = spec.compress(keys, vals)
-    pids = partition_ids(keys, f_bits)
+    pids = keys & ((1 << f_bits) - 1)
     for p in np.unique(pids):
         m = pids == p
         k2, v2 = spec.decompress(words[m], int(p))

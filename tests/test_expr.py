@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RowVector
 from repro.core.expr import col, in_range, pmod
 from repro.modular.common import JoinConfig
 
@@ -165,5 +166,5 @@ class TestExpressions:
             build()
 
     def test_empty_frame_has_no_values(self):
-        out = pmod(col("k"), 3).eval(pd.DataFrame())
+        out = pmod(col("k"), 3).eval(RowVector({"k": np.zeros(0, dtype=np.int64)}))
         assert out.dtype == np.int64 and len(out) == 0

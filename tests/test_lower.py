@@ -325,10 +325,10 @@ class TestPythonRoundTrips:
 def _per_tuple(fn):
     """``fn`` as a Map kernel that fails on a batch of more than one tuple
     (a Filter upstream may leave an empty one)."""
-    def kernel(pdf):
-        if len(pdf) > 1:
-            raise AssertionError(f"a per-tuple Map saw a {len(pdf)}-row batch")
-        return fn(pdf)
+    def kernel(b):
+        if len(b) > 1:
+            raise AssertionError(f"a per-tuple Map saw a {len(b)}-row batch")
+        return fn(b)
 
     return kernel
 
@@ -361,11 +361,11 @@ class TestInterpretedEngine:
         def pre_scan(field, op):
             if field == "R":
                 return op
-            return Map(op, _per_tuple(lambda pdf: pdf.assign(vs=2 * pdf["vs"])), kv)
+            return Map(op, _per_tuple(lambda b: RowVector({**b, "vs": 2 * b["vs"]})), kv)
 
         def pair_post(op):
             typ = TupleType([("k", INT64), ("vr", INT64), ("vs", INT64)])
-            return Map(op, _per_tuple(lambda pdf: pdf.assign(vr=pdf["vr"] + 1)), typ)
+            return Map(op, _per_tuple(lambda b: RowVector({**b, "vr": b["vr"] + 1})), typ)
 
         def build(cfg):
             return distributed_join_plan(cfg, pre_scan=pre_scan, pair_post=pair_post)
@@ -398,7 +398,7 @@ class TestEmptyRelations:
         # a Filter is not lowerable, so the empty result goes through the
         # driver-side fallback, which must build it from the plan's types
         post = None if driver_post is None else (
-            lambda op: Filter(op, lambda pdf: pdf["k"].to_numpy() >= 0)
+            lambda op: Filter(op, lambda b: b["k"] >= 0)
         )
         plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2), driver_post=post)
         out = run_distributed_on_spark(
@@ -502,31 +502,49 @@ def _assert_kinds(pdf, typ, where):
         assert pdf[name].dtype.kind == _KINDS[atom], f"{where}: {name} is {pdf[name].dtype}"
 
 
+def _assert_columnar(batch, where):
+    """``batch`` is a ``RowVector`` of 1-D numpy columns of its length, and
+    so is every collection nested in it: no pandas object passes between
+    operators."""
+    assert isinstance(batch, RowVector), f"{where} yielded a {type(batch).__name__}"
+    for name, column in batch.items():
+        assert type(column) is np.ndarray, f"{where}: {name} is a {type(column).__name__}"
+        assert column.ndim == 1 and len(column) == len(batch), f"{where}: {name} has shape {column.shape}"
+        if column.dtype == object:
+            for cell in column:
+                if not isinstance(cell, str) and hasattr(cell, "__len__"):
+                    _assert_columnar(cell, f"{where}.{name}")
+
+
 class _DeclaredTypeCheck:
-    """Passed as the evaluator's profiler: checks every non-empty batch a
-    Map or ParametrizedMap yields against its declared_type, and every
-    non-empty partition an MpiExchange yields against the collection type
-    of its out_type (``types``: every operator's static type)."""
+    """Passed as the evaluator's profiler: checks that every batch every
+    operator yields is columnar (``_assert_columnar``), every non-empty
+    batch a Map or ParametrizedMap yields against its declared_type, and
+    every non-empty partition an MpiExchange yields against the collection
+    type of its out_type (``types``: every operator's static type)."""
 
     def __init__(self, types):
         self.types = types
         self.checked = set()
+        self.batches = 0
 
     def wrap(self, op, gen):
         if isinstance(op, (Map, ParametrizedMap)):
-            return self._check(op, gen, lambda pdf: [(pdf, op.declared_type)])
+            return self._check(op, gen, lambda b: [(b, op.declared_type)])
         if isinstance(op, MpiExchange):
             wire = self.types[op].field_type(op.data_field).tuple_type
-            return self._check(op, gen, lambda pdf: [(rv.df, wire) for rv in pdf[op.data_field]])
-        return gen
+            return self._check(op, gen, lambda b: [(rv, wire) for rv in b[op.data_field]])
+        return self._check(op, gen, lambda b: [])
 
     def _check(self, op, gen, frames):
-        for pdf in gen:
-            for frame, typ in frames(pdf):
+        for batch in gen:
+            _assert_columnar(batch, repr(op))
+            self.batches += 1
+            for frame, typ in frames(batch):
                 if len(frame):
                     _assert_kinds(frame, typ, repr(op))
                     self.checked.add(op)
-            yield pdf
+            yield batch
 
 
 def _declared_ops(plan):
@@ -564,6 +582,7 @@ class TestStaticSchemas:
             plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
         )
         assert checker.checked == set(_declared_ops(plan))
+        assert checker.batches > 0
         assert len(out)
         _assert_kinds(out, types[plan.root], name)
 

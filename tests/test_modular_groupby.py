@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.lower import run_distributed_on_spark
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.mpi.thread_backend import run_on_sim
@@ -84,3 +85,35 @@ def test_empty_relation_matches_duckdb(compress):
     cfg = JoinConfig(n_net=4, loc_bits=2, compress=compress, p_bits=20)
     out, _ = run_gb(t, 2, cfg)
     assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t)
+
+
+def _groupby_relation(n):
+    """Duplicate-heavy int64 keys, NULL values, and one key whose values
+    are all NULL; three value columns, one per re-aggregable aggregate."""
+    g = np.random.default_rng(11)
+    k = g.integers(-3, 5, n)
+    a = np.where(g.random(n) < 0.2, np.nan, g.integers(0, 100, n).astype(float))
+    a[k == 4] = np.nan
+    return pd.DataFrame({"k": k, "a": a, "b": g.standard_normal(n), "c": g.integers(0, 9, n)})
+
+
+GROUPBY_AGGS = {"a": "sum", "b": "min", "c": "max"}
+GROUPBY_SQL = "SELECT k, SUM(a) AS a, MIN(b) AS b, MAX(c) AS c FROM t GROUP BY k"
+
+
+@pytest.mark.parametrize("n", [0, 400])
+@pytest.mark.parametrize("substrate", ["sim", "spark"])
+def test_null_values_and_every_aggregate_match_duckdb(request, substrate, n):
+    """SQL NULL rules at every level: NULL values are skipped, and a key
+    whose values are all NULL sums to NULL; empty input keeps its columns."""
+    t = _groupby_relation(n)
+    plan = distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2), value_field="a", aggs=GROUPBY_AGGS)
+    if substrate == "sim":
+        out, _ = run_on_sim(plan, 3, {"T": t})
+        assert list(out.columns) == ["k", "a", "b", "c"]
+    else:
+        spark = request.getfixturevalue("spark")
+        df = spark.createDataFrame(t, schema="k long, a double, b double, c long")
+        out = run_distributed_on_spark(spark, plan, {"T": df})
+        assert out.columns == ["k", "a", "b", "c"]
+    assert_equivalent(out, GROUPBY_SQL, t=t)

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import RowVector
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
 from repro.mpi.thread_backend import run_on_sim
@@ -132,7 +133,7 @@ def test_rank_and_driver_post_hooks():
     def to_count(op):
         from repro.core.ops import Map
 
-        return Reduce(Map(op, lambda pdf: pd.DataFrame({"n": np.ones(len(pdf), dtype=int)})), {"n": "sum"})
+        return Reduce(Map(op, lambda b: RowVector({"n": np.ones(len(b), dtype=int)})), {"n": "sum"})
 
     r = dense_kv_pdf(128, value_field="vr", seed=13)
     s = dense_kv_pdf(128, value_field="vs", seed=14)

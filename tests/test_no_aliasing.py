@@ -1,8 +1,10 @@
-"""Kernels must not modify the frames they receive: ``concat_batches``
-hands a lone batch downstream as is, so a frame a kernel writes to may be
-a plan input or another consumer's batch. Each distributed plan runs twice
-over the same parameter ``RowVector``s; the inputs must come out unchanged
-and both runs must agree."""
+"""Kernels must not modify the batches they receive: ``concat`` hands a
+lone batch downstream as is, and the ranks' inputs are views of the
+caller's columns (``split_relation``), so an array a kernel writes to may
+be a plan input, the caller's relation or another consumer's batch. Each
+distributed plan runs twice over the same parameter ``RowVector``s; the
+inputs and the relations they view must come out unchanged, and both runs
+must agree."""
 import numpy as np
 import pytest
 
@@ -37,14 +39,13 @@ def sequence_case():
 
 def deep_copy(rv: RowVector) -> RowVector:
     """A copy that shares no array or nested RowVector with ``rv``."""
-    df = rv.df.copy(deep=True)
-    for c in df.columns:
-        if df[c].dtype == object:
-            cells = np.empty(len(df), dtype=object)
-            for i, v in enumerate(df[c]):
-                cells[i] = deep_copy(v) if isinstance(v, RowVector) else v
-            df[c] = cells
-    return RowVector(df)
+    cols = {}
+    for c, a in rv.items():
+        cols[c] = a.copy()
+        if a.dtype == object:
+            for i, v in enumerate(a):
+                cols[c][i] = deep_copy(v) if isinstance(v, RowVector) else v
+    return RowVector(cols)
 
 
 @pytest.mark.parametrize("case", [join_case, groupby_case, sequence_case],
@@ -55,8 +56,8 @@ def test_two_runs_leave_inputs_unchanged(case):
     params = make_rank_inputs(4, **rels)
     before = deep_copy(params["rank_inputs"])
     outs = [vectorized.run_to_pdf(plan, ExecContext(), params=params) for _ in range(2)]
-    # RowVector equality is DataFrame.equals, applied to nested cells too
-    assert params["rank_inputs"].df.equals(before.df)
+    # RowVector equality compares every column, nested RowVectors too
+    assert params["rank_inputs"] == before
     for name, pdf in rels.items():
         assert pdf.equals(originals[name]), name
     assert len(outs[0]) > 0

@@ -54,7 +54,7 @@ class TestLocalPartitioning:
         """Every tuple lands, unchanged, in the partition of its key."""
         rows = vectorized.run_rows(Plan(lp_plan()), params=params_of(t=KV))
         flat = pd.concat(
-            [r["partition_data"].df.assign(partition_id=r["partition_id"]) for r in rows],
+            [r["partition_data"].to_pandas().assign(partition_id=r["partition_id"]) for r in rows],
             ignore_index=True,
         )
         assert_equivalent(flat, "SELECT k % 4 AS partition_id, k, v FROM t", t=KV)

@@ -98,7 +98,7 @@ class TestMpiExchange:
         total = 0
         for rows in outs:
             for r in rows:
-                ks = r["partition_data"].df["k"].to_numpy()
+                ks = r["partition_data"]["k"]
                 total += len(ks)
                 assert (ks % 5 == r["partition_id"]).all()
         assert total == len(data)
@@ -116,9 +116,9 @@ class TestMpiExchange:
         seen = []
         for rows in outs:
             for r in rows:
-                pdf = r["partition_data"].df
-                assert list(pdf.columns) == ["kv"]
-                k, v = spec.decompress(pdf["kv"].to_numpy(), r["partition_id"])
+                part = r["partition_data"]
+                assert part.columns == ("kv",)
+                k, v = spec.decompress(part["kv"], r["partition_id"])
                 assert (k % 4 == r["partition_id"]).all()
                 seen.append(pd.DataFrame({"k": k, "v": v}))
         merged = pd.concat(seen).sort_values(["k", "v"]).reset_index(drop=True)
@@ -172,7 +172,7 @@ class TestMpiExchange:
         })
         outs, cluster = self.run_exchange(2, 4, data)
         assert cluster.total_bytes_put() == 8 * 3 * n + sum(len(v) for v in data["s"])
-        got = pd.concat([r["partition_data"].df for rows in outs for r in rows])
+        got = pd.concat([r["partition_data"].to_pandas() for rows in outs for r in rows])
         pd.testing.assert_frame_equal(got.sort_values("k").reset_index(drop=True), data)
 
     def test_fanout_mismatch_rejected(self):
@@ -187,7 +187,7 @@ class TestMpiExecutor:
 
         # nested plan: count rows of this rank's slice
         scan = RowScan(Projection(ParameterLookup(), ["T"]), "T")
-        cnt = Map(scan, lambda pdf: pd.DataFrame({"one": np.ones(len(pdf), dtype=np.int64)}))
+        cnt = Map(scan, lambda b: RowVector({"one": np.ones(len(b), dtype=np.int64)}))
         from repro.core.ops import Reduce
 
         red = Reduce(cnt, {"one": "sum"})

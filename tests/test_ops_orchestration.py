@@ -36,7 +36,7 @@ class TestParameterLookup:
 def sum_per_partition_plan():
     """Nested plan: scan the partition data, sum v per k, materialize."""
     scan = RowScan(Projection(ParameterLookup(), ["data"]), "data")
-    agg = ReduceByKey(scan, ["k"], {"v": "sum"})
+    agg = ReduceByKey(scan, "k", {"v": "sum"})
     return Plan(MaterializeRowVector(agg, field="out"))
 
 
@@ -68,7 +68,7 @@ class TestNestedMap:
         # inner: sum all v; middle: run inner per sub-partition
         inner_scan = RowScan(Projection(ParameterLookup(), ["data"]), "data")
         inner = Plan(MaterializeRowVector(
-            ReduceByKey(inner_scan, ["k"], {"v": "sum"}),
+            ReduceByKey(inner_scan, "k", {"v": "sum"}),
             field="out",
         ))
         mid_scan = RowScan(Projection(ParameterLookup(), ["outer_data"]), "outer_data")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Plan
+from repro.core import Plan, RowVector
 from repro.core.expr import col, pmod
 from repro.core.ops import (
     BuildProbe,
@@ -29,6 +29,29 @@ from tests.helpers import params_of, source
 
 KV = pd.DataFrame({"k": [1, 2, 3, 2, 1], "v": [10, 20, 30, 40, 50]})
 
+NAN = np.nan
+#: aggregation inputs pinned against DuckDB: NULL values are skipped,
+#: 'count' counts the others, 'sum'/'min'/'max' over none are NULL, and a
+#: NULL key forms no group (``ReduceByKey``'s rule, not SQL's: the SQL side
+#: filters those keys out); empty input keeps its columns
+AGG_CASES = {
+    # key 3 has only NULL values
+    "nan-keys-and-values": pd.DataFrame(
+        {"k": [1.0, NAN, 2.0, 1.0, NAN, 3.0, 2.0], "v": [1.0, 2.0, NAN, 4.0, 5.0, NAN, -1.5]}
+    ),
+    "string-keys-with-none": pd.DataFrame(
+        {"k": ["b", None, "a", "b", "c", None, "a"], "v": [1.0, 2.0, NAN, 4.0, NAN, 6.0, 0.5]}
+    ),
+    "string-values": pd.DataFrame({"k": [2, 1, 2, 1, 3], "v": ["x", "b", None, "a", None]}),
+    "duplicate-heavy": pd.DataFrame({
+        "k": np.random.default_rng(7).integers(0, 3, 300),
+        "v": np.random.default_rng(8).integers(-50, 50, 300),
+    }),
+    "empty": pd.DataFrame({"k": pd.Series([], dtype="float64"), "v": pd.Series([], dtype="float64")}),
+}
+AGGS = {"s": "sum", "n": "count", "lo": "min", "hi": "max"}
+AGG_SQL = {"s": "SUM(v) AS s", "n": "COUNT(v) AS n", "lo": "MIN(v) AS lo", "hi": "MAX(v) AS hi"}
+
 
 def run_plan(root, **frames):
     rows = vectorized.run_rows(Plan(root), params=params_of(**frames))
@@ -37,7 +60,7 @@ def run_plan(root, **frames):
 
 class TestMap:
     def test_row_and_batch_agree(self):
-        root = Map(source("t"), lambda pdf: pd.DataFrame({"k": pdf["k"], "v2": pdf["v"] * 2}))
+        root = Map(source("t"), lambda b: RowVector({"k": b["k"], "v2": b["v"] * 2}))
         rows = run_plan(root, t=KV)
         assert {"k": 1, "v2": 20} in rows
         assert len(rows) == 5
@@ -47,11 +70,11 @@ class TestParametrizedMap:
     def test_parameter_passed_to_every_call(self):
         from repro.core.ops import ParameterLookup
 
-        param = Map(ParameterLookup(), lambda pdf: pd.DataFrame({"shift": [100]}))
+        param = Map(ParameterLookup(), lambda b: RowVector({"shift": [100]}))
         root = ParametrizedMap(
             param,
             source("t"),
-            lambda pdf, p: pd.DataFrame({"k": pdf["k"] + p["shift"], "v": pdf["v"]}),
+            lambda b, p: RowVector({"k": b["k"] + p["shift"], "v": b["v"]}),
         )
         rows = run_plan(root, t=KV)
         assert sorted(r["k"] for r in rows) == [101, 101, 102, 102, 103]
@@ -91,7 +114,7 @@ class TestCartesianProduct:
 
 class TestFilter:
     def test_predicate(self):
-        root = Filter(source("t"), lambda pdf: (pdf["v"] > 25).to_numpy())
+        root = Filter(source("t"), lambda b: b["v"] > 25)
         rows = run_plan(root, t=KV)
         assert sorted(r["v"] for r in rows) == [30, 40, 50]
 
@@ -107,7 +130,7 @@ class TestReduce:
         one tuple: COUNT is 0, SUM/MIN/MAX are NULL."""
         aggs = {"v": "sum", "n": "count", "lo": "min", "hi": "max"}
         root = Reduce(
-            Map(source("t"), lambda pdf: pd.DataFrame({c: pdf["v"] for c in aggs})), aggs
+            Map(source("t"), lambda b: RowVector({c: b["v"] for c in aggs})), aggs
         )
         (row,) = run_plan(root, t=KV.iloc[:0])
         assert row["n"] == 0
@@ -116,7 +139,7 @@ class TestReduce:
     def test_all_aggregates_match_duckdb(self):
         t = pd.DataFrame({"v": [3.0, None, 1.0, 7.0]})
         root = Reduce(
-            Map(source("t"), lambda pdf: pd.DataFrame({c: pdf["v"] for c in ("s", "n", "lo", "hi")})),
+            Map(source("t"), lambda b: RowVector({c: b["v"] for c in ("s", "n", "lo", "hi")})),
             {"s": "sum", "n": "count", "lo": "min", "hi": "max"},
         )
         for rel in (t, t.iloc[:0], t.iloc[1:2]):  # values, no tuples, only NULL
@@ -125,6 +148,15 @@ class TestReduce:
                 out, "SELECT SUM(v) AS s, COUNT(v) AS n, MIN(v) AS lo, MAX(v) AS hi FROM t", t=rel
             )
 
+    @pytest.mark.parametrize("case", ["nan-keys-and-values", "string-keys-with-none", "empty"])
+    def test_matches_duckdb_over_null_keys_and_values(self, case):
+        """One tuple always, over the NULL-keyed tuples too."""
+        t = AGG_CASES[case]
+        root = Reduce(Map(source("t"), lambda b: RowVector({c: b["v"] for c in AGGS})), AGGS)
+        out = vectorized.run_to_pdf(Plan(root), params=params_of(t=t))
+        assert len(out) == 1
+        assert_equivalent(out, f"SELECT {', '.join(AGG_SQL.values())} FROM t", t=t)
+
     def test_rejects_unknown_aggregate(self):
         with pytest.raises(ValueError, match="aggregates must map"):
             Reduce(source("t"), {"v": "avg"})
@@ -132,21 +164,26 @@ class TestReduce:
 
 class TestReduceByKey:
     def test_combines_per_key_and_restores_key(self):
-        root = ReduceByKey(source("t"), ["k"], {"v": "sum"})
+        root = ReduceByKey(source("t"), "k", {"v": "sum"})
         rows = run_plan(root, t=KV)
         assert rows == [{"k": 1, "v": 60}, {"k": 2, "v": 60}, {"k": 3, "v": 30}]
 
+    @pytest.mark.parametrize("case", AGG_CASES)
+    def test_matches_duckdb(self, case):
+        t = AGG_CASES[case]
+        # SUM is not defined over strings
+        aggs = {c: a for c, a in AGGS.items() if not (case == "string-values" and a == "sum")}
+        up = Map(source("t"), lambda b: RowVector({"k": b["k"], **{c: b["v"] for c in aggs}}))
+        out = vectorized.run_to_pdf(Plan(ReduceByKey(up, "k", aggs)), params=params_of(t=t))
+        assert list(out.columns) == ["k", *aggs]
+        select = ", ".join(AGG_SQL[c] for c in aggs)
+        assert_equivalent(out, f"SELECT k, {select} FROM t WHERE k IS NOT NULL GROUP BY k", t=t)
+
     def test_output_type_matches_input_order(self):
         df = pd.DataFrame({"v": [1, 2], "k": [7, 7]})
-        root = ReduceByKey(source("t"), ["k"], {"v": "sum"})
+        root = ReduceByKey(source("t"), "k", {"v": "sum"})
         pdf = vectorized.run_to_pdf(Plan(root), params=params_of(t=df))
         assert list(pdf.columns) == ["v", "k"]
-
-    def test_multi_key(self):
-        df = pd.DataFrame({"a": [1, 1, 2], "b": ["x", "x", "y"], "v": [1, 2, 3]})
-        root = ReduceByKey(source("t"), ["a", "b"], {"v": "sum"})
-        rows = run_plan(root, t=df)
-        assert rows == [{"a": 1, "b": "x", "v": 3}, {"a": 2, "b": "y", "v": 3}]
 
 
 class TestZip:

@@ -56,8 +56,8 @@ class TestWindows:
             # slot layout: slot r belongs to writer rank r (disjoint offsets,
             # exactly how histogram-derived offsets avoid synchronization)
             other = 1 - comm.rank
-            comm.put(win, other, comm.rank, {"v": np.array([x])})
-            comm.put(win, comm.rank, comm.rank, {"v": np.array([x * 100])})
+            comm.put(win, other, comm.rank, {"v": np.array([x])}, np.array([0]))
+            comm.put(win, comm.rank, comm.rank, {"v": np.array([x * 100])}, np.array([0]))
             comm.fence(win)
             return list(win.local(comm.rank)["v"])
 
@@ -70,7 +70,7 @@ class TestWindows:
 
         def prog(comm, _):
             win = comm.win_create(1, {"v": np.int64})
-            comm.put(win, 0, 1, {"v": np.array([1])})
+            comm.put(win, 0, 1, {"v": np.array([1])}, np.array([0]))
 
         with pytest.raises(RuntimeError, match="overflows"):
             c.run(prog, [None])
@@ -104,7 +104,8 @@ class TestWindows:
 
         def prog(comm, _):
             win = comm.win_create(4, {"v": np.int64, "s": object})
-            comm.put(win, comm.rank, 0, {"v": np.array([1, 2]), "s": np.array(["ab", "c"], object)})
+            comm.put(win, comm.rank, 0, {"v": np.array([1, 2]), "s": np.array(["ab", "c"], object)},
+                     np.array([0, 1]))
             comm.fence(win)
             return None
 
@@ -112,6 +113,33 @@ class TestWindows:
         # 8 bytes per int64 cell, the string length per object cell
         assert c.total_bytes_put() == 2 * (2 * 8 + 3)
         assert all(s.puts == 1 and s.windows_created == 1 for s in c.stats)
+
+    def test_gathering_put_matches_copying_the_gathered_rows(self):
+        """``put`` gathers rows straight into the window: the window and
+        the byte count are those of copying ``column[rows]`` in, for every
+        column kind the exchange carries."""
+        n = 40
+        g = np.random.default_rng(0)
+        columns = {
+            "i": g.integers(-(1 << 62), 1 << 62, n),
+            "f": g.standard_normal(n),
+            "d": np.datetime64("1995-01-01", "ns") + g.integers(0, 10**15, n).astype("m8[ns]"),
+            "s": np.array(["x" * int(k) for k in g.integers(0, 5, n)], dtype=object),
+        }
+        pieces = [g.permutation(n)[:m] for m in (7, 0, 13)]
+        comm = LocalComm()
+        win = comm.win_create(20, {c: a.dtype for c, a in columns.items()})
+        offset = 0
+        for rows in pieces:
+            if len(rows):
+                comm.put(win, 0, offset, columns, rows)
+            offset += len(rows)
+        comm.fence(win)
+        for c, a in columns.items():
+            np.testing.assert_array_equal(win.local(0)[c], np.concatenate([a[r] for r in pieces]))
+        strings = sum(len(v) for r in pieces for v in columns["s"][r])
+        assert comm.stats.bytes_put == 3 * 8 * 20 + strings
+        assert comm.stats.puts == 2
 
 
 class TestLocalComm:
@@ -121,7 +149,7 @@ class TestLocalComm:
         assert list(comm.allreduce_sum(np.array([3]))) == [3]
         assert list(comm.exscan_sum(np.array([3]))) == [0]
         win = comm.win_create(2, {"v": np.int64})
-        comm.put(win, 0, 0, {"v": np.array([1, 2])})
+        comm.put(win, 0, 0, {"v": np.array([1, 2])}, np.array([0, 1]))
         comm.fence(win)
         assert list(win.local(0)["v"]) == [1, 2]
         assert list(win.local(0, 1, 2)["v"]) == [2]

@@ -11,6 +11,7 @@ from repro.modular.common import JoinConfig
 from repro.mpi.thread_backend import run_on_sim
 from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
+from repro.queries.tpch import Q4_SQL, q4_plan
 from repro.synth_data import lineitem_pdf, orders_pdf, part_pdf
 
 SF = 0.004
@@ -122,3 +123,17 @@ class TestQueriesAreSelective:
         expect = duckdb_answer(QUERY[name].sql, tables_pdf)
         assert len(expect) > 0
         assert not expect.isna().any().any()
+
+
+def test_null_group_keys_form_no_group_on_sim_and_spark(spark):
+    """Q4 groups by a string key; orders without a priority form no group
+    on either substrate (``ReduceByKey``'s rule; the SQL filters them)."""
+    orders = orders_pdf(sf=0.002, seed=3)
+    orders.loc[orders.index % 5 == 0, "o_orderpriority"] = None
+    lineitem = lineitem_pdf(sf=0.002, seed=4)
+    sql = Q4_SQL.replace("GROUP BY", "AND o_orderpriority IS NOT NULL GROUP BY")
+    out, _ = run_on_sim(q4_plan(CFG), 2, {"L": lineitem, "O": orders})
+    assert_equivalent(out, sql, orders=orders, lineitem=lineitem)
+    relations = {"L": spark.createDataFrame(lineitem), "O": spark.createDataFrame(orders)}
+    assert_equivalent(run_distributed_on_spark(spark, q4_plan(CFG), relations), sql,
+                      orders=orders, lineitem=lineitem)
