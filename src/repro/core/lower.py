@@ -2,46 +2,54 @@
 
 This is the "another platform" of the paper: the *same* plan object that
 runs SPMD on the simulated MPI cluster is mapped onto Spark's physical
-operators. Only the three platform-specific operators change meaning:
+operators. ``MpiExecutor`` is the Spark job itself (ranks = shuffle
+partitions). Its nested *rank plan* is lowered by one memoized recursion
+that dispatches on operator type, not on plan shape: each operator lowers
+to a DataFrame over the DataFrames its upstreams lowered to.
 
-===================  =====================================================
-sub-operator          Catalyst physical stage
-===================  =====================================================
-MpiExecutor           the Spark job itself (ranks = shuffle partitions)
-LocalHistogram +
-MpiHistogram          ``groupBy('__pid').count()`` + driver collect
-                      (aggregate + AllReduce)
-MpiExchange           a Catalyst ``Project``, ``selectExpr`` of the
-                      exchange's wire columns and its pid expression
-                      (``MpiExchange.exprs``, compiled to Spark SQL) as
-                      ``__pid``, then the shuffle exchange induced by
-                      ``groupBy('__pid')``. Compressed, the wire is the one
-                      int64 ``CompressionSpec.word``, domain check included
-===================  =====================================================
+=========================  ==================================================
+rank-plan operator         Catalyst stage
+=========================  ==================================================
+RowScan over               the input relation of that name
+Projection(ParameterLookup)
+MpiExchange                a ``Project``: ``selectExpr`` of its wire columns
+                           (its input columns, or the one int64
+                           ``CompressionSpec.word``, domain check included)
+                           and its pid expression as ``__pid``, both
+                           compiled to Spark SQL (``MpiExchange.exprs``);
+                           one entry of ``Lowered.pre``. LocalHistogram +
+                           MpiHistogram are ``Lowered.histograms``,
+                           ``groupBy('__pid').count()`` (aggregate +
+                           collect = AllReduce)
+RowScan over NestedMap     the shuffle induced by grouping on ``__pid``,
+over Zip(MpiExchange...)   and a pandas UDF that runs the *actual nested
+or one MpiExchange         plan* per network partition through the
+                           vectorized evaluator: ``groupBy().applyInPandas``
+                           (one side), ``cogroup().applyInPandas`` (two) or
+                           a tagged union (more)
+a chain of Filter/Map      one fused ``mapInPandas`` stage
+Projection, Reduce,        native ``select``, ``agg``, ``groupBy().agg()``
+ReduceByKey
+MaterializeRowVector       its upstream's DataFrame
+(the rank plan's root)
+=========================  ==================================================
+
+Any other rank-plan operator raises ``TypeError`` naming it. An exchange
+lowers the same over whatever its upstream lowered to, so the naive join
+cascade's re-exchange of a join output lowers like a base relation's.
+
+The driver plan above ``RowScan(MpiExecutor)`` post-processes all ranks'
+results: ``Lowered.result()`` lowers its leading natives (``Projection``,
+``Reduce``, ``ReduceByKey``) to Catalyst and runs the rest with the
+operators' own kernels on the collected (small) result, exactly like the
+paper's driver.
 
 Every Spark schema comes from the plan's static types (paper Section 3.2):
 the input relations' Spark schemas seed the rank plan's type propagation
-(``Plan.op_types``); each exchange's collection type, plus ``__pid``, is
-its pre-exchange schema, and the NestedMap root field's type is the
-nested-plan schema. Lowering therefore runs no Spark job; an operator whose
-type cannot be inferred (a ``Map`` without ``declared_type``) is rejected.
-
-Everything else is platform-agnostic and reused verbatim:
-
-* the opaque operators of a *pre-exchange pipeline* (the ``Filter``s and
-  ``Map``s of a query's ``pre_scan``) run fused in one ``mapInPandas``
-  stage, one Catalyst ``MapInPandas`` node per side, before the exchange's
-  ``Project``. A side without them runs no Python before the shuffle: the
-  pid and the wire word are native Catalyst columns, computed from the
-  same expressions the evaluator runs with numpy;
-* ``Zip`` + ``NestedMap`` over matching network partitions become
-  ``cogroup().applyInPandas`` (two sides), ``groupBy().applyInPandas``
-  (one side) or a tagged union (N-ary join sequences); the pandas UDF runs
-  the *actual nested sub-operator plan* through the vectorized evaluator;
-* post-aggregation ``ReduceByKey``/``Reduce`` lower their aggregate specs
-  to Catalyst aggregates; residual driver-side post-processing runs the
-  operators' own kernels on the collected (small) result, exactly like the
-  paper's driver.
+(``Plan.op_types``), and each stage's schema is its operator's type (an
+exchange's is its collection type, plus ``__pid``). Lowering therefore
+runs no Spark job; an operator whose type cannot be inferred (a ``Map``
+without ``declared_type``) is rejected.
 
 ``batch_size`` is the evaluator's scan batch size in every stage (None: a
 whole partition per batch). At ``batch_size=1`` the same kernels dispatch
@@ -50,6 +58,7 @@ Presto stand-in).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,11 +73,14 @@ from repro.core.ops.base import ExecContext, SubOperator
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
 from repro.core.ops.orchestration import NestedMap, ParameterLookup, _single
-from repro.core.ops.processing import ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
+from repro.core.ops.processing import Filter, Map, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType, concat
 
 _NATIVE_AGGS = {"sum": F.sum, "min": F.min, "max": F.max, "count": F.count}
+_NATIVES = (Projection, Reduce, ReduceByKey)
+#: single-input operators holding an opaque callable: they run in Python
+_OPAQUE = (Filter, Map)
 
 #: the one atom <-> Spark type mapping: input relations are typed through
 #: it, and every schema the lowering declares is built from it
@@ -87,15 +99,17 @@ class Lowered:
     """Handles to the lowered Catalyst stages of one distributed plan."""
 
     spark: SparkSession
-    #: one pre-exchange DataFrame per side, carrying ``__pid``
+    #: one DataFrame per MpiExchange, carrying ``__pid``, upstream first
     pre: List[DataFrame]
-    #: the NestedMap output (flattened inner results, post-shuffle)
+    #: the root-most nested stage's output (flattened inner results)
     inner: DataFrame
+    #: the lowered rank plan: every rank's result in one DataFrame
+    ranks: DataFrame
     #: the final result's schema, from the plan's static types
     schema: T.StructType
-    #: post ops (rank- then driver-level) still to apply, application order
-    post_ops: List[SubOperator] = field(default_factory=list)
-    #: the evaluator's scan batch size, also for the residual post ops
+    #: the driver plan's operators above RowScan(MpiExecutor), application order
+    driver_ops: List[SubOperator] = field(default_factory=list)
+    #: the evaluator's scan batch size, also for the residual driver ops
     batch_size: Optional[int] = None
 
     @property
@@ -106,18 +120,13 @@ class Lowered:
         return [df.groupBy("__pid").count() for df in self.pre]
 
     def result(self) -> DataFrame:
-        """Apply the lowered post-aggregation chain and return the final
-        DataFrame (Catalyst aggregates for aggregate specs, the operators'
-        kernels on the collected result for the residual post-processing)."""
-        df = self.inner
-        pending = list(self.post_ops)
-        while pending:
-            op = pending[0]
-            lowered = _lower_post_native(df, op)
-            if lowered is None:
-                break
-            df = lowered
-            pending.pop(0)
+        """Apply the driver plan and return the final DataFrame: its
+        leading natives as Catalyst operators, the residual with the
+        operators' kernels on the collected result."""
+        df = self.ranks
+        pending = list(self.driver_ops)
+        while pending and isinstance(pending[0], _NATIVES):
+            df = _native(df, pending.pop(0))
         if pending:
             pdf = _apply_chain(pending, df.toPandas(), self.batch_size)
             # createDataFrame matches pandas columns to the schema by position
@@ -132,53 +141,38 @@ def lower_distributed_plan(
     relations: Dict[str, DataFrame],
     batch_size: Optional[int] = None,
 ) -> Lowered:
-    """Compile a canonical distributed plan (see ``repro.modular``) into
-    Spark stages over the given input DataFrames.
+    """Compile a distributed plan (see ``repro.modular``) into Spark stages
+    over the given input DataFrames.
 
     Every schema comes from the plan's static types, seeded with the input
     relations' Spark schemas, so lowering runs no Spark job. A type the
     plan cannot infer (a ``Map`` without ``declared_type``) on the lowered
-    path raises ``TypeError`` naming the operator. ``batch_size`` is the
-    evaluator's scan batch size in every stage (1: per-tuple dispatch)."""
-    me, driver_ops = _split_top(plan)
+    path, or an operator no lowering rule covers, raises ``TypeError``
+    naming the operator. ``batch_size`` is the evaluator's scan batch size
+    in every stage (1: per-tuple dispatch)."""
+    path = _driver_path(plan, plan.root)
+    me = path[0].upstreams[0]
     rank_plan = me.nested_plan
-    nm1, exchanges, rank_ops = _split_rank(rank_plan)
-    inner_plan = nm1.nested_plan
-    inner_field = _root_field(inner_plan)
-
-    chains = [_pre_chain(ex) for ex in exchanges]
-    for _, rel_name in chains:
-        if rel_name not in relations:
-            raise KeyError(f"plan reads relation {rel_name!r}, not provided")
+    names = dict.fromkeys(op.field for op in rank_plan.operators() if _is_relation_scan(op))
+    for name in names:
+        if name not in relations:
+            raise KeyError(f"plan reads relation {name!r}, not provided")
     rank_param = TupleType([
-        (name, RowVectorType(_tuple_type(name, relations[name].schema)))
-        for name in dict.fromkeys(name for _, name in chains)
+        (name, RowVectorType(_tuple_type(name, relations[name].schema))) for name in names
     ])
-    types = rank_plan.op_types(rank_param)
-
-    pre_dfs: List[DataFrame] = []
-    for ex, (pre_ops, rel_name) in zip(exchanges, chains):
-        wire = _collection(_require(rank_plan, types, ex), ex.data_field)
-        df = relations[rel_name]
-        if pre_ops:
-            schema = _struct(_require(rank_plan, types, ex.upstreams[0]))
-            df = df.mapInPandas(_make_pre_fn(pre_ops, batch_size), schema=schema)
-        pre_dfs.append(df.selectExpr(*_wire_sql(ex, wire), f"{ex.bucket.sql()} AS __pid"))
-
-    nested_schema = _struct(_collection(_require(rank_plan, types, nm1), inner_field))
-    inner_df = _lower_nested(
-        spark, pre_dfs, exchanges, inner_plan, inner_field, nested_schema, batch_size
-    )
+    lowering = _Lowering(rank_plan, rank_plan.op_types(rank_param), relations, batch_size)
+    ranks = lowering(rank_plan.root)
 
     # the driver plan reads the per-rank inputs as one collection field
     top_param = TupleType([(me.upstreams[0].field, RowVectorType(rank_param))])
     result_type = _require(plan, plan.op_types(top_param), plan.root)
     return Lowered(
         spark=spark,
-        pre=pre_dfs,
-        inner=inner_df,
+        pre=lowering.pre,
+        inner=lowering.inner,
+        ranks=ranks,
         schema=_struct(result_type),
-        post_ops=rank_ops + driver_ops,
+        driver_ops=path[1:],
         batch_size=batch_size,
     )
 
@@ -191,6 +185,96 @@ def run_distributed_on_spark(
 ) -> DataFrame:
     """One-call convenience: lower and produce the final DataFrame."""
     return lower_distributed_plan(spark, plan, relations, batch_size).result()
+
+
+# ---------------------------------------------------------------------------
+# one lowering rule per operator
+# ---------------------------------------------------------------------------
+
+class _Lowering:
+    """The memoized lowering of one rank plan: calling it on an operator
+    returns that operator's DataFrame, lowering each operator once."""
+
+    def __init__(self, plan: Plan, types: Dict[SubOperator, Optional[TupleType]],
+                 relations: Dict[str, DataFrame], batch_size: Optional[int]) -> None:
+        self.plan = plan
+        self.types = types
+        self.relations = relations
+        self.batch_size = batch_size
+        self.memo: Dict[SubOperator, DataFrame] = {}
+        self.pre: List[DataFrame] = []
+        self.inner: Optional[DataFrame] = None
+
+    def __call__(self, op: SubOperator) -> DataFrame:
+        if op not in self.memo:
+            self.memo[op] = self._lower(op)
+        return self.memo[op]
+
+    def _type(self, op: SubOperator) -> TupleType:
+        return _require(self.plan, self.types, op)
+
+    def _lower(self, op: SubOperator) -> DataFrame:
+        if _is_relation_scan(op):
+            return self.relations[op.field]
+        if isinstance(op, MpiExchange):
+            wire = self._type(op).field_type(op.data_field).tuple_type
+            df = self(op.upstreams[0]).selectExpr(*_wire_sql(op, wire), f"{op.bucket.sql()} AS __pid")
+            self.pre.append(df)
+            return df
+        if isinstance(op, RowScan) and isinstance(op.upstreams[0], NestedMap):
+            nm = op.upstreams[0]
+            sides = nm.upstreams[0].upstreams if isinstance(nm.upstreams[0], Zip) else nm.upstreams
+            for ex in sides:
+                if not isinstance(ex, MpiExchange):
+                    raise TypeError(f"cannot lower plan {self.plan.name!r}: a NestedMap over "
+                                    f"{type(ex).__name__}, not MpiExchange")
+            self.inner = _nested_stage(
+                [self(ex) for ex in sides], sides, nm.nested_plan, op.field,
+                _struct(self._type(op)), self.batch_size,
+            )
+            return self.inner
+        if isinstance(op, _OPAQUE):
+            chain = [op]
+            while isinstance(chain[0].upstreams[0], _OPAQUE):
+                chain.insert(0, chain[0].upstreams[0])
+            fn = _make_map_fn(chain, self.batch_size)
+            return self(chain[0].upstreams[0]).mapInPandas(fn, schema=_struct(self._type(op)))
+        if isinstance(op, _NATIVES):
+            return _native(self(op.upstreams[0]), op)
+        if isinstance(op, MaterializeRowVector) and op is self.plan.root:
+            return self(op.upstreams[0])
+        raise TypeError(f"cannot lower plan {self.plan.name!r}: no Spark lowering rule for {type(op).__name__}")
+
+
+def _is_relation_scan(op: SubOperator) -> bool:
+    """``op`` is ``RowScan(Projection(ParameterLookup))``: it reads the
+    input relation ``op.field``."""
+    return (
+        isinstance(op, RowScan)
+        and isinstance(op.upstreams[0], Projection)
+        and isinstance(op.upstreams[0].upstreams[0], ParameterLookup)
+    )
+
+
+def _driver_path(plan: Plan, op: SubOperator) -> List[SubOperator]:
+    """``RowScan(MpiExecutor)`` and the driver plan's operators above it,
+    in application order."""
+    if isinstance(op, RowScan) and isinstance(op.upstreams[0], MpiExecutor):
+        return [op]
+    if len(op.upstreams) != 1:
+        raise TypeError(
+            f"cannot lower plan {plan.name!r}: its {type(op).__name__} is not a "
+            "single-input driver operator above RowScan(MpiExecutor)"
+        )
+    return _driver_path(plan, op.upstreams[0]) + [op]
+
+
+def _native(df: DataFrame, op: SubOperator) -> DataFrame:
+    """A ``Projection``, ``Reduce`` or ``ReduceByKey`` as Catalyst operators."""
+    if isinstance(op, Projection):
+        return df.select(*op.fields)
+    aggs = [_NATIVE_AGGS[a](c).alias(c) for c, a in op.aggs.items()]
+    return df.groupBy(op.key).agg(*aggs) if isinstance(op, ReduceByKey) else df.agg(*aggs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +294,14 @@ def _tuple_type(relation: str, schema: T.StructType) -> TupleType:
     return TupleType(fields)
 
 
-def _struct(t: TupleType, *extra: T.StructField) -> T.StructType:
+def _struct(t: TupleType) -> T.StructType:
     """The Spark schema of tuples of type ``t`` (atoms only)."""
     fields = []
     for name, item in t.fields:
         if item not in _SPARK_TYPES:
             raise TypeError(f"field {name!r} of type {item!r} has no Spark type")
         fields.append(T.StructField(name, _SPARK_TYPES[item]))
-    return T.StructType(fields + list(extra))
-
-
-def _collection(t: TupleType, name: str) -> TupleType:
-    """The tuple type inside collection field ``name`` of ``t``."""
-    item = t.field_type(name)
-    if not isinstance(item, RowVectorType):
-        raise TypeError(f"field {name!r} is not a collection: {item!r}")
-    return item.tuple_type
+    return T.StructType(fields)
 
 
 def _require(plan: Plan, types: Dict[SubOperator, Optional[TupleType]], op: SubOperator) -> TupleType:
@@ -248,79 +324,6 @@ def _require(plan: Plan, types: Dict[SubOperator, Optional[TupleType]], op: SubO
 
 
 # ---------------------------------------------------------------------------
-# plan surgery
-# ---------------------------------------------------------------------------
-
-def _split_top(plan: Plan) -> Tuple[MpiExecutor, List[SubOperator]]:
-    """Walk from the root down to RowScan(MpiExecutor); the ops between are
-    the driver post-processing chain (returned in application order)."""
-    chain: List[SubOperator] = []
-    op = plan.root
-    while True:
-        if isinstance(op, RowScan) and op.upstreams and isinstance(op.upstreams[0], MpiExecutor):
-            return op.upstreams[0], list(reversed(chain))
-        if not op.upstreams:
-            raise ValueError("plan has no MpiExecutor — not a distributed plan")
-        chain.append(op)
-        op = _data_upstream(op)
-
-
-def _split_rank(rank_plan: Plan) -> Tuple[NestedMap, List[MpiExchange], List[SubOperator]]:
-    """Decompose the per-rank plan: MaterializeRowVector root, post chain,
-    RowScan over the NestedMap, whose upstream is a Zip of exchanges (or a
-    single exchange for GROUP BY)."""
-    root = rank_plan.root
-    if not isinstance(root, MaterializeRowVector):
-        raise ValueError("rank plan must end in MaterializeRowVector")
-    chain: List[SubOperator] = []
-    op = root.upstreams[0]
-    while not (isinstance(op, RowScan) and isinstance(op.upstreams[0], NestedMap)):
-        chain.append(op)
-        op = _data_upstream(op)
-    nm1 = op.upstreams[0]
-    up = nm1.upstreams[0]
-    if isinstance(up, Zip):
-        exchanges = list(up.upstreams)
-    else:
-        exchanges = [up]
-    for ex in exchanges:
-        if not isinstance(ex, MpiExchange):
-            raise ValueError(f"NestedMap upstream {type(ex).__name__} is not MpiExchange")
-    return nm1, exchanges, list(reversed(chain))
-
-
-def _data_upstream(op: SubOperator) -> SubOperator:
-    """The data-carrying upstream of a chain operator."""
-    if isinstance(op, ParametrizedMap):
-        return op.upstreams[1]
-    if len(op.upstreams) != 1:
-        raise ValueError(f"{type(op).__name__} is not a chain operator")
-    return op.upstreams[0]
-
-
-def _pre_chain(ex: MpiExchange) -> Tuple[List[SubOperator], str]:
-    """Ops between the rank input scan and the exchange (application order)
-    plus the input relation's field name."""
-    chain: List[SubOperator] = []
-    op = ex.upstreams[0]
-    while not (
-        isinstance(op, RowScan)
-        and isinstance(op.upstreams[0], Projection)
-        and isinstance(op.upstreams[0].upstreams[0], ParameterLookup)
-    ):
-        chain.append(op)
-        op = _data_upstream(op)
-    return list(reversed(chain)), op.field or op.upstreams[0].fields[0]
-
-
-def _root_field(inner_plan: Plan) -> str:
-    root = inner_plan.root
-    if not isinstance(root, MaterializeRowVector):
-        raise ValueError("nested plan must end in MaterializeRowVector")
-    return root.field
-
-
-# ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
@@ -334,10 +337,10 @@ def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, batch_size: Opti
     return concat(batches).to_pandas()
 
 
-def _make_pre_fn(pre_ops: Sequence[SubOperator], batch_size: Optional[int]) -> Callable:
+def _make_map_fn(ops: Sequence[SubOperator], batch_size: Optional[int]) -> Callable:
     def fn(iterator):
         for pdf in iterator:
-            out = _apply_chain(pre_ops, pdf, batch_size)
+            out = _apply_chain(ops, pdf, batch_size)
             if len(out):
                 yield out
 
@@ -370,87 +373,52 @@ def _run_inner(
     return _single(out, "NestedMap")[inner_field].to_pandas()
 
 
-def _lower_nested(
-    spark: SparkSession,
-    pre_dfs: List[DataFrame],
-    exchanges: List[MpiExchange],
+def _nested_stage(
+    dfs: List[DataFrame],
+    exchanges: Sequence[MpiExchange],
     inner_plan: Plan,
     inner_field: str,
-    schema,
+    schema: T.StructType,
     batch_size: Optional[int],
 ) -> DataFrame:
-    out_cols = [f.name for f in schema.fields]
+    """The nested plan run once per ``__pid`` over the exchanges' DataFrames
+    ``dfs``. One UDF body serves any number of sides; the side count picks
+    how the sides meet per ``__pid``: ``groupBy`` (one), ``cogroup`` (two)
+    or a tagged union (more)."""
+    side_cols = [[c for c in df.columns if c != "__pid"] for df in dfs]
+    out_cols = schema.fieldNames()
 
-    def finish(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.reindex(columns=out_cols)
+    def body(key, frames: Sequence[pd.DataFrame]) -> pd.DataFrame:
+        sides = [(ex, pdf[cols]) for ex, cols, pdf in zip(exchanges, side_cols, frames)]
+        return _run_inner(inner_plan, inner_field, int(key[0]), sides, batch_size).reindex(columns=out_cols)
 
-    if len(exchanges) == 1:
-        ex = exchanges[0]
-
+    # pyspark passes the key only to a function of 2 (grouped) or 3
+    # (cogrouped) named parameters; the names show in the Catalyst plan
+    if len(dfs) == 1:
         def gfn(key, pdf):
-            return finish(
-                _run_inner(inner_plan, inner_field, int(key[0]),
-                           [(ex, pdf.drop(columns="__pid"))], batch_size)
-            )
+            return body(key, [pdf])
 
-        return pre_dfs[0].groupBy("__pid").applyInPandas(gfn, schema=schema)
+        return dfs[0].groupBy("__pid").applyInPandas(gfn, schema=schema)
 
-    if len(exchanges) == 2:
-        ex_l, ex_r = exchanges
-
+    if len(dfs) == 2:
         def jfn(key, lpdf, rpdf):
-            return finish(
-                _run_inner(
-                    inner_plan, inner_field, int(key[0]),
-                    [(ex_l, lpdf.drop(columns="__pid")), (ex_r, rpdf.drop(columns="__pid"))],
-                    batch_size,
-                )
-            )
+            return body(key, [lpdf, rpdf])
 
-        return (
-            pre_dfs[0].groupBy("__pid")
-            .cogroup(pre_dfs[1].groupBy("__pid"))
-            .applyInPandas(jfn, schema=schema)
-        )
+        return dfs[0].groupBy("__pid").cogroup(dfs[1].groupBy("__pid")).applyInPandas(jfn, schema=schema)
 
-    # N-ary (optimized join sequences): tagged union of all sides. A side
-    # pads the columns it lacks with a non-null literal of the column's
-    # static type: Arrow hands pandas an int64 column holding nulls as
-    # float64, which would round every value above 2**53.
-    side_cols = [[c for c in df.columns if c != "__pid"] for df in pre_dfs]
-    all_types: Dict[str, T.DataType] = {}
-    for df in pre_dfs:
-        for f in df.schema.fields:
-            all_types.setdefault(f.name, f.dataType)
-    del all_types["__pid"]
+    # a side pads the columns it lacks with a non-null literal of the
+    # column's static type: Arrow hands pandas an int64 column holding
+    # nulls as float64, which would round every value above 2**53
+    all_types = {f.name: f.dataType for df in dfs for f in df.schema.fields if f.name != "__pid"}
     tagged = []
-    for i, df in enumerate(pre_dfs):
+    for i, df in enumerate(dfs):
         cols = [c if c in side_cols[i] else F.lit(0).cast(t).alias(c) for c, t in all_types.items()]
         tagged.append(df.select("__pid", F.lit(i).alias("__side"), *cols))
-    union = tagged[0]
-    for t in tagged[1:]:
-        union = union.unionByName(t)
+    union = functools.reduce(DataFrame.unionByName, tagged)
+
+    n_sides = len(dfs)
 
     def nfn(key, pdf):
-        sides = []
-        for i, ex in enumerate(exchanges):
-            part = pdf[pdf["__side"] == i][side_cols[i]]
-            sides.append((ex, part))
-        return finish(_run_inner(inner_plan, inner_field, int(key[0]), sides, batch_size))
+        return body(key, [pdf[pdf["__side"] == i] for i in range(n_sides)])
 
     return union.groupBy("__pid").applyInPandas(nfn, schema=schema)
-
-
-# ---------------------------------------------------------------------------
-# post-aggregation lowering
-# ---------------------------------------------------------------------------
-
-def _lower_post_native(df: DataFrame, op: SubOperator) -> Optional[DataFrame]:
-    """Lower one post op to a native Catalyst node; None = not lowerable
-    (the caller falls back to driver-side kernels)."""
-    if isinstance(op, (Reduce, ReduceByKey)):
-        aggs = [_NATIVE_AGGS[a](c).alias(c) for c, a in op.aggs.items()]
-        return df.groupBy(op.key).agg(*aggs) if isinstance(op, ReduceByKey) else df.agg(*aggs)
-    if isinstance(op, Projection):
-        return df.select(*op.fields)
-    return None

@@ -200,4 +200,8 @@ def aggregate(values: np.ndarray, groups: np.ndarray, n: int, agg: str) -> np.nd
         return counts
     has = counts > 0
     out = _UFUNCS[agg].reduceat(values, (np.cumsum(counts) - counts)[has])
+    if out.dtype == object:  # an object column's NULL is None, as in DuckDB
+        filled = np.full(n, None, dtype=object)
+        filled[has] = out
+        return filled
     return pd.api.extensions.take(out, np.where(has, np.cumsum(has) - 1, -1), allow_fill=True)

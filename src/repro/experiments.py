@@ -86,6 +86,11 @@ def table1_rows() -> List[dict]:
     rows.append({"operator": "portability factor", "abbr": "",
                  "sloc_ours": round(s["portability_factor"], 2),
                  "sloc_paper": sloc.PAPER_PORTABILITY_FACTOR})
+    rows.append({"operator": "Spark port (core/lower.py)", "abbr": "", "sloc_ours": s["spark_port_sloc"],
+                 "sloc_paper": sloc.PAPER_PLATFORM_SPECIFIC})
+    rows.append({"operator": "Spark portability factor", "abbr": "",
+                 "sloc_ours": round(s["spark_portability_factor"], 2),
+                 "sloc_paper": sloc.PAPER_PORTABILITY_FACTOR})
     return rows
 
 
@@ -203,16 +208,17 @@ def _seq_relations(n_joins: int, n_rows: int, mult_first: int = 1) -> Dict[str, 
 
 
 def fig8a_machines(
-    n_rows: int = 1 << 17, machines: Sequence[int] = (2, 4, 8), repeat: int = 2
+    n_rows: int = 1 << 17, machines: Sequence[int] = (2, 4, 8), repeat: int = 3
 ) -> List[dict]:
     """Naive vs optimized sequence of 2 joins across cluster sizes
-    (simulated MPI backend)."""
+    (simulated MPI backend), each the mean of ``repeat`` runs after a
+    warm-up run."""
     rows = []
     rels = _seq_relations(2, n_rows)
     for m in machines:
         cfg = JoinConfig(n_net=m, loc_bits=2)
-        t_naive = timeit(lambda: run_on_sim(naive_sequence_plan(cfg, 2), m, rels), repeat, warmup=0)
-        t_opt = timeit(lambda: run_on_sim(optimized_sequence_plan(cfg, 2), m, rels), repeat, warmup=0)
+        t_naive = timeit(lambda: run_on_sim(naive_sequence_plan(cfg, 2), m, rels), repeat)
+        t_opt = timeit(lambda: run_on_sim(optimized_sequence_plan(cfg, 2), m, rels), repeat)
         rows.append({"machines": m, "naive_s": t_naive, "optimized_s": t_opt,
                      "speedup": t_naive / t_opt})
     return rows

@@ -4,7 +4,9 @@ Counts non-blank, non-comment, non-docstring source lines per sub-operator
 class (via ``inspect.getsource``) and per module, mirroring the paper's
 per-operator SLOC table and its three headline numbers: modular total vs
 monolithic total, and the platform-specific share (MpiExecutor +
-MpiHistogram + MpiExchange).
+MpiHistogram + MpiExchange). The Spark port is measured the same way: the
+lowering (``core/lower.py``) against the monolithic Spark join
+(``monolithic/spark.py``).
 """
 from __future__ import annotations
 
@@ -77,8 +79,10 @@ def operator_sloc() -> List[Tuple[str, str, int, int]]:
 
 def summary() -> Dict[str, float]:
     """The Table 1 headline comparison over *our* code base."""
+    from repro.core import lower
     from repro.monolithic import groupby as mono_groupby
     from repro.monolithic import join as mono_join
+    from repro.monolithic import spark as mono_spark
 
     per_op = operator_sloc()
     modular_total = sum(ours for _, _, ours, _ in per_op)
@@ -86,6 +90,7 @@ def summary() -> Dict[str, float]:
     mono_join_sloc = count_sloc(inspect.getsource(mono_join))
     mono_groupby_sloc = count_sloc(inspect.getsource(mono_groupby))
     monolithic_total = mono_join_sloc + mono_groupby_sloc
+    spark_port = sloc_of(lower)
     return {
         "modular_total": modular_total,
         "monolithic_join": mono_join_sloc,
@@ -94,4 +99,6 @@ def summary() -> Dict[str, float]:
         "platform_specific": platform,
         "platform_specific_share_pct": 100.0 * platform / modular_total,
         "portability_factor": monolithic_total / platform,
+        "spark_port_sloc": spark_port,
+        "spark_portability_factor": sloc_of(mono_spark) / spark_port,
     }

@@ -1,6 +1,7 @@
 """Shared test helpers for building small sub-operator plans."""
 from __future__ import annotations
 
+import re
 import uuid
 from collections import Counter
 from contextlib import contextmanager
@@ -69,3 +70,10 @@ def python_nodes(df) -> Counter:
 
     visit(df._jdf.queryExecution().optimizedPlan(), True)
     return counts
+
+
+def plan_string(df) -> str:
+    """``df``'s optimized logical plan as text, expression ids (``#123``)
+    stripped: equal for two DataFrames with the same Catalyst plan, also
+    across Spark sessions."""
+    return re.sub(r"#\d+", "", df._jdf.queryExecution().optimizedPlan().toString())

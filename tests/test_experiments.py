@@ -48,7 +48,7 @@ class TestSmallRuns:
         assert all(r["monolithic_s"] >= 0 for r in rows)
 
     def test_fig8a_optimized_not_slower(self):
-        rows = fig8a_machines(n_rows=1 << 13, machines=(2,), repeat=1)
+        rows = fig8a_machines(n_rows=1 << 13, machines=(2,))
         assert rows[0]["optimized_s"] <= rows[0]["naive_s"] * 1.5
 
     def test_fig8bc_network_bytes_shape(self):

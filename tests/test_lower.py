@@ -12,6 +12,7 @@ from repro.core.lower import _run_inner, lower_distributed_plan, run_distributed
 from repro.core.ops import (
     ExecContext,
     Filter,
+    LocalHistogram,
     Map,
     MpiExchange,
     MpiExecutor,
@@ -24,6 +25,7 @@ from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
 from repro.modular.join_sequence import (
+    count_exchanges,
     naive_sequence_plan,
     optimized_sequence_plan,
     relation_fields,
@@ -35,10 +37,14 @@ from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
 from repro.queries.tpch import TpchQuery
 from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
-from tests.helpers import python_nodes, source, spark_jobs
+from tests.helpers import plan_string, python_nodes, source, spark_jobs
 
 
 N = 1 << 11
+
+#: every repro.modular and TPC-H plan (the ``plans`` fixture builds them)
+PLANS = ["join", "join-compressed", "semi-join-compressed", "groupby", "groupby-compressed",
+         "sequence-optimized", "sequence-naive"] + [q.name for q in QUERIES]
 
 
 @pytest.fixture(scope="module")
@@ -149,41 +155,59 @@ class TestGroupByLowering:
         assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t)
 
 
+def _sequence_sql(n_joins):
+    """The cascade of ``n_joins`` joins of R0..RN on ``k``, as SQL."""
+    joins = " ".join(f"JOIN r{i} ON r0.k = r{i}.k" for i in range(1, n_joins + 1))
+    return f"SELECT r0.k AS k, {', '.join(value_fields(n_joins))} FROM r0 {joins}"
+
+
+SEQUENCES = {"naive": naive_sequence_plan, "optimized": optimized_sequence_plan}
+
+
 class TestSequenceLowering:
-    def test_three_way_optimized_sequence(self, spark):
-        cfg = JoinConfig(n_net=4, loc_bits=1)
-        n_joins = 2
+    """Both join cascades lower: the naive one re-exchanges every join's
+    output as a base relation is exchanged, so it lowers to 2N exchanges
+    (N+1 for the optimized one), one ``Lowered.pre`` entry each."""
+
+    @staticmethod
+    def _check(spark, kind, n_joins, rels_pdf):
+        plan = SEQUENCES[kind](JoinConfig(n_net=4, loc_bits=1), n_joins)
+        rels = {k: spark.createDataFrame(v) for k, v in rels_pdf.items()}
+        lowered = lower_distributed_plan(spark, plan, rels)
+        assert len(lowered.pre) == count_exchanges(plan)
+        tables = {f.lower(): pdf for f, pdf in rels_pdf.items()}
+        assert_equivalent(lowered.result(), _sequence_sql(n_joins), **tables)
+
+    @pytest.mark.parametrize("kind, n_joins", [(k, n) for k in SEQUENCES for n in (1, 2, 3)])
+    def test_matches_duckdb(self, spark, kind, n_joins):
         rels_pdf = {
             f: dense_kv_pdf(512, value_field=v, seed=64 + i)
             for i, (f, v) in enumerate(zip(relation_fields(n_joins), value_fields(n_joins)))
         }
-        rels = {k: spark.createDataFrame(v) for k, v in rels_pdf.items()}
-        out = run_distributed_on_spark(spark, optimized_sequence_plan(cfg, n_joins), rels)
-        assert_equivalent(
-            out,
-            "SELECT r0.k AS k, v0, v1, v2 FROM r0 JOIN r1 ON r0.k = r1.k "
-            "JOIN r2 ON r0.k = r2.k",
-            r0=rels_pdf["R0"], r1=rels_pdf["R1"], r2=rels_pdf["R2"],
-        )
+        self._check(spark, kind, n_joins, rels_pdf)
 
-    def test_three_way_sequence_keeps_int64_precision(self, spark):
-        """Values above 2**53 survive the N-ary tagged union exactly (a
-        NULL-padded column reaches pandas as float64 and rounds them)."""
+    def test_one_join_lowers_the_same_either_way(self, spark):
+        """A cascade of one join is one exchange per relation in both plans,
+        so both lower to the same Catalyst plan."""
+        rels = {f: spark.createDataFrame(dense_kv_pdf(64, value_field=v, seed=i))
+                for i, (f, v) in enumerate(zip(relation_fields(1), value_fields(1)))}
         cfg = JoinConfig(n_net=4, loc_bits=1)
+        naive, optimized = (plan_string(lower_distributed_plan(spark, build(cfg, 1), rels).result())
+                            for build in SEQUENCES.values())
+        assert naive == optimized
+
+    @pytest.mark.parametrize("kind", list(SEQUENCES))
+    def test_keeps_int64_precision(self, spark, kind):
+        """Values above 2**53 survive the N-ary tagged union and the naive
+        cascade's re-exchange exactly (a NULL-padded column reaches pandas
+        as float64 and rounds them)."""
         base = (1 << 60) + 1
         rels_pdf = {
             f: pd.DataFrame({"k": np.arange(64, dtype=np.int64),
                              v: base + i + 3 * np.arange(64, dtype=np.int64)})
             for i, (f, v) in enumerate(zip(relation_fields(2), value_fields(2)))
         }
-        rels = {k: spark.createDataFrame(v) for k, v in rels_pdf.items()}
-        out = run_distributed_on_spark(spark, optimized_sequence_plan(cfg, 2), rels)
-        assert_equivalent(
-            out,
-            "SELECT r0.k AS k, v0, v1, v2 FROM r0 JOIN r1 ON r0.k = r1.k "
-            "JOIN r2 ON r0.k = r2.k",
-            r0=rels_pdf["R0"], r1=rels_pdf["R1"], r2=rels_pdf["R2"],
-        )
+        self._check(spark, kind, 2, rels_pdf)
 
 
 def _top_bit_kv(n=256):
@@ -289,6 +313,19 @@ class TestNativeExchange:
             run_distributed_on_spark(spark, plan, relations).collect()
 
 
+#: the Python nodes of each plan's root-most nested stage, inputs included
+INNER_PYTHON_NODES = {
+    "join": {"FlatMapCoGroupsInPandas": 1},
+    "join-compressed": {"FlatMapCoGroupsInPandas": 1},
+    "semi-join-compressed": {"FlatMapCoGroupsInPandas": 1},
+    "groupby": {"FlatMapGroupsInPandas": 1},
+    "groupby-compressed": {"FlatMapGroupsInPandas": 1},
+    "sequence-optimized": {"FlatMapGroupsInPandas": 1},
+    "sequence-naive": {"FlatMapCoGroupsInPandas": 2},
+    **{q.name: {"FlatMapCoGroupsInPandas": 1, "MapInPandas": 2} for q in QUERIES},
+}
+
+
 class TestPythonRoundTrips:
     """Python runs only where the plan holds opaque callables: the nested
     plan's UDF and the pre-exchange ``Filter``/``Map``s of ``pre_scan``."""
@@ -320,6 +357,16 @@ class TestPythonRoundTrips:
         relations = {f: spark.createDataFrame(pdf) for f, pdf in frames.items()}
         lowered = lower_distributed_plan(spark, plan, relations)
         assert [python_nodes(df) for df in lowered.pre] == [{"MapInPandas": 1}] * 2
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_inner_runs_one_udf_per_nested_stage(self, spark, plans, name):
+        """Two sides meet in a cogroup, one or three in a group; the naive
+        cascade runs one cogroup per join. TPC-H sides add their
+        ``MapInPandas``."""
+        plan, frames = plans[name]
+        relations = {f: spark.createDataFrame(pdf) for f, pdf in frames.items()}
+        lowered = lower_distributed_plan(spark, plan, relations)
+        assert python_nodes(lowered.inner) == INNER_PYTHON_NODES[name]
 
 
 def _per_tuple(fn):
@@ -490,12 +537,6 @@ def plans():
     return cases
 
 
-PLANS = ["join", "join-compressed", "semi-join-compressed", "groupby", "groupby-compressed",
-         "sequence-optimized", "sequence-naive"] + [q.name for q in QUERIES]
-#: the plans the Spark lowering accepts (it does not lower naive sequences)
-LOWERED = [name for name in PLANS if name != "sequence-naive"]
-
-
 def _assert_kinds(pdf, typ, where):
     assert sorted(pdf.columns) == sorted(typ.names), where
     for name, atom in typ.fields:
@@ -586,7 +627,7 @@ class TestStaticSchemas:
         assert len(out)
         _assert_kinds(out, types[plan.root], name)
 
-    @pytest.mark.parametrize("name", LOWERED)
+    @pytest.mark.parametrize("name", PLANS)
     def test_lowering_runs_no_spark_job(self, spark, plans, name):
         plan, frames = plans[name]
         relations = {f: spark.createDataFrame(pdf) for f, pdf in frames.items()}
@@ -611,6 +652,17 @@ class TestStaticSchemas:
             pre_scan=lambda field, op: Map(op, lambda pdf: pdf),
         )
         with pytest.raises(TypeError, match="Map has no static output type"):
+            lower_distributed_plan(
+                spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
+            )
+
+    def test_operator_without_rule_rejected(self, spark, kv_frames):
+        r, s = kv_frames
+        plan = distributed_join_plan(
+            JoinConfig(n_net=2, loc_bits=1),
+            rank_post=lambda op: LocalHistogram(op, 2, col("k") & 1),
+        )
+        with pytest.raises(TypeError, match="no Spark lowering rule for LocalHistogram"):
             lower_distributed_plan(
                 spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
             )

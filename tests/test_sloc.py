@@ -79,6 +79,7 @@ class TestCommittedTable1:
         ("total (modular)", "modular_total"),
         ("monolithic baseline (join+groupby modules)", "monolithic_total"),
         ("platform-specific (ME+EX+MH)", "platform_specific"),
+        ("Spark port (core/lower.py)", "spark_port_sloc"),
     ])
     def test_summary_rows(self, row, key):
         assert _committed_table1()[row] == sloc.summary()[key]
