@@ -56,29 +56,25 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch). The per-session SQL settings are the program's own,
+    ``repro.spark_session.session_conf()``, so tests, ``jobs/*`` and
+    perfbench run the same session: among them, broadcast joins are
+    disabled so papers about shuffle/join algorithms actually exercise the
+    shuffle path at SF~=0.1, and input relations are RDD-backed.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    # imported here, not at module level: perfbench/test_smoke.py also
+    # loads this conftest, without src/ on sys.path
+    from repro.spark_session import session_conf
+
+    s = SparkSession.builder.appName("repro").config(map=session_conf()).getOrCreate()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
+        f"defaultParallelism={s.sparkContext.defaultParallelism} "
+        f"localRelationThreshold={s.conf.get('spark.sql.execution.arrow.localRelationThreshold')}",
         file=sys.stderr,
     )
     yield s

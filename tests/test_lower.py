@@ -36,6 +36,7 @@ from repro.mpi.thread_backend import make_rank_inputs, run_on_sim, run_spmd
 from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
 from repro.queries.tpch import TpchQuery
+from repro.spark_session import session_conf
 from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
 from tests.helpers import plan_string, python_nodes, source, spark_jobs
 
@@ -324,6 +325,19 @@ INNER_PYTHON_NODES = {
     "sequence-naive": {"FlatMapCoGroupsInPandas": 2},
     **{q.name: {"FlatMapCoGroupsInPandas": 1, "MapInPandas": 2} for q in QUERIES},
 }
+
+
+class TestInputRelations:
+    def test_fixture_runs_the_program_session_settings(self, spark):
+        conf = session_conf()
+        assert {key: spark.conf.get(key) for key in conf} == conf
+
+    def test_pandas_input_is_rdd_backed(self, spark, kv_frames):
+        """A ``LocalRelation`` would embed every row in the plan: each job
+        ships them again, and each cache lookup compares them."""
+        plan = plan_string(spark.createDataFrame(kv_frames[0]))
+        assert "LogicalRDD" in plan
+        assert "LocalRelation" not in plan
 
 
 class TestPythonRoundTrips:
