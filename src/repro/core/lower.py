@@ -67,15 +67,14 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core import vectorized
 from repro.core.expr import quote
 from repro.core.ops.base import ExecContext, SubOperator
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
-from repro.core.ops.orchestration import NestedMap, ParameterLookup, _single
+from repro.core.ops.orchestration import NestedMap, ParameterLookup
 from repro.core.ops.processing import Filter, Map, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
-from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType, concat
+from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType, concat, one_tuple
 
 _NATIVE_AGGS = {"sum": F.sum, "min": F.min, "max": F.max, "count": F.count}
 _NATIVES = (Projection, Reduce, ReduceByKey)
@@ -363,14 +362,14 @@ def _run_inner(
     sides: Sequence[Tuple[MpiExchange, pd.DataFrame]],
     batch_size: Optional[int],
 ) -> pd.DataFrame:
-    """Execute the nested plan for one network partition, exactly as
-    NestedMap would, and return the flattened materialized result."""
+    """Invoke the nested plan on one network partition, as NestedMap
+    does, and return the flattened materialized result."""
     params: dict = {}
     for ex, pdf in sides:
         params[ex.pid_field] = pid
         params[ex.data_field] = RowVector(pdf)
-    out = vectorized.run_rows(inner_plan, ExecContext(batch_size=batch_size), params)
-    return _single(out, "NestedMap")[inner_field].to_pandas()
+    out = inner_plan.invoke(ExecContext(one_tuple(params), batch_size=batch_size), "NestedMap")
+    return out[inner_field][0].to_pandas()
 
 
 def _nested_stage(

@@ -4,20 +4,21 @@ Sub-operators follow the Volcano iterator model extended with nested
 collections (paper Section 3.2), over ``RowVector`` batches of numpy
 columns: each operator's ``batches(ctx, ups)`` kernel is its one execution
 semantics.
-This is the reproduction's analogue of the paper's JIT-compiled pipelines,
-which remove the per-tuple interpretation overhead from inner loops.
+This is the reproduction's analogue of the paper's JIT-compiled pipeline
+code, which removes the per-tuple interpretation overhead from inner loops.
 ``ExecContext.batch_size`` bounds the batches that scans emit; at one
 tuple per batch the same kernels run as a per-tuple engine (the Presto
 stand-in).
 
-Operators are composed into a DAG via their ``upstreams`` list; the
-evaluator in ``repro.core.vectorized`` drives the iteration and handles
-multi-consumer materialization (pipeline cutting).
+Operators are composed into a DAG via their ``upstreams`` list; ``Plan``
+(``repro.core.plan``) drives the iteration, materializes multi-consumer
+results once per run, and invokes nested plans on one-tuple parameter
+batches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,26 +30,25 @@ from repro.core.types import RowVector, TupleType
 class ExecContext:
     """Per-execution state threaded through operator iterators.
 
-    ``params`` backs ``ParameterLookup`` inside nested plans; ``comm`` is the
-    MPI-style communicator required by network operators (None for local
-    plans); ``batch_size`` bounds the batches a scan emits (None: a
-    collection is scanned as one batch); ``run_nested`` is the evaluator
-    callback so orchestration operators can execute nested plans without
-    importing the evaluator (avoids a circular dependency).
+    ``params`` is the plan's parameter tuple as a one-tuple batch, which
+    ``ParameterLookup`` returns; ``comm`` is the MPI-style communicator
+    required by network operators (None for local plans); ``batch_size``
+    bounds the batches a scan emits (None: a collection is scanned as one
+    batch); ``profiler`` wraps every operator's iterator; ``extra`` is
+    shared by a run and all its nested invocations.
     """
 
-    params: Optional[dict] = None
+    params: Optional[RowVector] = None
     comm: Any = None
     batch_size: Optional[int] = None
     profiler: Any = None
-    run_nested: Optional[Callable] = None
     extra: dict = field(default_factory=dict)
 
-    def child(self, params: dict) -> "ExecContext":
-        return replace(self, params=params)
-
-    def with_comm(self, comm: Any) -> "ExecContext":
-        return replace(self, comm=comm)
+    def child(self, params: RowVector, comm: Any = None) -> "ExecContext":
+        """The context of a nested-plan invocation on the one-tuple batch
+        ``params``, on ``comm`` if given."""
+        comm = self.comm if comm is None else comm
+        return ExecContext(params, comm, self.batch_size, self.profiler, self.extra)
 
 
 class SubOperator:

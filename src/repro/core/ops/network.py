@@ -20,7 +20,6 @@ from repro.core import radix
 from repro.core.compression import CompressionSpec
 from repro.core.expr import Expr
 from repro.core.ops.base import ExecContext, SubOperator, dense_counts, histogram_batch
-from repro.core.ops.orchestration import _single, tuples
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType, concat, object_column
 
 
@@ -106,15 +105,14 @@ class MpiExecutor(SubOperator):
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         from repro.mpi.simcluster import SimCluster
 
-        params = list(concat(list(ups[0])).iter_rows())
+        params = concat(list(ups[0]))
         cluster = SimCluster(len(params))
         ctx.extra["last_cluster"] = cluster  # exposes network stats to harnesses
 
         def rank_main(comm, param):
-            out = ctx.run_nested(self.nested_plan, ctx.child(param).with_comm(comm))
-            return _single(out, "MpiExecutor")
+            return self.nested_plan.invoke(ctx.child(param, comm), "MpiExecutor")
 
-        yield tuples(cluster.run(rank_main, params))
+        yield concat(cluster.run(rank_main, [params.take(slice(r, r + 1)) for r in range(len(params))]))
 
 
 class MpiHistogram(SubOperator):

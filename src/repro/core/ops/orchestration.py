@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.core.ops.base import ExecContext, SubOperator
-from repro.core.types import RowVector, TupleType, object_column
+from repro.core.types import RowVector, TupleType, concat
 
 
 class ParameterLookup(SubOperator):
@@ -31,7 +31,7 @@ class ParameterLookup(SubOperator):
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         if ctx.params is None:
             raise RuntimeError("ParameterLookup evaluated without plan parameters")
-        yield RowVector({k: object_column([v]) for k, v in ctx.params.items()})
+        yield ctx.params
 
 
 class NestedMap(SubOperator):
@@ -53,27 +53,6 @@ class NestedMap(SubOperator):
         return self.nested_plan.out_type(param_type=in_types[0])
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
-        for b in ups[0]:
-            outs = [
-                _single(ctx.run_nested(self.nested_plan, ctx.child(t)), "NestedMap")
-                for t in b.iter_rows()
-            ]
-            if outs:
-                yield tuples(outs)
-
-
-def tuples(rows) -> RowVector:
-    """The batch of the row dicts ``rows``, each value stored as is."""
-    return RowVector({k: object_column([r[k] for r in rows]) for k in rows[0]})
-
-
-def _single(out_rows, owner: str) -> dict:
-    """The one tuple a nested plan run by ``owner`` produced."""
-    out_rows = list(out_rows)
-    if len(out_rows) != 1:
-        raise RuntimeError(
-            f"nested plan of {owner} must produce exactly one "
-            f"tuple (got {len(out_rows)}); end nested plans with "
-            "MaterializeRowVector"
-        )
-    return out_rows[0]
+        invoke = self.nested_plan.invoke
+        for b in filter(len, ups[0]):
+            yield concat([invoke(ctx.child(b.take(slice(i, i + 1))), "NestedMap") for i in range(len(b))])

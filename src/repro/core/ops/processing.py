@@ -138,7 +138,8 @@ class Reduce(SubOperator):
     """Aggregates all input tuples into one, with SQL global-aggregate
     semantics: ``aggs`` maps each output column to 'sum', 'count', 'min' or
     'max'. It always emits one tuple, even over empty input: 'count' is 0
-    there and the others are NULL (NaN), as over no non-null values."""
+    there and the others are NULL (NaN in a numeric column, NaT in a date
+    column, None in an object column), as over no non-null values."""
 
     op_name = "RD"
 

@@ -1,18 +1,25 @@
-"""Plan DAG: validation, type propagation, and pipeline cutting.
+"""Plan DAG: validation, type propagation, and evaluation.
 
-A plan is a DAG of sub-operators rooted at one operator. Before execution
-the DAG is cut into tree-shaped *pipelines* at materialization points
-(operators with several consumers, plus the root); inside a pipeline, the
-sub-plan is a tree and runs in the iterator model (paper Section 3.2).
-The evaluators materialize multi-consumer results exactly at these points.
+A plan is a DAG of sub-operators rooted at one operator. ``Plan`` owns its
+evaluation: each operator's ``batches`` kernel pulls from its upstreams'
+iterators (the iterator model, paper Section 3.2), and an operator with
+several consumers is materialized once per run, its batches replayed to
+every consumer. The multi-consumer set is computed once per plan; the
+cache of materialized results lives for one run.
+
+A nested plan (of ``NestedMap``, ``MpiExecutor``, or the Spark lowering's
+nested-plan UDF) is called through ``invoke``: it runs on the one-tuple
+batch ``ctx.params`` and returns its one result tuple as a one-tuple batch,
+so parameters and results keep their column dtypes.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from typing import Dict, Iterator, List, Optional
 
-from repro.core.ops.base import SubOperator
+from repro.core.ops.base import ExecContext, SubOperator
 from repro.core.ops.orchestration import ParameterLookup
-from repro.core.types import INT64, TupleType
+from repro.core.types import INT64, RowVector, TupleType, concat
 
 
 class Plan:
@@ -22,43 +29,28 @@ class Plan:
         self.root = root
         self.name = name
         self._ops = _topo(root)
+        consumers = Counter(u for op in self._ops for u in op.upstreams)
+        self._shared = frozenset(op for op, n in consumers.items() if n > 1)
 
     def operators(self) -> List[SubOperator]:
         """All operators of this plan (not nested plans), topological order."""
         return list(self._ops)
 
-    def consumer_counts(self) -> Dict[SubOperator, int]:
-        counts: Dict[SubOperator, int] = {op: 0 for op in self._ops}
-        for op in self._ops:
-            for u in op.upstreams:
-                counts[u] += 1
-        return counts
+    def run(self, ctx: ExecContext) -> Iterator[RowVector]:
+        """The root's batches, evaluated on ``ctx``."""
+        return _stream(self.root, ctx, self._shared, {})
 
-    def materialization_points(self) -> List[SubOperator]:
-        """Operators whose result is materialized: multi-consumer ops + root."""
-        counts = self.consumer_counts()
-        pts = [op for op in self._ops if counts[op] > 1]
-        if self.root not in pts:
-            pts.append(self.root)
-        return pts
-
-    def pipelines(self) -> List[List[SubOperator]]:
-        """Cut the DAG into tree-shaped pipelines. Each pipeline ends at a
-        materialization point and contains every operator reachable upward
-        without crossing another materialization point."""
-        mat = set(self.materialization_points())
-        out: List[List[SubOperator]] = []
-        for end in self.materialization_points():
-            seen: List[SubOperator] = []
-
-            def walk(op: SubOperator) -> None:
-                seen.append(op)
-                for u in op.upstreams:
-                    if u not in mat:
-                        walk(u)
-
-            walk(end)
-            out.append(seen)
+    def invoke(self, ctx: ExecContext, owner: str) -> RowVector:
+        """Run this plan as the nested plan of ``owner`` on the one-tuple
+        batch ``ctx.params``; return its one result tuple as a one-tuple
+        batch."""
+        out = concat(list(self.run(ctx)))
+        if len(out) != 1:
+            raise RuntimeError(
+                f"nested plan of {owner} must produce exactly one "
+                f"tuple (got {len(out)}); end nested plans with "
+                "MaterializeRowVector"
+            )
         return out
 
     def op_types(
@@ -118,6 +110,28 @@ def _check_reads(op: SubOperator, in_type: Optional[TupleType]) -> None:
                     f"{type(op).__name__} expression {name}={e} reads column {c!r} of "
                     f"type {in_type.field_type(c)!r}, not int64"
                 )
+
+
+Cache = Dict[SubOperator, List[RowVector]]
+
+
+# Module-level functions rather than nested closures: two closures calling
+# each other form a reference cycle that would keep the context (and with it
+# a finished cluster's windows) and the cache alive until the cyclic GC runs.
+def _stream(op: SubOperator, ctx: ExecContext, shared: frozenset, cache: Cache) -> Iterator[RowVector]:
+    if op in shared:
+        if op not in cache:
+            cache[op] = list(_generate(op, ctx, shared, cache))
+        return iter(cache[op])
+    return _generate(op, ctx, shared, cache)
+
+
+def _generate(op: SubOperator, ctx: ExecContext, shared: frozenset, cache: Cache) -> Iterator[RowVector]:
+    ups = [_stream(u, ctx, shared, cache) for u in op.upstreams]
+    gen = op.batches(ctx, ups)
+    if ctx.profiler is not None:
+        gen = ctx.profiler.wrap(op, gen)
+    return gen
 
 
 def _topo(root: SubOperator) -> List[SubOperator]:

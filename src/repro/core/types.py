@@ -203,6 +203,15 @@ def object_column(values: Sequence[Any]) -> np.ndarray:
     return out
 
 
+def one_tuple(values: Mapping[str, Any]) -> RowVector:
+    """The one-tuple batch of the field values ``values``: a scalar in a
+    column of its numpy dtype, anything else (a nested ``RowVector``) in
+    an object column."""
+    return RowVector({
+        k: np.array([v]) if np.isscalar(v) else object_column([v]) for k, v in values.items()
+    })
+
+
 def _column(values: Any) -> np.ndarray:
     a = values.to_numpy() if hasattr(values, "to_numpy") else np.asarray(values)
     if a.ndim != 1:

@@ -14,7 +14,10 @@ holds the GIL, so on the simulated cluster it also serializes the ranks;
 a batch is a dict of arrays, and operators pass a lone batch on without
 copying it (kernels never modify a batch they receive).
 
-Network operators execute here against the MPI-style communicator in the
+The iteration itself is ``Plan.run``, and a nested plan is called through
+``Plan.invoke`` on a one-tuple batch; the functions here are the public
+edge, which boxes a dict of plan parameters once into that one-tuple batch.
+Network operators execute against the MPI-style communicator in the
 context; this is the evaluator the ThreadBackend runs on every rank, and
 the one the Spark lowering embeds inside pandas UDFs for nested plans.
 ``ExecContext.batch_size`` sets how many tuples a scan passes per batch:
@@ -23,43 +26,22 @@ per-tuple Presto stand-in (``repro.engines.presto_sim``).
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import pandas as pd
 
-from repro.core.ops.base import ExecContext, SubOperator
+from repro.core.ops.base import ExecContext
 from repro.core.plan import Plan
-from repro.core.types import RowVector, concat
+from repro.core.types import RowVector, concat, one_tuple
 
 
 def iter_batches(
     plan: Plan, ctx: Optional[ExecContext] = None, params: Optional[dict] = None
 ) -> Iterator[RowVector]:
-    ctx = _prepare(ctx, params)
-    return _stream(plan.root, ctx, plan.consumer_counts(), {})
-
-
-Consumers = Dict[SubOperator, int]
-Cache = Dict[SubOperator, List[RowVector]]
-
-
-# Module-level functions rather than nested closures: two closures calling
-# each other form a reference cycle that would keep the context (and with it
-# a finished cluster's windows) and the cache alive until the cyclic GC runs.
-def _stream(op: SubOperator, ctx: ExecContext, consumers: Consumers, cache: Cache) -> Iterator[RowVector]:
-    if consumers[op] > 1:
-        if op not in cache:
-            cache[op] = list(_generate(op, ctx, consumers, cache))
-        return iter(cache[op])
-    return _generate(op, ctx, consumers, cache)
-
-
-def _generate(op: SubOperator, ctx: ExecContext, consumers: Consumers, cache: Cache) -> Iterator[RowVector]:
-    ups = [_stream(u, ctx, consumers, cache) for u in op.upstreams]
-    gen = op.batches(ctx, ups)
-    if ctx.profiler is not None:
-        gen = ctx.profiler.wrap(op, gen)
-    return gen
+    """Execute ``plan`` on the parameter tuple ``params`` and return its
+    result batches."""
+    ctx = ctx or ExecContext()
+    return plan.run(ctx if params is None else ctx.child(one_tuple(params)))
 
 
 def run_to_pdf(
@@ -72,14 +54,5 @@ def run_to_pdf(
 def run_rows(
     plan: Plan, ctx: Optional[ExecContext] = None, params: Optional[dict] = None
 ) -> List[dict]:
-    """Execute ``plan`` and return row dicts (the nested-plan hook)."""
+    """Execute ``plan`` and return its result tuples as row dicts."""
     return list(concat(list(iter_batches(plan, ctx, params))).iter_rows())
-
-
-def _prepare(ctx: Optional[ExecContext], params: Optional[dict]) -> ExecContext:
-    ctx = ctx or ExecContext()
-    if params is not None:
-        ctx = ctx.child(params)
-    if ctx.run_nested is None:
-        ctx.run_nested = run_rows
-    return ctx

@@ -256,12 +256,14 @@ def fig8bc_output_size(
 def fig8d_num_joins(
     n_rows: int = 1 << 16, joins: Sequence[int] = (1, 2, 3), machines: int = 4, repeat: int = 2
 ) -> List[dict]:
+    """Naive vs optimized sequence of 1..3 joins on ``machines`` ranks,
+    each the mean of ``repeat`` runs after a warm-up run."""
     rows = []
     for n in joins:
         rels = _seq_relations(n, n_rows)
         cfg = JoinConfig(n_net=machines, loc_bits=2)
-        t_naive = timeit(lambda: run_on_sim(naive_sequence_plan(cfg, n), machines, rels), repeat, warmup=0)
-        t_opt = timeit(lambda: run_on_sim(optimized_sequence_plan(cfg, n), machines, rels), repeat, warmup=0)
+        t_naive = timeit(lambda: run_on_sim(naive_sequence_plan(cfg, n), machines, rels), repeat)
+        t_opt = timeit(lambda: run_on_sim(optimized_sequence_plan(cfg, n), machines, rels), repeat)
         rows.append({"n_joins": n, "naive_s": t_naive, "optimized_s": t_opt,
                      "diff_s": t_naive - t_opt})
     return rows

@@ -2,9 +2,9 @@
 
 Runs each phase's sub-operators in isolation (one operator per pipeline,
 inputs pre-materialized), which is the best case the modular plan could
-achieve: no long pipelines, no cross-phase interactions. The gap between
+achieve: no long pipeline, no cross-phase interactions. The gap between
 the model and the full query plan shows the cost of executing the same
-operators inside larger pipelines, exactly as discussed in Section 5.1.2.
+operators inside a larger pipeline, exactly as discussed in Section 5.1.2.
 """
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ join result. Each query here carries
 * ``sql`` — the query text, executed verbatim by the DuckDB oracle and by
   the MemSQL stand-in (Spark SQL);
 * ``build_plan(cfg)`` — the sub-operator plan: per-side filter/projection
-  pipelines (``pre_scan``), the generic distributed join of Fig. 3, and the
+  chains (``pre_scan``), the generic distributed join of Fig. 3, and the
   query's post-aggregation inserted at every nesting level via the
   ``probe_post``/``pair_post``/``rank_post``/``driver_post`` hooks;
 * ``table_map`` — which input relation feeds which plan field.

@@ -552,9 +552,12 @@ def plans():
 
 
 def _assert_kinds(pdf, typ, where):
+    """``pdf`` (a frame or a batch) has ``typ``'s fields, each of its
+    atom's dtype kind, a collection in an object column."""
     assert sorted(pdf.columns) == sorted(typ.names), where
-    for name, atom in typ.fields:
-        assert pdf[name].dtype.kind == _KINDS[atom], f"{where}: {name} is {pdf[name].dtype}"
+    for name, item in typ.fields:
+        kind = "O" if isinstance(item, RowVectorType) else _KINDS[item]
+        assert pdf[name].dtype.kind == kind, f"{where}: {name} is {pdf[name].dtype}"
 
 
 def _assert_columnar(batch, where):
@@ -574,9 +577,11 @@ def _assert_columnar(batch, where):
 class _DeclaredTypeCheck:
     """Passed as the evaluator's profiler: checks that every batch every
     operator yields is columnar (``_assert_columnar``), every non-empty
-    batch a Map or ParametrizedMap yields against its declared_type, and
-    every non-empty partition an MpiExchange yields against the collection
-    type of its out_type (``types``: every operator's static type)."""
+    batch of an operator with a known static type against that type (an
+    atom field has its atom's dtype kind, a collection field is an object
+    column), and every non-empty partition an MpiExchange yields against
+    the collection type of its out_type (``types``: every operator's
+    static type, nested plans included)."""
 
     def __init__(self, types):
         self.types = types
@@ -584,21 +589,21 @@ class _DeclaredTypeCheck:
         self.batches = 0
 
     def wrap(self, op, gen):
-        if isinstance(op, (Map, ParametrizedMap)):
-            return self._check(op, gen, lambda b: [(b, op.declared_type)])
         if isinstance(op, MpiExchange):
             wire = self.types[op].field_type(op.data_field).tuple_type
             return self._check(op, gen, lambda b: [(rv, wire) for rv in b[op.data_field]])
         return self._check(op, gen, lambda b: [])
 
-    def _check(self, op, gen, frames):
+    def _check(self, op, gen, partitions):
         for batch in gen:
             _assert_columnar(batch, repr(op))
             self.batches += 1
-            for frame, typ in frames(batch):
+            if len(batch) and self.types[op] is not None:
+                _assert_kinds(batch, self.types[op], repr(op))
+                self.checked.add(op)
+            for frame, typ in partitions(batch):
                 if len(frame):
-                    _assert_kinds(frame, typ, repr(op))
-                    self.checked.add(op)
+                    _assert_kinds(frame, typ, f"{op!r} partition")
             yield batch
 
 
@@ -636,7 +641,8 @@ class TestStaticSchemas:
         out = vectorized.run_to_pdf(
             plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
         )
-        assert checker.checked == set(_declared_ops(plan))
+        assert set(_declared_ops(plan)) <= checker.checked
+        assert checker.checked == {op for op, t in types.items() if t is not None}
         assert checker.batches > 0
         assert len(out)
         _assert_kinds(out, types[plan.root], name)

@@ -1,22 +1,31 @@
-"""Unit tests for the plan DAG: topology, pipeline cutting, typing."""
+"""Unit tests for the plan DAG: topology, evaluation, typing."""
+from collections import Counter
+
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core import Plan
+from repro.core import Plan, RowVector, vectorized
 from repro.core.expr import col, pmod
 from repro.core.types import FLOAT64, INT64, RowVectorType, TupleType
 from repro.core.ops import (
     BuildProbe,
+    CartesianProduct,
+    ExecContext,
     Filter,
     LocalHistogram,
+    Map,
     MaterializeRowVector,
+    NestedMap,
     ParameterLookup,
     Projection,
     ReduceByKey,
     RowScan,
     Zip,
 )
-from tests.helpers import source
+from repro.modular.common import JoinConfig, local_partition_side
+from repro.oracle import assert_equivalent
+from tests.helpers import params_of, source
 
 
 def kv_type():
@@ -48,29 +57,57 @@ class TestTopology:
             Plan(f)
 
 
-class TestPipelines:
-    def test_tree_plan_is_single_pipeline(self):
-        plan = Plan(Filter(source("t"), lambda pdf: np.ones(len(pdf), dtype=bool)))
-        assert len(plan.pipelines()) == 1
+class _CountingProfiler:
+    """Counts how often each operator's ``batches`` runs (the evaluator
+    wraps every operator's iterator in the profiler once per call)."""
 
-    def test_multi_consumer_cuts_pipeline(self):
-        s = source("t")
-        hist = LocalHistogram(s, 2, pmod(col("k"), 2))
-        probe = BuildProbe(s, s, key="k")  # s consumed three times in total
-        plan = Plan(Zip([hist, probe]))
-        mats = plan.materialization_points()
-        assert s in mats  # multi-consumer => materialized
-        # pipelines: one ending at s, one ending at root
-        assert len(plan.pipelines()) == 2
+    def __init__(self):
+        self.calls = Counter()
 
-    def test_pipeline_members_do_not_cross_materialization(self):
-        s = source("t")
-        h1 = LocalHistogram(s, 2, col("k") & 0)
-        h2 = LocalHistogram(s, 2, col("k") & 0)
-        plan = Plan(Zip([h1, h2]))
-        for pipe in plan.pipelines():
-            interior = [op for op in pipe[1:]]  # pipe[0] is its end point
-            assert s not in interior
+    def wrap(self, op, gen):
+        self.calls[op] += 1
+        return gen
+
+
+def _kv(keys, values):
+    return pd.DataFrame({"k": np.asarray(keys, dtype=np.int64), "v": np.asarray(values, dtype=np.int64)})
+
+
+class TestEvaluation:
+    def test_multi_consumer_runs_once_per_run(self):
+        """An operator read by three consumers is evaluated once per plan
+        run and its batches replayed to each; a second run evaluates it
+        again, on its own parameters."""
+        m = Map(source("t"), lambda b: b)
+        hist = LocalHistogram(m, 2, pmod(col("k"), 2))
+        probe = BuildProbe(Projection(m, ["k"]), m, key="k")  # m: three consumers
+        plan = Plan(CartesianProduct(hist, Projection(probe, ["v"])))
+        prof = _CountingProfiler()
+        for run, keys in enumerate([[1, 2, 3], [4, 6]], start=1):
+            out = vectorized.run_to_pdf(plan, ExecContext(profiler=prof), params=params_of(t=_kv(keys, keys)))
+            assert prof.calls[m] == run
+            assert len(out) == 2 * len(keys)
+            assert sorted(set(out["v"])) == keys
+
+    def test_nested_shared_operator_never_replays_another_invocation(self):
+        """Inside a nested plan, ``local_partition_side``'s scan is read by
+        both its LocalHistogram and its LocalPartitioning: it runs once per
+        invocation, and each invocation partitions its own tuple's data."""
+        cfg = JoinConfig(n_net=2, loc_bits=1)
+        side = local_partition_side(cfg, ParameterLookup(), "v", "pid", "data", "lpid", "ldata")
+        nested = Plan(MaterializeRowVector(RowScan(side, "ldata"), field="out"))
+        scan = side.upstreams[1].upstreams[0]  # CartesianProduct(pid, LocalPartitioning(scan, ...))
+        parts = [_kv([2 * i, 2 * i + 4], [10 * i, 10 * i + 1]) for i in range(3)]
+        outer = pd.DataFrame({
+            "pid": np.arange(3, dtype=np.int64),
+            "data": pd.Series([RowVector(p) for p in parts], dtype=object),
+        })
+        prof = _CountingProfiler()
+        plan = Plan(RowScan(NestedMap(source("parts"), nested), "out"))
+        out = vectorized.run_to_pdf(plan, ExecContext(profiler=prof), params=params_of(parts=outer))
+        assert prof.calls[scan] == 3
+        assert_equivalent(out, "SELECT * FROM p0 UNION ALL SELECT * FROM p1 UNION ALL SELECT * FROM p2",
+                          p0=parts[0], p1=parts[1], p2=parts[2])
 
 
 class TestTyping:

@@ -11,6 +11,7 @@ from repro.core.types import (
     RowVector,
     RowVectorType,
     TupleType,
+    one_tuple,
 )
 
 
@@ -97,3 +98,13 @@ class TestRowVector:
         outer = RowVector(pd.DataFrame({"pid": [0], "data": pd.Series([inner], dtype=object)}))
         (row,) = outer.iter_rows()
         assert row["data"] == inner
+
+    def test_one_tuple_keeps_scalar_dtypes(self):
+        """A parameter dict becomes one tuple: scalars in columns of their
+        numpy dtype, a nested collection in an object column as is."""
+        inner = RowVector(pd.DataFrame({"k": [1]}))
+        t = one_tuple({"pid": 3, "name": "x", "data": inner})
+        assert len(t) == 1
+        assert [t[c].dtype.kind for c in t.columns] == ["i", "O", "O"]
+        assert t["data"][0] is inner
+        assert list(t.iter_rows()) == [{"pid": 3, "name": "x", "data": inner}]
