@@ -1,12 +1,14 @@
-"""Fig. 6 reproduction: distributed join — per-phase breakdown on the
-simulated MPI cluster (6a) and total runtime vs machines on Spark (6b).
+"""Fig. 6 reproduction: distributed join — per-phase breakdown and fixed
+cost (2**10 rows/side, 1 and 4 ranks) on the simulated MPI cluster (6a),
+and total runtime vs machines on Spark (6b).
 
 Run: spark-submit jobs/join_breakdown.py   (or plain python)
-Env: REPRO_ROWS (default 2**18 for 6a, 2**20 for 6b), REPRO_REPEAT.
+Env: REPRO_ROWS_6A (default 2**21), REPRO_ROWS_6B (default 2**19),
+REPRO_REPEAT (Fig. 6b rounds, default 3).
 """
 import os
 
-from repro.experiments import fig6a_breakdown, fig6b_totals, format_table
+from repro.experiments import fig6a_breakdown, fig6a_fixed_cost, fig6b_totals, format_table
 from repro.spark_session import get_session
 
 
@@ -17,6 +19,10 @@ def main() -> None:
     print(format_table(
         fig6a_breakdown(rows_a),
         f"Fig 6a — join phase breakdown (simulated MPI, {rows_a} rows/side)",
+    ))
+    print(format_table(
+        fig6a_fixed_cost(),
+        "Fig 6a — fixed cost (simulated MPI, 1024 rows/side)",
     ))
     spark = get_session("fig6b")
     print(format_table(

@@ -1,8 +1,8 @@
 """Experiment harnesses reproducing the paper's evaluation artifacts.
 
 One function per evaluation artifact (Table 1, Figs. 6–9); jobs/* are thin
-spark-submit wrappers around these and benchmarks/* time the same calls via
-pytest-benchmark. Every function returns a list of row-dicts and is printed
+spark-submit wrappers around these. Every timing goes through
+:func:`timeit`. Every function returns a list of row-dicts and is printed
 as an aligned text table by :func:`format_table` so the paper's numbers can
 be diffed side by side (recorded in EXPERIMENTS.md).
 """
@@ -32,17 +32,22 @@ PHASES = (
 )
 
 
-def timeit(fn: Callable[[], object], repeat: int = 3, warmup: int = 1) -> float:
-    """Average wall seconds over ``repeat`` runs after ``warmup`` runs
-    (the paper reports averages of 5 runs after a warm run)."""
+def timeit(*fns: Callable[[], object], repeat: int = 3, warmup: int = 1) -> List[float]:
+    """Median wall seconds of each callable over ``repeat`` rounds after
+    ``warmup`` rounds. Each round runs every callable once, in the order
+    given, so host drift during the measurement falls on all of them
+    alike. The paper averages 5 warm runs; the median is used here because
+    CPU steal on a shared host slows single runs by up to 3×."""
     for _ in range(warmup):
-        fn()
-    total = 0.0
-    for _ in range(repeat):
-        t0 = perf_counter()
-        fn()
-        total += perf_counter() - t0
-    return total / repeat
+        for fn in fns:
+            fn()
+    secs = np.empty((repeat, len(fns)))
+    for i in range(repeat):
+        for j, fn in enumerate(fns):
+            t0 = perf_counter()
+            fn()
+            secs[i, j] = perf_counter() - t0
+    return np.median(secs, axis=0).tolist()
 
 
 def format_table(rows: List[dict], title: str = "") -> str:
@@ -98,28 +103,56 @@ def table1_rows() -> List[dict]:
 # Fig. 6a — distributed join phase breakdown (simulated MPI cluster)
 # ---------------------------------------------------------------------------
 
-def fig6a_breakdown(n_rows: int = 1 << 21, machines: Sequence[int] = (4, 8)) -> List[dict]:
+def fig6a_breakdown(
+    n_rows: int = 1 << 21, machines: Sequence[int] = (4, 8), repeat: int = 3
+) -> List[dict]:
     """Per-phase seconds (average per rank) of the monolithic join, the
-    isolated-operator model and the full modular plan. Both joins call the
-    same kernels (``repro.core.radix``), so the modular plan's extra time
-    is its per-invocation overhead, which shrinks relative to the data
-    work as ``n_rows`` grows."""
+    isolated-operator model and the full modular plan, each the median of
+    ``repeat`` alternating profiled runs after a warm-up round. Both joins
+    call the same kernels (``repro.core.radix``), so the modular plan's
+    extra time is its per-invocation overhead, which shrinks relative to
+    the data work as ``n_rows`` grows."""
     rows: List[dict] = []
     for m in machines:
         cfg = JoinConfig(n_net=m, loc_bits=4, compress=True, p_bits=27)
         r = dense_kv_pdf(n_rows, value_field="vr", seed=80)
         s = dense_kv_pdf(n_rows, value_field="vs", seed=81)
-        _, mono = run_monolithic_join(m, r, s, cfg)
-        model = model_phase_times(m, r, s, cfg)
         plan = distributed_join_plan(cfg)
-        _, mod = run_on_sim(plan, m, {"R": r, "S": s}, profile=True)
+        runs = [
+            (
+                run_monolithic_join(m, r, s, cfg)[1]["phase_seconds"],
+                model_phase_times(m, r, s, cfg),
+                run_on_sim(plan, m, {"R": r, "S": s}, profile=True)[1]["phase_seconds"],
+            )
+            for _ in range(1 + repeat)
+        ][1:]  # the first round warms up
         for phase in PHASES:
-            rows.append({
-                "machines": m, "phase": phase,
-                "monolithic_s": mono["phase_seconds"].get(phase, 0.0),
-                "model_s": model.get(phase, 0.0),
-                "modularis_s": mod["phase_seconds"].get(phase, 0.0),
-            })
+            mono, model, mod = np.median([[run.get(phase, 0.0) for run in rnd] for rnd in runs], axis=0)
+            rows.append({"machines": m, "phase": phase,
+                         "monolithic_s": mono, "model_s": model, "modularis_s": mod})
+    return rows
+
+
+def fig6a_fixed_cost(
+    n_rows: int = 1 << 10, machines: Sequence[int] = (1, 4), repeat: int = 20
+) -> List[dict]:
+    """Fig. 6a's join at a size where almost all of the time is fixed
+    cost: for the modular plan, its operator and nested-plan invocations.
+    Monolithic and modular runs alternate, ``repeat`` rounds after two
+    warm-up rounds; ``ratio`` is Modularis ÷ monolithic."""
+    r = dense_kv_pdf(n_rows, value_field="vr", seed=80)
+    s = dense_kv_pdf(n_rows, value_field="vs", seed=81)
+    rows = []
+    for m in machines:
+        cfg = JoinConfig(n_net=m, loc_bits=4, compress=True, p_bits=27)
+        plan = distributed_join_plan(cfg)
+        t_mono, t_mod = timeit(
+            lambda: run_monolithic_join(m, r, s, cfg),
+            lambda: run_on_sim(plan, m, {"R": r, "S": s}),
+            repeat=repeat, warmup=2,
+        )
+        rows.append({"machines": m, "monolithic_s": t_mono, "modularis_s": t_mod,
+                     "ratio": t_mod / t_mono})
     return rows
 
 
@@ -139,11 +172,11 @@ def fig6b_totals(
     try:
         for m in machines:
             cfg = JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27)
-            t_mono = timeit(lambda: run_monolithic_join_spark(spark, r_df, s_df, cfg).count(), repeat)
             plan = distributed_join_plan(cfg)
-            t_mod = timeit(
+            t_mono, t_mod = timeit(
+                lambda: run_monolithic_join_spark(spark, r_df, s_df, cfg).count(),
                 lambda: run_distributed_on_spark(spark, plan, {"R": r_df, "S": s_df}).count(),
-                repeat,
+                repeat=repeat,
             )
             rows.append({
                 "machines": m, "monolithic_s": t_mono, "modularis_s": t_mod,
@@ -174,7 +207,9 @@ def fig7_groupby(
         for m in machines:
             cfg = JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27)
             plan = distributed_groupby_plan(cfg)
-            secs = timeit(lambda: run_distributed_on_spark(spark, plan, {"T": t_df}).count(), repeat)
+            [secs] = timeit(
+                lambda: run_distributed_on_spark(spark, plan, {"T": t_df}).count(), repeat=repeat
+            )
             rows.append({"sweep": "machines", "machines": m, "multiplicity": 1, "seconds": secs})
     finally:
         t_df.unpersist()
@@ -187,7 +222,9 @@ def fig7_groupby(
             for m in (2, 4, 8):
                 cfg = JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27)
                 plan = distributed_groupby_plan(cfg)
-                secs = timeit(lambda: run_distributed_on_spark(spark, plan, {"T": t_df}).count(), repeat)
+                [secs] = timeit(
+                    lambda: run_distributed_on_spark(spark, plan, {"T": t_df}).count(), repeat=repeat
+                )
                 rows.append({"sweep": "multiplicity", "machines": m, "multiplicity": mult, "seconds": secs})
         finally:
             t_df.unpersist()
@@ -211,14 +248,17 @@ def fig8a_machines(
     n_rows: int = 1 << 17, machines: Sequence[int] = (2, 4, 8), repeat: int = 3
 ) -> List[dict]:
     """Naive vs optimized sequence of 2 joins across cluster sizes
-    (simulated MPI backend), each the mean of ``repeat`` runs after a
-    warm-up run."""
+    (simulated MPI backend), each the median of ``repeat`` alternating
+    runs after a warm-up round."""
     rows = []
     rels = _seq_relations(2, n_rows)
     for m in machines:
         cfg = JoinConfig(n_net=m, loc_bits=2)
-        t_naive = timeit(lambda: run_on_sim(naive_sequence_plan(cfg, 2), m, rels), repeat)
-        t_opt = timeit(lambda: run_on_sim(optimized_sequence_plan(cfg, 2), m, rels), repeat)
+        t_naive, t_opt = timeit(
+            lambda: run_on_sim(naive_sequence_plan(cfg, 2), m, rels),
+            lambda: run_on_sim(optimized_sequence_plan(cfg, 2), m, rels),
+            repeat=repeat,
+        )
         rows.append({"machines": m, "naive_s": t_naive, "optimized_s": t_opt,
                      "speedup": t_naive / t_opt})
     return rows
@@ -227,45 +267,56 @@ def fig8a_machines(
 def fig8bc_output_size(
     n_rows: int = 1 << 16, mults: Sequence[int] = (1, 2, 4, 8), machines: int = 8
 ) -> List[dict]:
-    """Total runtime (8b) and network partitioning time + bytes (8c) as the
-    first join's output grows."""
+    """Total runtime (8b; median of alternating runs after a warm-up
+    round) and network partitioning time + bytes (8c; one profiled run) as
+    the first join's output grows."""
     rows = []
+    cfg = JoinConfig(n_net=machines, loc_bits=2)
+    naive_plan, opt_plan = naive_sequence_plan(cfg, 2), optimized_sequence_plan(cfg, 2)
     for mult in mults:
         rels = _seq_relations(2, n_rows, mult_first=mult)
-        out_n, infos = {}, {}
-        for name, builder in (("naive", naive_sequence_plan), ("optimized", optimized_sequence_plan)):
-            cfg = JoinConfig(n_net=machines, loc_bits=2)
-            t0 = perf_counter()
-            out, info = run_on_sim(builder(cfg, 2), machines, rels, profile=True)
-            secs = perf_counter() - t0
-            out_n[name] = len(out)
-            infos[name] = (secs, info)
-        assert out_n["naive"] == out_n["optimized"]
+        out_naive, naive = run_on_sim(naive_plan, machines, rels, profile=True)
+        out_opt, opt = run_on_sim(opt_plan, machines, rels, profile=True)
+        assert len(out_naive) == len(out_opt)
+        t_naive, t_opt = timeit(
+            lambda: run_on_sim(naive_plan, machines, rels),
+            lambda: run_on_sim(opt_plan, machines, rels),
+        )
         rows.append({
-            "join1_output_x": mult, "rows_out": out_n["naive"],
-            "naive_total_s": infos["naive"][0],
-            "optimized_total_s": infos["optimized"][0],
-            "naive_network_s": infos["naive"][1]["phase_seconds"].get("network_partitioning", 0.0),
-            "optimized_network_s": infos["optimized"][1]["phase_seconds"].get("network_partitioning", 0.0),
-            "naive_net_bytes": infos["naive"][1]["bytes_put"],
-            "optimized_net_bytes": infos["optimized"][1]["bytes_put"],
+            "join1_output_x": mult, "rows_out": len(out_naive),
+            "naive_total_s": t_naive,
+            "optimized_total_s": t_opt,
+            "naive_network_s": naive["phase_seconds"].get("network_partitioning", 0.0),
+            "optimized_network_s": opt["phase_seconds"].get("network_partitioning", 0.0),
+            "naive_net_bytes": naive["bytes_put"],
+            "optimized_net_bytes": opt["bytes_put"],
         })
     return rows
 
 
 def fig8d_num_joins(
-    n_rows: int = 1 << 16, joins: Sequence[int] = (1, 2, 3), machines: int = 4, repeat: int = 2
+    n_rows: int = 1 << 16, joins: Sequence[int] = (1, 2, 3), machines: int = 4, repeat: int = 21
 ) -> List[dict]:
-    """Naive vs optimized sequence of 1..3 joins on ``machines`` ranks,
-    each the mean of ``repeat`` runs after a warm-up run."""
+    """Naive vs optimized sequence of 1..3 joins on ``machines`` ranks.
+    Each of ``repeat`` rounds, after a warm-up round, runs naive then
+    optimized; the cells are each side's median, the median of the
+    per-round differences and their interquartile range."""
     rows = []
     for n in joins:
         rels = _seq_relations(n, n_rows)
         cfg = JoinConfig(n_net=machines, loc_bits=2)
-        t_naive = timeit(lambda: run_on_sim(naive_sequence_plan(cfg, n), machines, rels), repeat)
-        t_opt = timeit(lambda: run_on_sim(optimized_sequence_plan(cfg, n), machines, rels), repeat)
+        rounds = np.array([
+            timeit(
+                lambda: run_on_sim(naive_sequence_plan(cfg, n), machines, rels),
+                lambda: run_on_sim(optimized_sequence_plan(cfg, n), machines, rels),
+                repeat=1, warmup=int(i == 0),
+            )
+            for i in range(repeat)
+        ])
+        t_naive, t_opt = np.median(rounds, axis=0)
+        q1, diff, q3 = np.percentile(rounds[:, 0] - rounds[:, 1], [25, 50, 75])
         rows.append({"n_joins": n, "naive_s": t_naive, "optimized_s": t_opt,
-                     "diff_s": t_naive - t_opt})
+                     "diff_s": diff, "diff_iqr_s": q3 - q1})
     return rows
 
 
@@ -294,16 +345,16 @@ def fig9_tpch(spark, sf: float = 0.1, repeat: int = 3, queries: Optional[Sequenc
                 continue
             relations = {f: tables[t] for f, t in q.table_map.items()}
             plan = q.build_plan(cfg)
-            t_mod = timeit(
+            t_mod, t_memsql = timeit(
                 lambda: run_distributed_on_spark(spark, plan, relations).collect(),
-                repeat,
+                lambda: memsql.run(q.sql),
+                repeat=repeat,
             )
             # the interpreted engine is 1-2 orders of magnitude slower; a
             # single cold run suffices (variance is tiny relative to the gap)
-            t_presto = timeit(
+            [t_presto] = timeit(
                 lambda: run_presto_sim(spark, q, tables, cfg).collect(), repeat=1, warmup=0
             )
-            t_memsql = timeit(lambda: memsql.run(q.sql), repeat)
             rows.append({
                 "query": q.name, "modularis_s": t_mod, "presto_sim_s": t_presto,
                 "memsql_sim_s": t_memsql,

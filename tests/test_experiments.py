@@ -1,9 +1,14 @@
 """Tests for the experiment harness plumbing (timing, tables, small runs)."""
+import importlib.util
+import time
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
 from repro.experiments import (
     fig6a_breakdown,
+    fig6a_fixed_cost,
     fig8a_machines,
     fig8bc_output_size,
     fig8d_num_joins,
@@ -13,9 +18,26 @@ from repro.experiments import (
 )
 
 
+JOBS = sorted((Path(__file__).resolve().parents[1] / "jobs").glob("*.py"))
+
+
 class TestHelpers:
-    def test_timeit_returns_positive_mean(self):
-        assert timeit(lambda: sum(range(1000)), repeat=2, warmup=1) > 0
+    def test_timeit_returns_median(self):
+        calls = []
+
+        def fn():
+            calls.append(None)
+            if len(calls) == 3:  # the second of three timed runs
+                time.sleep(0.2)
+
+        [secs] = timeit(fn, repeat=3, warmup=1)
+        assert len(calls) == 4
+        assert 0 < secs < 0.05  # the mean of the three runs is above 0.2 / 3
+
+    def test_timeit_alternates_callables(self):
+        order = []
+        timeit(lambda: order.append("a"), lambda: order.append("b"), repeat=2, warmup=1)
+        assert order == ["a", "b"] * 3
 
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "bb": 2.5}, {"a": 10, "bb": 0.25}], "t")
@@ -42,6 +64,11 @@ class TestSmallRuns:
     (optimized <= naive, constant optimized network bytes) must hold even at
     smoke scale."""
 
+    def test_fig6a_fixed_cost(self):
+        rows = fig6a_fixed_cost(n_rows=1 << 6, machines=(1, 2), repeat=2)
+        assert [r["machines"] for r in rows] == [1, 2]
+        assert all(r["monolithic_s"] > 0 and r["modularis_s"] > 0 for r in rows)
+
     def test_fig6a_has_all_phases(self):
         rows = fig6a_breakdown(n_rows=1 << 12, machines=(2,))
         assert len(rows) == 6
@@ -57,5 +84,15 @@ class TestSmallRuns:
         assert rows[1]["naive_net_bytes"] > rows[0]["naive_net_bytes"]
 
     def test_fig8d_rows(self):
-        rows = fig8d_num_joins(n_rows=1 << 12, joins=(1, 2), machines=2, repeat=1)
+        rows = fig8d_num_joins(n_rows=1 << 12, joins=(1, 2), machines=2, repeat=3)
         assert [r["n_joins"] for r in rows] == [1, 2]
+        assert all(r["diff_iqr_s"] >= 0 for r in rows)
+
+
+@pytest.mark.parametrize("path", JOBS, ids=lambda p: p.stem)
+def test_job_imports(path):
+    """Every job imports: a name it takes from ``repro.experiments`` exists."""
+    spec = importlib.util.spec_from_file_location(f"jobs.{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
