@@ -56,25 +56,28 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). The per-session SQL settings are the program's own,
+    pre-JVM-launch). The per-session settings are the program's own,
     ``repro.spark_session.session_conf()``, so tests, ``jobs/*`` and
     perfbench run the same session: among them, broadcast joins are
     disabled so papers about shuffle/join algorithms actually exercise the
-    shuffle path at SF~=0.1, and input relations are RDD-backed.
+    shuffle path at SF~=0.1, input relations are RDD-backed, and Python
+    workers fork from ``repro.spark_daemon``.
     """
     # imported here, not at module level: perfbench/test_smoke.py also
     # loads this conftest, without src/ on sys.path
     from repro.spark_session import session_conf
 
     s = SparkSession.builder.appName("repro").config(map=session_conf()).getOrCreate()
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the test output that says whether the cgroup derivation
+    # saw the real limit (README § Spark target), and which Python worker
+    # daemon the session runs.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
         f"defaultParallelism={s.sparkContext.defaultParallelism} "
-        f"localRelationThreshold={s.conf.get('spark.sql.execution.arrow.localRelationThreshold')}",
+        f"localRelationThreshold={s.conf.get('spark.sql.execution.arrow.localRelationThreshold')} "
+        f"daemon={s.sparkContext.getConf().get('spark.python.daemon.module', 'pyspark.daemon')}",
         file=sys.stderr,
     )
     yield s

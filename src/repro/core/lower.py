@@ -10,8 +10,9 @@ to a DataFrame over the DataFrames its upstreams lowered to.
 =========================  ==================================================
 rank-plan operator         Catalyst stage
 =========================  ==================================================
-RowScan over               the input relation of that name
+RowScan over               the input relation of that name, coalesced
 Projection(ParameterLookup)
+                           (no shuffle) to one partition per core
 MpiExchange                a ``Project``: ``selectExpr`` of its wire columns
                            (its input columns, or the one int64
                            ``CompressionSpec.word``, domain check included)
@@ -75,6 +76,7 @@ from repro.core.ops.orchestration import NestedMap, ParameterLookup
 from repro.core.ops.processing import Filter, Map, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType, concat, one_tuple
+from repro.spark_session import one_task_per_core
 
 _NATIVE_AGGS = {"sum": F.sum, "min": F.min, "max": F.max, "count": F.count}
 _NATIVES = (Projection, Reduce, ReduceByKey)
@@ -214,7 +216,7 @@ class _Lowering:
 
     def _lower(self, op: SubOperator) -> DataFrame:
         if _is_relation_scan(op):
-            return self.relations[op.field]
+            return one_task_per_core(self.relations[op.field])
         if isinstance(op, MpiExchange):
             wire = self._type(op).field_type(op.data_field).tuple_type
             df = self(op.upstreams[0]).selectExpr(*_wire_sql(op, wire), f"{op.bucket.sql()} AS __pid")

@@ -20,13 +20,15 @@ from pyspark.sql import functions as F
 from repro.core import radix
 from repro.modular.common import JoinConfig
 from repro.monolithic.join import _np_hash_join
+from repro.spark_session import one_task_per_core
 
 
 def _pre(df: DataFrame, cfg: JoinConfig, value_field: str) -> DataFrame:
-    """The wire columns and ``__pid`` in one native ``selectExpr``."""
+    """The wire columns and ``__pid`` in one native ``selectExpr`` over the
+    relation scanned as the modular lowering scans it."""
     spec = cfg.spec(value_field)
     wire = [f"{spec.word.sql()} AS kv"] if spec is not None else ["k", value_field]
-    return df.selectExpr(*wire, f"{cfg.net_pid().sql()} AS __pid")
+    return one_task_per_core(df).selectExpr(*wire, f"{cfg.net_pid().sql()} AS __pid")
 
 
 def _join_fn(cfg: JoinConfig):

@@ -339,6 +339,29 @@ class TestInputRelations:
         assert "LogicalRDD" in plan
         assert "LocalRelation" not in plan
 
+    def test_relation_scan_runs_one_task_per_core(self, spark):
+        """An RDD-backed input has one partition per Arrow batch. Its scan
+        is coalesced to one partition per core without a shuffle; a
+        relation with fewer partitions keeps its own."""
+        cores = spark.sparkContext.defaultParallelism
+        batch = int(spark.conf.get("spark.sql.execution.arrow.maxRecordsPerBatch"))
+        r = dense_kv_pdf((cores + 2) * batch, value_field="vr", seed=62)
+        s = dense_kv_pdf(batch, value_field="vs", seed=63)
+        relations = {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
+        assert [df.rdd.getNumPartitions() for df in relations.values()] == [cores + 2, 1]
+        cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
+        lowered = lower_distributed_plan(spark, distributed_join_plan(cfg), relations)
+        assert [df.rdd.getNumPartitions() for df in lowered.pre] == [cores, 1]
+        assert [_exchanges(df) for df in lowered.pre] == [0, 0]
+        out = lowered.result()
+        assert _exchanges(out) == 2  # the two sides' shuffles on __pid
+        assert_equivalent(out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r, s=s)
+
+
+def _exchanges(df) -> int:
+    """The shuffle exchanges in ``df``'s physical plan."""
+    return str(df._jdf.queryExecution().executedPlan()).count("Exchange ")
+
 
 class TestPythonRoundTrips:
     """Python runs only where the plan holds opaque callables: the nested
