@@ -3,13 +3,17 @@
 This is the "another platform" of the paper: the *same* plan object that
 runs SPMD on the simulated MPI cluster is mapped onto Spark's physical
 operators. ``MpiExecutor`` is the Spark job itself (ranks = shuffle
-partitions). Its nested *rank plan* is lowered by one memoized recursion
-that dispatches on operator type, not on plan shape: each operator lowers
-to a DataFrame over the DataFrames its upstreams lowered to.
+partitions). The driver plan and the nested *rank plan* are lowered by one
+memoized recursion that dispatches on operator type, not on plan shape:
+each operator lowers to a DataFrame over the DataFrames its upstreams
+lowered to, and the lowered root is the final result.
 
 =========================  ==================================================
-rank-plan operator         Catalyst stage
+operator                   Catalyst stage
 =========================  ==================================================
+RowScan over MpiExecutor   the lowered rank plan: the DataFrame of the
+                           upstream of its MaterializeRowVector root (every
+                           rank's result in one DataFrame)
 RowScan over               the input relation of that name, coalesced
 Projection(ParameterLookup)
                            (no shuffle) to one partition per core
@@ -31,26 +35,19 @@ or one MpiExchange         plan* per network partition through the
 a chain of Filter/Map      one fused ``mapInPandas`` stage
 Projection, Reduce,        native ``select``, ``agg``, ``groupBy().agg()``
 ReduceByKey
-MaterializeRowVector       its upstream's DataFrame
-(the rank plan's root)
 =========================  ==================================================
 
-Any other rank-plan operator raises ``TypeError`` naming it. An exchange
-lowers the same over whatever its upstream lowered to, so the naive join
-cascade's re-exchange of a join output lowers like a base relation's.
-
-The driver plan above ``RowScan(MpiExecutor)`` post-processes all ranks'
-results: ``Lowered.result()`` lowers its leading natives (``Projection``,
-``Reduce``, ``ReduceByKey``) to Catalyst and runs the rest with the
-operators' own kernels on the collected (small) result, exactly like the
-paper's driver.
+Any other operator raises ``TypeError`` naming it. An exchange lowers the
+same over whatever its upstream lowered to, so the naive join cascade's
+re-exchange of a join output lowers like a base relation's.
 
 Every Spark schema comes from the plan's static types (paper Section 3.2):
-the input relations' Spark schemas seed the rank plan's type propagation
-(``Plan.op_types``), and each stage's schema is its operator's type (an
-exchange's is its collection type, plus ``__pid``). Lowering therefore
-runs no Spark job; an operator whose type cannot be inferred (a ``Map``
-without ``declared_type``) is rejected.
+the input relations' Spark schemas seed the type propagation of the rank
+plan and of the driver plan (``Plan.op_types``), and each stage's schema
+is its operator's type (an exchange's is its collection type, plus
+``__pid``). Neither lowering nor ``Lowered.result()`` runs a Spark job; an
+operator whose type cannot be inferred (a ``Map`` without
+``declared_type``) is rejected.
 
 ``batch_size`` is the evaluator's scan batch size in every stage (None: a
 whole partition per batch). At ``batch_size=1`` the same kernels dispatch
@@ -60,7 +57,7 @@ Presto stand-in).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pandas as pd
@@ -99,19 +96,12 @@ _ATOMS = {spark_type: atom for atom, spark_type in _SPARK_TYPES.items()}
 class Lowered:
     """Handles to the lowered Catalyst stages of one distributed plan."""
 
-    spark: SparkSession
     #: one DataFrame per MpiExchange, carrying ``__pid``, upstream first
     pre: List[DataFrame]
     #: the root-most nested stage's output (flattened inner results)
     inner: DataFrame
-    #: the lowered rank plan: every rank's result in one DataFrame
-    ranks: DataFrame
-    #: the final result's schema, from the plan's static types
-    schema: T.StructType
-    #: the driver plan's operators above RowScan(MpiExecutor), application order
-    driver_ops: List[SubOperator] = field(default_factory=list)
-    #: the evaluator's scan batch size, also for the residual driver ops
-    batch_size: Optional[int] = None
+    #: the lowered plan root
+    root: DataFrame
 
     @property
     def histograms(self) -> List[DataFrame]:
@@ -121,19 +111,9 @@ class Lowered:
         return [df.groupBy("__pid").count() for df in self.pre]
 
     def result(self) -> DataFrame:
-        """Apply the driver plan and return the final DataFrame: its
-        leading natives as Catalyst operators, the residual with the
-        operators' kernels on the collected result."""
-        df = self.ranks
-        pending = list(self.driver_ops)
-        while pending and isinstance(pending[0], _NATIVES):
-            df = _native(df, pending.pop(0))
-        if pending:
-            pdf = _apply_chain(pending, df.toPandas(), self.batch_size)
-            # createDataFrame matches pandas columns to the schema by position
-            pdf = pdf.reindex(columns=self.schema.fieldNames())
-            df = self.spark.createDataFrame(pdf, schema=self.schema)
-        return df
+        """The final DataFrame, unevaluated: no Spark job runs before an
+        action on it."""
+        return self.root
 
 
 def lower_distributed_plan(
@@ -146,13 +126,16 @@ def lower_distributed_plan(
     over the given input DataFrames.
 
     Every schema comes from the plan's static types, seeded with the input
-    relations' Spark schemas, so lowering runs no Spark job. A type the
-    plan cannot infer (a ``Map`` without ``declared_type``) on the lowered
-    path, or an operator no lowering rule covers, raises ``TypeError``
-    naming the operator. ``batch_size`` is the evaluator's scan batch size
-    in every stage (1: per-tuple dispatch)."""
-    path = _driver_path(plan, plan.root)
-    me = path[0].upstreams[0]
+    relations' Spark schemas, so lowering runs no Spark job. A plan
+    without exactly one ``MpiExecutor``, a type the plan cannot infer (a
+    ``Map`` without ``declared_type``) on the lowered path, or an operator
+    no lowering rule covers, raises ``TypeError`` naming the operator.
+    ``batch_size`` is the evaluator's scan batch size in every stage (1:
+    per-tuple dispatch)."""
+    mes = [op for op in plan.operators() if isinstance(op, MpiExecutor)]
+    if len(mes) != 1:
+        raise TypeError(f"cannot lower plan {plan.name!r}: it has {len(mes)} MpiExecutors, not one")
+    me = mes[0]
     rank_plan = me.nested_plan
     names = dict.fromkeys(op.field for op in rank_plan.operators() if _is_relation_scan(op))
     for name in names:
@@ -161,21 +144,12 @@ def lower_distributed_plan(
     rank_param = TupleType([
         (name, RowVectorType(_tuple_type(name, relations[name].schema))) for name in names
     ])
-    lowering = _Lowering(rank_plan, rank_plan.op_types(rank_param), relations, batch_size)
-    ranks = lowering(rank_plan.root)
-
     # the driver plan reads the per-rank inputs as one collection field
     top_param = TupleType([(me.upstreams[0].field, RowVectorType(rank_param))])
-    result_type = _require(plan, plan.op_types(top_param), plan.root)
-    return Lowered(
-        spark=spark,
-        pre=lowering.pre,
-        inner=lowering.inner,
-        ranks=ranks,
-        schema=_struct(result_type),
-        driver_ops=path[1:],
-        batch_size=batch_size,
-    )
+    types = {**plan.op_types(top_param), **rank_plan.op_types(rank_param)}
+    lowering = _Lowering(plan, types, relations, batch_size)
+    root = lowering(plan.root)
+    return Lowered(pre=lowering.pre, inner=lowering.inner, root=root)
 
 
 def run_distributed_on_spark(
@@ -193,8 +167,9 @@ def run_distributed_on_spark(
 # ---------------------------------------------------------------------------
 
 class _Lowering:
-    """The memoized lowering of one rank plan: calling it on an operator
-    returns that operator's DataFrame, lowering each operator once."""
+    """The memoized lowering of one distributed plan, its rank plan
+    included: calling it on an operator returns that operator's DataFrame,
+    lowering each operator once."""
 
     def __init__(self, plan: Plan, types: Dict[SubOperator, Optional[TupleType]],
                  relations: Dict[str, DataFrame], batch_size: Optional[int]) -> None:
@@ -217,6 +192,9 @@ class _Lowering:
     def _lower(self, op: SubOperator) -> DataFrame:
         if _is_relation_scan(op):
             return one_task_per_core(self.relations[op.field])
+        if (isinstance(op, RowScan) and isinstance(op.upstreams[0], MpiExecutor)
+                and isinstance(op.upstreams[0].nested_plan.root, MaterializeRowVector)):
+            return self(op.upstreams[0].nested_plan.root.upstreams[0])
         if isinstance(op, MpiExchange):
             wire = self._type(op).field_type(op.data_field).tuple_type
             df = self(op.upstreams[0]).selectExpr(*_wire_sql(op, wire), f"{op.bucket.sql()} AS __pid")
@@ -242,8 +220,6 @@ class _Lowering:
             return self(chain[0].upstreams[0]).mapInPandas(fn, schema=_struct(self._type(op)))
         if isinstance(op, _NATIVES):
             return _native(self(op.upstreams[0]), op)
-        if isinstance(op, MaterializeRowVector) and op is self.plan.root:
-            return self(op.upstreams[0])
         raise TypeError(f"cannot lower plan {self.plan.name!r}: no Spark lowering rule for {type(op).__name__}")
 
 
@@ -255,19 +231,6 @@ def _is_relation_scan(op: SubOperator) -> bool:
         and isinstance(op.upstreams[0], Projection)
         and isinstance(op.upstreams[0].upstreams[0], ParameterLookup)
     )
-
-
-def _driver_path(plan: Plan, op: SubOperator) -> List[SubOperator]:
-    """``RowScan(MpiExecutor)`` and the driver plan's operators above it,
-    in application order."""
-    if isinstance(op, RowScan) and isinstance(op.upstreams[0], MpiExecutor):
-        return [op]
-    if len(op.upstreams) != 1:
-        raise TypeError(
-            f"cannot lower plan {plan.name!r}: its {type(op).__name__} is not a "
-            "single-input driver operator above RowScan(MpiExecutor)"
-        )
-    return _driver_path(plan, op.upstreams[0]) + [op]
 
 
 def _native(df: DataFrame, op: SubOperator) -> DataFrame:
@@ -328,20 +291,17 @@ def _require(plan: Plan, types: Dict[SubOperator, Optional[TupleType]], op: SubO
 # kernels
 # ---------------------------------------------------------------------------
 
-def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, batch_size: Optional[int]) -> pd.DataFrame:
-    """Run a linear chain of single-input operators over the frame ``pdf``,
-    scanned in batches of ``batch_size`` tuples, as ``RowScan`` would."""
-    ctx = ExecContext(batch_size=batch_size)
-    batches = list(RowVector(pdf).batches(batch_size))
-    for op in ops:
-        batches = list(op.batches(ctx, [iter(batches)]))
-    return concat(batches).to_pandas()
-
-
 def _make_map_fn(ops: Sequence[SubOperator], batch_size: Optional[int]) -> Callable:
+    """The ``mapInPandas`` function of a linear chain of single-input
+    operators: it runs them over each Arrow batch, scanned in batches of
+    ``batch_size`` tuples, as ``RowScan`` would."""
     def fn(iterator):
         for pdf in iterator:
-            out = _apply_chain(ops, pdf, batch_size)
+            ctx = ExecContext(batch_size=batch_size)
+            batches = list(RowVector(pdf).batches(batch_size))
+            for op in ops:
+                batches = list(op.batches(ctx, [iter(batches)]))
+            out = concat(batches).to_pandas()
             if len(out):
                 yield out
 

@@ -15,6 +15,7 @@ import numpy as np
 import pandas as pd
 
 from repro import sloc
+from repro.core import profiling
 from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
@@ -26,10 +27,8 @@ from repro.monolithic.spark import run_monolithic_join_spark
 from repro.mpi.thread_backend import run_on_sim
 from repro.synth_data import dense_kv_pdf
 
-PHASES = (
-    "local_histogram", "global_histogram", "network_partitioning",
-    "local_partitioning", "build_probe", "materialize",
-)
+#: the phases Fig. 6a breaks a join into: every profiled phase but "other"
+PHASES = tuple(p for p in profiling.PHASES if p != "other")
 
 
 def timeit(*fns: Callable[[], object], repeat: int = 3, warmup: int = 1) -> List[float]:

@@ -21,7 +21,7 @@ from repro.core.ops import (
 )
 from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVectorType, TupleType
 from repro.engines import run_presto_sim
-from repro.modular.common import JoinConfig
+from repro.modular.common import JoinConfig, rank_input
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
 from repro.modular.join_sequence import (
@@ -479,8 +479,8 @@ class TestEmptyRelations:
     @pytest.mark.parametrize("driver_post", [None, "filter"])
     def test_join_with_empty_r(self, spark, kv_frames, driver_post):
         r, s = kv_frames
-        # a Filter is not lowerable, so the empty result goes through the
-        # driver-side fallback, which must build it from the plan's types
+        # a driver Filter runs as one more mapInPandas stage, whose schema
+        # comes from the plan's types: its empty output still has columns
         post = None if driver_post is None else (
             lambda op: Filter(op, lambda b: b["k"] >= 0)
         )
@@ -488,6 +488,7 @@ class TestEmptyRelations:
         out = run_distributed_on_spark(
             spark, plan, {"R": _empty(spark, r), "S": spark.createDataFrame(s)}
         )
+        assert python_nodes(out)["MapInPandas"] == (0 if driver_post is None else 1)
         assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s)
 
     @pytest.mark.parametrize("compress", [False, True])
@@ -676,6 +677,7 @@ class TestStaticSchemas:
         relations = {f: spark.createDataFrame(pdf) for f, pdf in frames.items()}
         with spark_jobs(spark) as ran:
             lowered = lower_distributed_plan(spark, plan, relations)
+            lowered.result()
         assert ran.count == 0
         if name in _TPCH_INNER:
             want = StructType.fromDDL(_TPCH_INNER[name])
@@ -699,13 +701,20 @@ class TestStaticSchemas:
                 spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
             )
 
-    def test_operator_without_rule_rejected(self, spark, kv_frames):
+    @pytest.mark.parametrize("hook", ["rank_post", "driver_post"])
+    def test_operator_without_rule_rejected(self, spark, kv_frames, hook):
         r, s = kv_frames
         plan = distributed_join_plan(
             JoinConfig(n_net=2, loc_bits=1),
-            rank_post=lambda op: LocalHistogram(op, 2, col("k") & 1),
+            **{hook: lambda op: LocalHistogram(op, 2, col("k") & 1)},
         )
         with pytest.raises(TypeError, match="no Spark lowering rule for LocalHistogram"):
             lower_distributed_plan(
                 spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
             )
+
+    def test_plan_without_mpi_executor_rejected(self, spark, kv_frames):
+        r, _ = kv_frames
+        plan = Plan(Filter(rank_input("R"), lambda b: b["k"] >= 0), name="no-executor")
+        with pytest.raises(TypeError, match="'no-executor': it has 0 MpiExecutors"):
+            lower_distributed_plan(spark, plan, {"R": spark.createDataFrame(r)})
