@@ -45,9 +45,10 @@ Every Spark schema comes from the plan's static types (paper Section 3.2):
 the input relations' Spark schemas seed the type propagation of the rank
 plan and of the driver plan (``Plan.op_types``), and each stage's schema
 is its operator's type (an exchange's is its collection type, plus
-``__pid``). Neither lowering nor ``Lowered.result()`` runs a Spark job; an
-operator whose type cannot be inferred (a ``Map`` without
-``declared_type``) is rejected.
+``__pid``). Neither lowering nor ``Lowered.result()`` runs a Spark job.
+Typing is total, so a plan with an untyped operator (a ``Map`` without
+``declared_type``, in any nested plan) raises at ``Plan.op_types``, naming
+that plan and the operator, before anything is lowered.
 
 ``batch_size`` is the evaluator's scan batch size in every stage (None: a
 whole partition per batch). At ``batch_size=1`` the same kernels dispatch
@@ -127,9 +128,10 @@ def lower_distributed_plan(
 
     Every schema comes from the plan's static types, seeded with the input
     relations' Spark schemas, so lowering runs no Spark job. A plan
-    without exactly one ``MpiExecutor``, a type the plan cannot infer (a
-    ``Map`` without ``declared_type``) on the lowered path, or an operator
-    no lowering rule covers, raises ``TypeError`` naming the operator.
+    without exactly one ``MpiExecutor``, an operator without a static type
+    (a ``Map`` without ``declared_type``; ``Plan.op_types`` names its plan),
+    or an operator no lowering rule covers, raises ``TypeError`` naming the
+    operator.
     ``batch_size`` is the evaluator's scan batch size in every stage (1:
     per-tuple dispatch)."""
     mes = [op for op in plan.operators() if isinstance(op, MpiExecutor)]
@@ -171,7 +173,7 @@ class _Lowering:
     included: calling it on an operator returns that operator's DataFrame,
     lowering each operator once."""
 
-    def __init__(self, plan: Plan, types: Dict[SubOperator, Optional[TupleType]],
+    def __init__(self, plan: Plan, types: Dict[SubOperator, TupleType],
                  relations: Dict[str, DataFrame], batch_size: Optional[int]) -> None:
         self.plan = plan
         self.types = types
@@ -186,9 +188,6 @@ class _Lowering:
             self.memo[op] = self._lower(op)
         return self.memo[op]
 
-    def _type(self, op: SubOperator) -> TupleType:
-        return _require(self.plan, self.types, op)
-
     def _lower(self, op: SubOperator) -> DataFrame:
         if _is_relation_scan(op):
             return one_task_per_core(self.relations[op.field])
@@ -196,7 +195,7 @@ class _Lowering:
                 and isinstance(op.upstreams[0].nested_plan.root, MaterializeRowVector)):
             return self(op.upstreams[0].nested_plan.root.upstreams[0])
         if isinstance(op, MpiExchange):
-            wire = self._type(op).field_type(op.data_field).tuple_type
+            wire = self.types[op].field_type(op.data_field).tuple_type
             df = self(op.upstreams[0]).selectExpr(*_wire_sql(op, wire), f"{op.bucket.sql()} AS __pid")
             self.pre.append(df)
             return df
@@ -209,7 +208,7 @@ class _Lowering:
                                     f"{type(ex).__name__}, not MpiExchange")
             self.inner = _nested_stage(
                 [self(ex) for ex in sides], sides, nm.nested_plan, op.field,
-                _struct(self._type(op)), self.batch_size,
+                _struct(self.types[op]), self.batch_size,
             )
             return self.inner
         if isinstance(op, _OPAQUE):
@@ -217,7 +216,7 @@ class _Lowering:
             while isinstance(chain[0].upstreams[0], _OPAQUE):
                 chain.insert(0, chain[0].upstreams[0])
             fn = _make_map_fn(chain, self.batch_size)
-            return self(chain[0].upstreams[0]).mapInPandas(fn, schema=_struct(self._type(op)))
+            return self(chain[0].upstreams[0]).mapInPandas(fn, schema=_struct(self.types[op]))
         if isinstance(op, _NATIVES):
             return _native(self(op.upstreams[0]), op)
         raise TypeError(f"cannot lower plan {self.plan.name!r}: no Spark lowering rule for {type(op).__name__}")
@@ -266,25 +265,6 @@ def _struct(t: TupleType) -> T.StructType:
             raise TypeError(f"field {name!r} of type {item!r} has no Spark type")
         fields.append(T.StructField(name, _SPARK_TYPES[item]))
     return T.StructType(fields)
-
-
-def _require(plan: Plan, types: Dict[SubOperator, Optional[TupleType]], op: SubOperator) -> TupleType:
-    """``op``'s static type; if it is unknown, raise naming the operator
-    where the unknown type starts (descending into nested plans)."""
-    if types[op] is not None:
-        return types[op]
-    while True:
-        untyped = [u for u in op.upstreams if types[u] is None]
-        if untyped:
-            op = untyped[0]
-        elif hasattr(op, "nested_plan"):
-            plan, types = op.nested_plan, op.nested_plan.op_types(types[op.upstreams[0]])
-            op = plan.root
-        else:
-            raise TypeError(
-                f"cannot lower plan {plan.name!r}: its {type(op).__name__} has no "
-                "static output type (give it a declared_type)"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,12 @@ class SubOperator:
         self.upstreams: List[SubOperator] = list(upstreams)
 
     # -- static typing -----------------------------------------------------
-    def out_type(self, in_types: Sequence[Optional[TupleType]]) -> Optional[TupleType]:
-        """Output tuple type given upstream types; None = unknown/dynamic."""
-        return None
+    def out_type(self, in_types: Sequence[TupleType]) -> TupleType:
+        """Output tuple type given the upstreams' types. ``Plan.op_types``
+        calls it on every operator and rejects an unknown (None) result."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement out_type"
+        )
 
     def exprs(self) -> Dict[str, Expr]:
         """The integer expressions the operator evaluates over its first

@@ -8,7 +8,7 @@ contiguous partitions.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 import numpy as np
 
@@ -32,11 +32,8 @@ class RowScan(SubOperator):
         super().__init__([upstream])
         self.field = field
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        t = in_types[0]
-        if t is None:
-            return None
-        item = t.field_type(self.field)
+    def out_type(self, in_types) -> TupleType:
+        item = in_types[0].field_type(self.field)
         if not isinstance(item, RowVectorType):
             raise TypeError(f"RowScan field {self.field!r} is not a collection: {item!r}")
         return item.tuple_type
@@ -61,9 +58,7 @@ class MaterializeRowVector(SubOperator):
         super().__init__([upstream])
         self.field = field
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        if in_types[0] is None:
-            return None
+    def out_type(self, in_types) -> TupleType:
         return TupleType([(self.field, RowVectorType(in_types[0]))])
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -101,9 +96,7 @@ class LocalPartitioning(SubOperator):
     def exprs(self) -> Dict[str, Expr]:
         return {"pid": self.bucket}
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        if in_types[0] is None:
-            return None
+    def out_type(self, in_types) -> TupleType:
         return TupleType(
             [(self.pid_field, INT64), (self.data_field, RowVectorType(in_types[0]))]
         )

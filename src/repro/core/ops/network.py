@@ -99,7 +99,7 @@ class MpiExecutor(SubOperator):
         super().__init__([upstream])
         self.nested_plan = nested_plan
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         return self.nested_plan.out_type(param_type=in_types[0])
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
@@ -186,10 +186,8 @@ class MpiExchange(SubOperator):
         spec = self.compression
         return {"pid": self.bucket, **({} if spec is None else {spec.out_field: spec.word})}
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         t = in_types[0]
-        if t is None:
-            return None
         if self.compression is not None:
             t = self.compression.wire_type(t)
         return TupleType([(self.pid_field, INT64), (self.data_field, RowVectorType(t))])

@@ -49,7 +49,7 @@ class NestedMap(SubOperator):
         super().__init__([upstream])
         self.nested_plan = nested_plan
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         return self.nested_plan.out_type(param_type=in_types[0])
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:

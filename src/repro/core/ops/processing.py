@@ -44,9 +44,9 @@ class Map(SubOperator):
 
 class ParametrizedMap(SubOperator):
     """Map that additionally receives one parameter tuple from a second
-    upstream, passed to every function call (used e.g. to restore bits
-    dropped by the exchange compression): ``fn(RowVector, dict) ->
-    RowVector``."""
+    upstream, passed to every function call as a one-tuple batch (used
+    e.g. to restore bits dropped by the exchange compression):
+    ``fn(RowVector, RowVector) -> RowVector``."""
 
     op_name = "PM"
 
@@ -54,7 +54,7 @@ class ParametrizedMap(SubOperator):
         self,
         param_upstream: SubOperator,
         data_upstream: SubOperator,
-        fn: Callable[[RowVector, dict], RowVector],
+        fn: Callable[[RowVector, RowVector], RowVector],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([param_upstream, data_upstream])
@@ -65,13 +65,13 @@ class ParametrizedMap(SubOperator):
         return self.declared_type
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
-        params = list(concat(list(ups[0])).iter_rows())
-        if len(params) != 1:
+        param = concat(list(ups[0]))
+        if len(param) != 1:
             raise RuntimeError(
-                f"ParametrizedMap expects exactly one parameter tuple, got {len(params)}"
+                f"ParametrizedMap expects exactly one parameter tuple, got {len(param)}"
             )
         for b in ups[1]:
-            yield self.fn(b, params[0])
+            yield self.fn(b, param)
 
 
 class Projection(SubOperator):
@@ -83,8 +83,8 @@ class Projection(SubOperator):
         super().__init__([upstream])
         self.fields = list(fields)
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        return in_types[0].project(self.fields) if in_types[0] is not None else None
+    def out_type(self, in_types) -> TupleType:
+        return in_types[0].project(self.fields)
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
         for b in ups[0]:
@@ -100,9 +100,7 @@ class CartesianProduct(SubOperator):
     def __init__(self, left: SubOperator, right: SubOperator) -> None:
         super().__init__([left, right])
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        if in_types[0] is None or in_types[1] is None:
-            return None
+    def out_type(self, in_types) -> TupleType:
         return in_types[0].concat(in_types[1])
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -126,7 +124,7 @@ class Filter(SubOperator):
         super().__init__([upstream])
         self.pred = pred
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         return in_types[0]
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -147,9 +145,7 @@ class Reduce(SubOperator):
         super().__init__([upstream])
         self.aggs = _checked(aggs)
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        if in_types[0] is None:
-            return None
+    def out_type(self, in_types) -> TupleType:
         return TupleType([
             (c, INT64 if a == "count" else in_types[0].field_type(c)) for c, a in self.aggs.items()
         ])
@@ -179,7 +175,7 @@ class ReduceByKey(SubOperator):
         self.key = key
         self.aggs = _checked(aggs)
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         return in_types[0]
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -195,9 +191,7 @@ class Zip(SubOperator):
     def __init__(self, upstreams: Sequence[SubOperator]) -> None:
         super().__init__(upstreams)
 
-    def out_type(self, in_types) -> Optional[TupleType]:
-        if any(t is None for t in in_types):
-            return None
+    def out_type(self, in_types) -> TupleType:
         out = in_types[0]
         for t in in_types[1:]:
             out = out.concat(t)
@@ -265,10 +259,8 @@ class BuildProbe(SubOperator):
         self.key = key
         self.join_type = join_type
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         lt, rt = in_types
-        if lt is None or rt is None:
-            return None
         if self.join_type in ("semi", "anti"):
             return rt
         rest_l = [n for n in lt.names if n != self.key]

@@ -53,13 +53,14 @@ class Plan:
             )
         return out
 
-    def op_types(
-        self, param_type: Optional[TupleType] = None
-    ) -> Dict[SubOperator, Optional[TupleType]]:
-        """Static output type of every operator of this plan (None where
-        dynamic). ``param_type`` types the ParameterLookups that declare
-        none."""
-        types: Dict[SubOperator, Optional[TupleType]] = {}
+    def op_types(self, param_type: Optional[TupleType] = None) -> Dict[SubOperator, TupleType]:
+        """Static output type of every operator of this plan, nested plans
+        typed through their operators' ``out_type``. ``param_type`` types
+        the ParameterLookups that declare none. An operator whose type is
+        unknown (a Map or ParametrizedMap without ``declared_type``, or a
+        ParameterLookup with neither type) raises ``TypeError`` naming the
+        plan and the operator."""
+        types: Dict[SubOperator, TupleType] = {}
         for op in self._ops:
             if isinstance(op, ParameterLookup):
                 types[op] = op.declared_type or param_type
@@ -68,13 +69,18 @@ class Plan:
                 if in_types:
                     _check_reads(op, in_types[0])
                 types[op] = op.out_type(in_types)
+            if types[op] is None:
+                raise TypeError(
+                    f"plan {self.name!r}: its {type(op).__name__} has no static "
+                    "output type (give it a declared_type)"
+                )
         return types
 
-    def out_type(self, param_type: Optional[TupleType] = None) -> Optional[TupleType]:
-        """Best-effort static type propagation (None where dynamic). Every
-        column an operator's expressions read must be an int64 column of
-        its first upstream's type, where that type is known; otherwise
-        typing raises ``TypeError`` naming the operator and the column."""
+    def out_type(self, param_type: Optional[TupleType] = None) -> TupleType:
+        """The root's static type (``op_types``). Every column an
+        operator's expressions read must be an int64 column of its first
+        upstream's type; otherwise typing raises ``TypeError`` naming the
+        operator and the column."""
         return self.op_types(param_type)[self.root]
 
     def render(self) -> str:
@@ -93,11 +99,9 @@ class Plan:
         return "\n".join(lines)
 
 
-def _check_reads(op: SubOperator, in_type: Optional[TupleType]) -> None:
+def _check_reads(op: SubOperator, in_type: TupleType) -> None:
     """Raise ``TypeError`` if an expression of ``op`` reads a column that
-    ``in_type`` (None: unknown, not checked) lacks or that is not int64."""
-    if in_type is None:
-        return
+    ``in_type`` lacks or that is not int64."""
     for name, e in op.exprs().items():
         for c in e.columns():
             if c not in in_type.names:

@@ -12,11 +12,15 @@ throughout this reproduction and the batch passed between sub-operators:
 named 1-D numpy columns of one length (the batch analogue of the paper's
 C-array-of-C-structs); pandas frames exist only at the program's edges.
 
-Typing is *best-effort*: operators whose output type depends on opaque user
-functions (``Map``) may declare their output type explicitly or propagate
-``None`` (unknown), in which case downstream static checks are skipped.
-The Spark lowering derives its schemas from these types, so it rejects
-plans whose lowered operators have unknown types.
+Typing is *total*, as in the paper, whose JIT compiler knows every
+pipeline's types before the plan runs: ``Plan.op_types`` gives every
+operator, nested plans included, a static output type, or raises
+``TypeError`` naming the plan and the operator whose type is unknown.
+Operators that run an opaque user function (``Map``, ``ParametrizedMap``)
+take their output type as ``declared_type``. It is optional at
+construction, because evaluation never reads types, so a plan with an
+untyped ``Map`` runs on the simulator but cannot be typed. The Spark
+lowering derives its schemas from these types.
 """
 from __future__ import annotations
 

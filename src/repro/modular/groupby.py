@@ -34,8 +34,8 @@ def groupby_inner2_plan(cfg: JoinConfig, value_field: str, aggs: Dict[str, str])
         spec = cfg.spec(value_field)
         typ = TupleType([(cfg.key, INT64), (value_field, INT64)])
 
-        def restore(b: RowVector, p: dict) -> RowVector:
-            k, v = spec.decompress(b[spec.out_field], int(p["net_pid"]))
+        def restore(b: RowVector, p: RowVector) -> RowVector:
+            k, v = spec.decompress(b[spec.out_field], int(p["net_pid"][0]))
             return RowVector({cfg.key: k, value_field: v})
 
         data = ParametrizedMap(Projection(pl, ["net_pid"]), data, restore, typ)

@@ -85,8 +85,8 @@ def join_inner2_plan(
         keep = [value_fields[1]] if join_type in ("semi", "anti") else list(value_fields)
         typ = TupleType([(cfg.key, INT64)] + [(vf, INT64) for vf in keep])
 
-        def restore_key(b: RowVector, p: dict) -> RowVector:
-            cols = {cfg.key: spec.restore(b["k_hi"], int(p[pid_field]))}
+        def restore_key(b: RowVector, p: RowVector) -> RowVector:
+            cols = {cfg.key: spec.restore(b["k_hi"], int(p[pid_field][0]))}
             cols.update((c, a) for c, a in b.items() if c != "k_hi")
             return RowVector(cols)
 

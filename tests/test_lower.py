@@ -701,6 +701,18 @@ class TestStaticSchemas:
                 spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
             )
 
+    def test_untyped_nested_map_names_nested_plan(self, spark, kv_frames):
+        """An untyped Map two nesting levels below the rank plan raises
+        naming the nested plan it sits in."""
+        r, s = kv_frames
+        plan = distributed_join_plan(
+            JoinConfig(n_net=2, loc_bits=1), probe_post=lambda op: Map(op, lambda b: b),
+        )
+        with pytest.raises(TypeError, match="plan 'join-inner2': its Map has no static output type"):
+            lower_distributed_plan(
+                spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
+            )
+
     @pytest.mark.parametrize("hook", ["rank_post", "driver_post"])
     def test_operator_without_rule_rejected(self, spark, kv_frames, hook):
         r, s = kv_frames

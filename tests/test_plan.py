@@ -138,11 +138,20 @@ class TestTyping:
         bp = BuildProbe(ParameterLookup(declared_type=lt), ParameterLookup(declared_type=rt), key="k")
         assert Plan(bp).out_type().names == ("k", "lv", "rv")
 
-    def test_unknown_propagates_as_none(self):
-        from repro.core.ops import Map
-
+    def test_untyped_map_raises(self):
+        """Typing is total: a Map without declared_type fails at typing,
+        naming the operator and its plan."""
         m = Map(ParameterLookup(declared_type=kv_type()), lambda pdf: pdf)
-        assert Plan(Filter(m, lambda pdf: np.ones(len(pdf), dtype=bool))).out_type() is None
+        plan = Plan(Filter(m, lambda pdf: np.ones(len(pdf), dtype=bool)), name="untyped")
+        with pytest.raises(TypeError, match="plan 'untyped': its Map has no static output type"):
+            plan.out_type()
+
+    def test_untyped_parameter_lookup_raises(self):
+        """A ParameterLookup with no declared type, typed without
+        ``param_type``, has no type: typing raises naming it."""
+        plan = Plan(Projection(ParameterLookup(), ["k"]), name="no-params")
+        with pytest.raises(TypeError, match="plan 'no-params': its ParameterLookup has no static output type"):
+            plan.op_types()
 
     def test_reduce_by_key_preserves_type(self):
         pl = ParameterLookup(declared_type=kv_type())
