@@ -3,8 +3,8 @@
 Each physical materialization format gets a dedicated read/write pair
 (design principle 2): ``RowScan`` reads tuples out of a ``RowVector``
 collection, ``MaterializeRowVector`` writes a tuple stream into one, and
-``LocalPartitioning`` materializes a tuple stream into histogram-sized
-contiguous partitions.
+``LocalPartitioning`` materializes a tuple stream into contiguous
+partitions, counting their sizes itself.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import radix
 from repro.core.expr import Expr
-from repro.core.ops.base import SubOperator, dense_counts
+from repro.core.ops.base import SubOperator
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType, concat, object_column
 
 
@@ -66,13 +66,14 @@ class MaterializeRowVector(SubOperator):
 
 
 class LocalPartitioning(SubOperator):
-    """Partitions a tuple sequence into histogram-sized contiguous runs.
+    """Partitions a tuple sequence into contiguous runs, one per id.
 
-    Consumes the data from one upstream and its dense histogram from a
-    second (the prefix sums of the histogram give each partition's extent),
-    places each tuple in the partition its integer expression ``bucket``
-    gives, then emits ``<partition_id, partition_data>`` pairs in dense order —
-    reused verbatim by joins and GROUP BY (design principle 1).
+    Places each tuple of its one upstream in the partition its integer
+    expression ``bucket`` gives (``radix.scatter_arrays`` counts the
+    partition sizes while it sorts the ids, so no histogram input is read;
+    ids outside ``[0, n_partitions)`` raise ``ValueError``), then emits
+    ``<partition_id, partition_data>`` pairs in dense order — reused
+    verbatim by joins and GROUP BY (design principle 1).
     """
 
     op_name = "LP"
@@ -80,14 +81,13 @@ class LocalPartitioning(SubOperator):
 
     def __init__(
         self,
-        data_upstream: SubOperator,
-        histogram_upstream: SubOperator,
+        upstream: SubOperator,
         n_partitions: int,
         bucket: Expr,
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
     ) -> None:
-        super().__init__([data_upstream, histogram_upstream])
+        super().__init__([upstream])
         self.n_partitions = n_partitions
         self.bucket = bucket
         self.pid_field = pid_field
@@ -102,18 +102,11 @@ class LocalPartitioning(SubOperator):
         )
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
-        sizes = dense_counts(concat(list(ups[1])), self.n_partitions, "LocalPartitioning")
         data = concat(list(ups[0]))
         parts = radix.scatter_arrays(
             [data[c] for c in data.columns], self.bucket.eval(data), self.n_partitions
         )
-        batches = [RowVector(dict(zip(data.columns, arrays))) for arrays in parts]
-        for p, b in enumerate(batches):
-            if len(b) != sizes[p]:
-                raise RuntimeError(
-                    f"partition {p}: histogram says {sizes[p]} tuples, saw {len(b)}"
-                )
         yield RowVector({
             self.pid_field: np.arange(self.n_partitions, dtype=np.int64),
-            self.data_field: object_column(batches),
+            self.data_field: object_column([RowVector(dict(zip(data.columns, a))) for a in parts]),
         })

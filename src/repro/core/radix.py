@@ -21,7 +21,7 @@ spans too wide to pack.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -85,7 +85,7 @@ def join_indices(build_keys: np.ndarray, probe_keys: np.ndarray) -> Tuple[np.nda
     ``searchsorted``, and every hit expands to its run of equal build keys.
     Pairs come out in ascending key order; within a key they are ordered
     by probe row, then by build row."""
-    bk, pk, b_rows, p_rows = _comparable_keys(build_keys, probe_keys)
+    bk, pk = _widen(build_keys), _widen(probe_keys)
     empty = np.zeros(0, dtype=np.int64)
     if not len(bk) or not len(pk):
         return empty, empty
@@ -111,10 +111,6 @@ def join_indices(build_keys: np.ndarray, probe_keys: np.ndarray) -> Tuple[np.nda
         step = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         build_idx = b_order[np.repeat(first[pos], cnt) + step]
         probe_idx = np.repeat(p_order, cnt)
-    if b_rows is not None:
-        build_idx = b_rows[build_idx]
-    if p_rows is not None:
-        probe_idx = p_rows[probe_idx]
     return build_idx, probe_idx
 
 
@@ -134,38 +130,13 @@ def _sorted_rows(keys: np.ndarray, base) -> Tuple[np.ndarray, np.ndarray]:
     return packed >> b, packed & ((1 << b) - 1)
 
 
-def _comparable_keys(
-    build: np.ndarray, probe: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Both key columns in one 64-bit integer dtype, without the float64
-    round trip numpy would take for an int64/uint64 pair.
-
-    Returns the keys and, for each side, the input rows they come from
-    (``None`` = all rows): when neither dtype holds the other side's keys,
-    negative signed keys and unsigned keys >= 2**63 can match nothing and
-    are left out."""
-    build, probe = _widen(build), _widen(probe)
-    if build.dtype == probe.dtype:
-        return build, probe, None, None
-    swap = build.dtype == np.uint64
-    signed, unsigned = (probe, build) if swap else (build, probe)
-    s_rows = u_rows = None
-    if not len(signed) or signed.min() >= 0:
-        signed = signed.astype(np.uint64)
-    elif not len(unsigned) or int(unsigned.max()) < 1 << 63:
-        unsigned = unsigned.astype(np.int64)
-    else:
-        s_rows = np.flatnonzero(signed >= 0)
-        u_rows = np.flatnonzero(unsigned < np.uint64(1 << 63))
-        signed, unsigned = signed[s_rows], unsigned[u_rows].astype(np.int64)
-    return (unsigned, signed, u_rows, s_rows) if swap else (signed, unsigned, s_rows, u_rows)
-
-
 def _widen(keys: np.ndarray) -> np.ndarray:
+    """Signed integer keys as int64; any other dtype (unsigned, which the
+    type system has no atom for, or non-integer) raises."""
     keys = np.asarray(keys)
-    if keys.dtype.kind not in "iu":
-        raise TypeError(f"join keys must be integers, got {keys.dtype}")
-    return keys.astype(np.int64 if keys.dtype.kind == "i" else np.uint64, copy=False)
+    if keys.dtype.kind != "i":
+        raise TypeError(f"join keys must be signed integers, got {keys.dtype}")
+    return keys.astype(np.int64, copy=False)
 
 
 _UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}

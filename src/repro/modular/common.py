@@ -3,8 +3,9 @@
 All of Fig. 3/4/5 use the same skeleton per input relation:
 scan -> {LocalHistogram -> MpiHistogram} + MpiExchange (radix on the key,
 optionally compressed), and the same local step inside the first NestedMap:
-RowScan -> LocalHistogram -> LocalPartitioning -> CartesianProduct with the
-network partition id. Factoring these out *is* the paper's reuse claim.
+RowScan -> LocalPartitioning -> CartesianProduct with the network partition
+id (LocalPartitioning counts its partitions itself, so only the network
+skeleton, whose RMA windows need the global sizes, holds a LocalHistogram). Factoring these out *is* the paper's reuse claim.
 """
 from __future__ import annotations
 
@@ -114,10 +115,8 @@ def local_partition_side(
     every local partition with the network partition id (Fig. 3)."""
     pid_tuple = Projection(pl, [net_pid_field])
     data = RowScan(Projection(pl, [net_data_field]), net_data_field)
-    loc_pid = cfg.loc_pid(value_field)
-    lh = LocalHistogram(data, cfg.n_loc, loc_pid)
     lp = LocalPartitioning(
-        data, lh, cfg.n_loc, loc_pid,
+        data, cfg.n_loc, cfg.loc_pid(value_field),
         pid_field=loc_pid_field, data_field=loc_data_field,
     )
     return CartesianProduct(pid_tuple, lp)

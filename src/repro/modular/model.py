@@ -67,11 +67,9 @@ def _rank_model(
     parts_s = _run(ex("S", "vs"), params | {"LH": hist_s, "GH": ghist_s}, comm)
     t["network_partitioning"] = perf_counter() - t0
 
-    # local partitioning: LocalHistogram + LocalPartitioning per partition
+    # local partitioning: the LocalPartitioning operator per partition
     def local_parts(parts, vf):
-        loc_pid = cfg.loc_pid(vf)
-        hist = LocalHistogram(rank_input("D"), cfg.n_loc, loc_pid)
-        lp = LocalPartitioning(rank_input("D"), hist, cfg.n_loc, loc_pid)
+        lp = LocalPartitioning(rank_input("D"), cfg.n_loc, cfg.loc_pid(vf))
         return [_run(lp, {"D": data}) for data in parts["partition_data"]]
 
     t0 = perf_counter()

@@ -601,7 +601,7 @@ def _assert_columnar(batch, where):
 class _DeclaredTypeCheck:
     """Passed as the evaluator's profiler: checks that every batch every
     operator yields is columnar (``_assert_columnar``), every non-empty
-    batch of an operator with a known static type against that type (an
+    batch of an operator against its static type (an
     atom field has its atom's dtype kind, a collection field is an object
     column), and every non-empty partition an MpiExchange yields against
     the collection type of its out_type (``types``: every operator's
@@ -622,7 +622,7 @@ class _DeclaredTypeCheck:
         for batch in gen:
             _assert_columnar(batch, repr(op))
             self.batches += 1
-            if len(batch) and self.types[op] is not None:
+            if len(batch):
                 _assert_kinds(batch, self.types[op], repr(op))
                 self.checked.add(op)
             for frame, typ in partitions(batch):
@@ -648,6 +648,25 @@ def _all_types(plan, param_type):
     return types
 
 
+class TestNetworkSkeleton:
+    @pytest.mark.parametrize("name", PLANS)
+    def test_local_histograms_feed_only_the_exchange(self, plans, name):
+        """Only the network skeleton counts partitions ahead of time (its
+        RMA windows need the global sizes): every LocalHistogram, nested
+        plans included, is read by an MpiHistogram or an MpiExchange, and
+        LocalPartitioning counts its own partitions."""
+        stack, readers = [plans[name][0]], 0
+        while stack:
+            plan = stack.pop()
+            for op in plan.operators():
+                if hasattr(op, "nested_plan"):
+                    stack.append(op.nested_plan)
+                if any(isinstance(u, LocalHistogram) for u in op.upstreams):
+                    assert isinstance(op, (MpiHistogram, MpiExchange)), f"{op!r} reads a LocalHistogram"
+                    readers += 1
+        assert readers
+
+
 class TestStaticSchemas:
     @pytest.mark.parametrize("name", PLANS)
     def test_declared_types_match_sim_dtypes(self, plans, name):
@@ -666,7 +685,7 @@ class TestStaticSchemas:
             plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
         )
         assert set(_declared_ops(plan)) <= checker.checked
-        assert checker.checked == {op for op, t in types.items() if t is not None}
+        assert checker.checked == set(types)
         assert checker.batches > 0
         assert len(out)
         _assert_kinds(out, types[plan.root], name)

@@ -6,7 +6,6 @@ from repro.core import Plan, RowVector
 from repro.core import vectorized
 from repro.core.expr import col, pmod
 from repro.core.ops import (
-    LocalHistogram,
     LocalPartitioning,
     MaterializeRowVector,
     ParameterLookup,
@@ -36,9 +35,7 @@ class TestRowScan:
 
 
 def lp_plan(n=4):
-    data = source("t")
-    hist = LocalHistogram(source("t"), n_buckets=n, bucket=pmod(col("k"), n))
-    return LocalPartitioning(data, hist, n_partitions=n, bucket=pmod(col("k"), n))
+    return LocalPartitioning(source("t"), n_partitions=n, bucket=pmod(col("k"), n))
 
 
 class TestLocalPartitioning:
@@ -59,20 +56,13 @@ class TestLocalPartitioning:
         )
         assert_equivalent(flat, "SELECT k % 4 AS partition_id, k, v FROM t", t=KV)
 
-    def test_histogram_size_mismatch_raises(self):
-        data = source("t")
-        hist = LocalHistogram(source("t"), n_buckets=2, bucket=pmod(col("k"), 2))
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket=pmod(col("k"), 4))
-        with pytest.raises(RuntimeError, match="histogram has 2 buckets"):
-            vectorized.run_rows(Plan(lp), params=params_of(t=KV))
-
-    def test_wrong_histogram_counts_raise(self):
-        data = source("t")
-        # histogram claims everything is in bucket 0
-        hist = LocalHistogram(source("t"), n_buckets=4, bucket=col("k") & 0)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket=pmod(col("k"), 4))
-        with pytest.raises(RuntimeError, match="histogram says"):
-            vectorized.run_rows(Plan(lp), params=params_of(t=KV))
+    @pytest.mark.parametrize("keys", [[-1, 0], [0, 4]])
+    def test_id_outside_range_raises(self, keys):
+        """An id with no partition among 4 raises instead of being dropped
+        or wrapped into a wrong partition."""
+        lp = LocalPartitioning(source("t"), n_partitions=4, bucket=col("k"))
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            vectorized.run_rows(Plan(lp), params=params_of(t=pd.DataFrame({"k": keys, "v": [1, 2]})))
 
     def test_empty_partitions_preserved(self):
         df = pd.DataFrame({"k": [0, 0], "v": [1, 2]})

@@ -90,13 +90,16 @@ class TestEvaluation:
             assert sorted(set(out["v"])) == keys
 
     def test_nested_shared_operator_never_replays_another_invocation(self):
-        """Inside a nested plan, ``local_partition_side``'s scan is read by
-        both its LocalHistogram and its LocalPartitioning: it runs once per
-        invocation, and each invocation partitions its own tuple's data."""
+        """Inside a nested plan, ``local_partition_side``'s ParameterLookup is
+        read by both its partition-id and its data Projection: it runs once
+        per invocation, and each invocation partitions its own tuple's data."""
         cfg = JoinConfig(n_net=2, loc_bits=1)
-        side = local_partition_side(cfg, ParameterLookup(), "v", "pid", "data", "lpid", "ldata")
+        pl = ParameterLookup()
+        side = local_partition_side(cfg, pl, "v", "pid", "data", "lpid", "ldata")
         nested = Plan(MaterializeRowVector(RowScan(side, "ldata"), field="out"))
-        scan = side.upstreams[1].upstreams[0]  # CartesianProduct(pid, LocalPartitioning(scan, ...))
+        assert [op for op in nested.operators() if pl in op.upstreams] == [
+            side.upstreams[0], side.upstreams[1].upstreams[0].upstreams[0]
+        ]  # CartesianProduct(Projection(pl), LocalPartitioning(RowScan(Projection(pl))))
         parts = [_kv([2 * i, 2 * i + 4], [10 * i, 10 * i + 1]) for i in range(3)]
         outer = pd.DataFrame({
             "pid": np.arange(3, dtype=np.int64),
@@ -105,7 +108,7 @@ class TestEvaluation:
         prof = _CountingProfiler()
         plan = Plan(RowScan(NestedMap(source("parts"), nested), "out"))
         out = vectorized.run_to_pdf(plan, ExecContext(profiler=prof), params=params_of(parts=outer))
-        assert prof.calls[scan] == 3
+        assert prof.calls[pl] == 3
         assert_equivalent(out, "SELECT * FROM p0 UNION ALL SELECT * FROM p1 UNION ALL SELECT * FROM p2",
                           p0=parts[0], p1=parts[1], p2=parts[2])
 
@@ -189,7 +192,7 @@ class TestRender:
         assert "LH(2)[bucket_id=pmod(k, 8)]" in text
         assert ("EX(2,3,4)[pid=pmod(k, 8); kv=(((in_range(k, 0, 1048575) >> 3) << 20) | "
                 "in_range(v, 0, 1048575))]") in text
-        assert "LP(3,4)[pid=(((kv >> 20) & 17592186044415) & 7)]" in text
+        assert "LP(3)[pid=(((kv >> 20) & 17592186044415) & 7)]" in text
 
 
 class TestEveryOperatorIsUsed:
