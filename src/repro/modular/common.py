@@ -4,8 +4,9 @@ All of Fig. 3/4/5 use the same skeleton per input relation:
 scan -> {LocalHistogram -> MpiHistogram} + MpiExchange (radix on the key,
 optionally compressed), and the same local step inside the first NestedMap:
 RowScan -> LocalPartitioning -> CartesianProduct with the network partition
-id (LocalPartitioning counts its partitions itself, so only the network
-skeleton, whose RMA windows need the global sizes, holds a LocalHistogram). Factoring these out *is* the paper's reuse claim.
+id. LocalPartitioning counts its partitions itself, so only the network
+skeleton, whose RMA windows need the global sizes, holds a LocalHistogram.
+Factoring these out *is* the paper's reuse claim.
 """
 from __future__ import annotations
 
