@@ -14,8 +14,9 @@ compilers, so both substrates compute it from one definition.
   Python runs for it.
 
 Both compilers give int64 two's-complement semantics. ``pmod`` is the
-non-negative remainder (numpy's ``%`` floors and Spark's ``%`` truncates,
-so neither is used); ``>>`` is the arithmetic shift on both (numpy on
+non-negative remainder: numpy's floor ``%``, or the low bits for a
+power-of-two modulus, and Spark's ``pmod`` (Spark's ``%`` truncates);
+``>>`` is the arithmetic shift on both (numpy on
 int64, Spark's ``shiftright``), so a mask must clear the sign bits it
 copies; shifts and moduli are constants. ``in_range(e, lo, hi, msg)``
 passes ``e`` through and fails when a value lies outside ``[lo, hi]``:
@@ -168,6 +169,10 @@ class _Pmod(Expr):
         return (self.operand,)
 
     def _np(self, frame):
+        if (self.n & (self.n - 1)) == 0:
+            # the two's-complement low bits equal np.mod's floor remainder,
+            # without its integer division
+            return self.operand._np(frame) & (self.n - 1)
         return self.operand._np(frame) % self.n
 
     def sql(self) -> str:

@@ -88,17 +88,6 @@ class SubOperator:
         return f"{type(self).__name__}"
 
 
-def dense_counts(hist: RowVector, n: int, who: str) -> np.ndarray:
-    """Validate and read a dense ``<bucket_id, count>`` histogram batch of
-    exactly ``n`` buckets (LocalHistogram's output format) into a count
-    array indexed by bucket id."""
-    if len(hist) != n:
-        raise RuntimeError(f"{who} histogram has {len(hist)} buckets, expected exactly {n}")
-    counts = np.zeros(n, dtype=np.int64)
-    counts[hist["bucket_id"].astype(np.int64)] = hist["count"]
-    return counts
-
-
 def histogram_batch(counts: np.ndarray) -> RowVector:
     """The dense ``<bucket_id, count>`` batch of a count array."""
     return RowVector({"bucket_id": np.arange(len(counts), dtype=np.int64), "count": counts})

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core import radix
 from repro.core.compression import CompressionSpec
 from repro.core.expr import Expr
-from repro.core.ops.base import ExecContext, SubOperator, dense_counts, histogram_batch
+from repro.core.ops.base import ExecContext, SubOperator, histogram_batch
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType, concat, object_column
 
 
@@ -39,6 +39,19 @@ def window_layout(global_hist: np.ndarray, n_ranks: int) -> Tuple[np.ndarray, np
         mine = owners == r
         base[mine] = np.cumsum(global_hist[mine]) - global_hist[mine]
     return owners, base
+
+
+def dense_counts(hist: RowVector, n: int, who: str) -> np.ndarray:
+    """Validate and read a dense ``<bucket_id, count>`` histogram batch of
+    exactly ``n`` buckets (``histogram_batch``'s format: a
+    ``LocalHistogram`` upstream of ``MpiHistogram``, a local and a global
+    histogram upstream of ``MpiExchange``) into a count array indexed by
+    bucket id; ``who`` names the reader in the error."""
+    if len(hist) != n:
+        raise RuntimeError(f"{who} histogram has {len(hist)} buckets, expected exactly {n}")
+    counts = np.zeros(n, dtype=np.int64)
+    counts[hist["bucket_id"].astype(np.int64)] = hist["count"]
+    return counts
 
 
 def rma_exchange(

@@ -236,8 +236,9 @@ class LocalHistogram(SubOperator):
 
 class BuildProbe(SubOperator):
     """Hash join on one integer ``key``: builds over the left upstream and
-    probes with the right one, through the sort-merge kernel the
-    monolithic join uses (``radix.join_indices``).
+    probes with the right one, through the build/probe kernel the
+    monolithic join uses (``radix.join_indices``: a direct-address table
+    over unique build keys, else a sort-merge).
 
     ``join_type`` 'inner' (every plan's join) yields the matching
     combinations; 'semi' (TPC-H Q4) and 'anti' yield the probe tuples
@@ -272,7 +273,7 @@ class BuildProbe(SubOperator):
         probes = list(ups[1])
         if not probes:
             return
-        # one probe batch, so the build side is sorted once per operator
+        # one probe batch, so each operator builds over its build side once
         right = concat(probes)
         rest_l = [c for c in left.columns if c != self.key]
         rest_r = [c for c in right.columns if c != self.key]

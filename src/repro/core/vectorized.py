@@ -5,7 +5,7 @@ it is the only evaluator. Where the paper lowers each pipeline to LLVM IR
 (removing per-tuple function calls from inner loops), this evaluator
 removes the per-tuple Python dispatch by running each operator's numpy
 kernel over whole batches. The data kernels themselves (radix scatter,
-sort-merge build/probe, sort-and-reduceat grouping) are the ones the
+direct-address build/probe, sort-and-reduceat grouping) are the ones the
 monolithic baselines call (``repro.core.radix``), so what remains of the
 "cost of modularity" the paper quantifies (12–28 %) is per invocation: the
 operator generators and the small batches passed between them, paid by

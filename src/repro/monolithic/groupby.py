@@ -28,7 +28,7 @@ def _rank_groupby(comm: Comm, rel: RowVector, cfg: JoinConfig) -> Tuple[RowVecto
 
     t0 = perf_counter()
     keys, vals = rel["k"].astype(np.int64, copy=False), rel["v"].astype(np.int64, copy=False)
-    hist = radix.histogram(keys % n, n)
+    hist = radix.histogram(cfg.net_pid().eval({cfg.key: keys}), n)
     t["local_histogram"] = perf_counter() - t0
 
     t0 = perf_counter()

@@ -32,7 +32,7 @@ from repro.mpi.thread_backend import run_spmd
 
 def _np_hash_join(bk, bv, pk, pv):
     """Fused equi-join over raw arrays (duplicates on both sides supported)
-    on the shared sort-merge kernel; returns (keys, build values, probe
+    on the shared build/probe kernel; returns (keys, build values, probe
     values)."""
     bi, pi = radix.join_indices(bk, pk)
     return pk[pi], bv[bi], pv[pi]
@@ -42,7 +42,7 @@ def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, 
     """Network-partitioning phase: compress, then the shared RMA exchange;
     returns this rank's ``(partition_id, columns)`` pairs."""
     cols = {"kv": spec.compress(keys, vals)} if spec else {"k": keys, "v": vals}
-    parts = rma_exchange(comm, cols, keys % cfg.n_net, local_hist, global_hist)
+    parts = rma_exchange(comm, cols, cfg.net_pid().eval({cfg.key: keys}), local_hist, global_hist)
     return [(p, tuple(data.values())) for p, data in parts]
 
 
@@ -58,8 +58,8 @@ def _rank_join(
     t0 = perf_counter()
     rk, rv = r["k"].astype(np.int64, copy=False), r["vr"].astype(np.int64, copy=False)
     sk, sv = s["k"].astype(np.int64, copy=False), s["vs"].astype(np.int64, copy=False)
-    hist_r = radix.histogram(rk % n, n)
-    hist_s = radix.histogram(sk % n, n)
+    hist_r = radix.histogram(cfg.net_pid().eval({cfg.key: rk}), n)
+    hist_s = radix.histogram(cfg.net_pid().eval({cfg.key: sk}), n)
     t["local_histogram"] = perf_counter() - t0
 
     # -- phase 1b: one combined allreduce for both global histograms -------

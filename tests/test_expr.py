@@ -38,6 +38,10 @@ def domain_values(draw, p_bits, n):
                                   min_size=n, max_size=n)), dtype=np.int64)
 
 
+#: pmod moduli: every power of two that is an int64 literal, and any other
+#: positive int64
+moduli = st.one_of(st.integers(0, 62).map(lambda b: 1 << b), st.integers(1, I64_MAX))
+
 plain_configs = st.builds(JoinConfig, n_net=st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
                           loc_bits=st.integers(0, 4))
 
@@ -87,6 +91,14 @@ class TestNumpyMatchesTheCallables:
         np.testing.assert_array_equal(cfg.loc_pid("v").eval(frame), lambda_loc_pid(cfg, k))
 
     @settings(max_examples=200, deadline=None)
+    @given(n=moduli, keys=st.lists(int64s, max_size=40))
+    def test_pmod_is_np_mod(self, n, keys):
+        """A power-of-two modulus takes the low bits, any other ``%``;
+        both are numpy's floor remainder, INT64_MIN included."""
+        k = np.array(keys, dtype=np.int64)
+        np.testing.assert_array_equal(pmod(col("k"), n).eval({"k": k}), np.mod(k, n))
+
+    @settings(max_examples=200, deadline=None)
     @given(cfg=packed_configs(), words=st.lists(int64s, max_size=40), data=st.data())
     def test_words_and_their_local_ids(self, cfg, words, data):
         spec = cfg.spec("v")
@@ -107,6 +119,16 @@ class TestSparkMatchesNumpy:
         and the arithmetic shift of the local radix bits."""
         pdf = pd.DataFrame({"k": np.array(keys, dtype=np.int64)})
         exprs = [cfg.net_pid(), cfg.loc_pid("v")]
+        for got, e in zip(_spark_eval(spark, pdf, exprs), exprs):
+            np.testing.assert_array_equal(got, e.eval(pdf), err_msg=str(e))
+
+    @settings(max_examples=15, deadline=None)
+    @given(ns=st.lists(moduli, min_size=1, max_size=6), keys=st.lists(int64s, min_size=1, max_size=40))
+    def test_pmod(self, spark, ns, keys):
+        """Spark's ``pmod`` and numpy's low bits or ``%`` agree for every
+        modulus."""
+        pdf = pd.DataFrame({"k": np.array(keys, dtype=np.int64)})
+        exprs = [pmod(col("k"), n) for n in ns]
         for got, e in zip(_spark_eval(spark, pdf, exprs), exprs):
             np.testing.assert_array_equal(got, e.eval(pdf), err_msg=str(e))
 

@@ -4,11 +4,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import radix
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
 from repro.monolithic import run_monolithic_groupby, run_monolithic_join
 from repro.mpi.thread_backend import run_on_sim
+from repro.oracle import assert_equivalent
 from repro.synth_data import dense_kv_pdf
 
 
@@ -66,6 +68,25 @@ class TestMonolithicJoin:
         _, mod_info = run_on_sim(distributed_join_plan(cfg), 2, {"R": r, "S": s})
         assert mono_info["bytes_put"] == mod_info["bytes_put"]
 
+
+    @pytest.mark.parametrize("impl", ["modular", "monolithic"])
+    def test_fig6a_join_never_falls_back_to_sort_merge(self, impl, monkeypatch):
+        """The Fig. 6a geometry at 2**12 rows/side on 4 ranks: every local
+        partition's build keys take the direct-address table, so the join
+        matches DuckDB with the sort-merge disabled."""
+        def no_sort_merge(*args):
+            raise AssertionError("join_indices fell back to the sort-merge")
+
+        monkeypatch.setattr(radix, "_sorted_rows", no_sort_merge)
+        n = 1 << 12
+        r = dense_kv_pdf(n, value_field="vr", seed=38)
+        s = dense_kv_pdf(n, value_field="vs", seed=39)
+        cfg = JoinConfig(n_net=4, loc_bits=4, compress=True, p_bits=27)
+        if impl == "modular":
+            out, _ = run_on_sim(distributed_join_plan(cfg), 4, {"R": r, "S": s})
+        else:
+            out, _ = run_monolithic_join(4, r, s, cfg)
+        assert_equivalent(out[["k", "vr", "vs"]], "SELECT R.k, vr, vs FROM R JOIN S ON R.k = S.k", R=r, S=s)
 
 class TestMonolithicGroupBy:
     @pytest.mark.parametrize("compress", [False, True])

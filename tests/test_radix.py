@@ -144,6 +144,82 @@ def test_join_indices_equals_merge(sides):
     assert kernel_pairs(build, probe) == merge_pairs(build, probe)
 
 
+def table_rows(build):
+    """The direct-address table's length, or None when the kernel falls
+    back to the sort-merge; the table never exceeds its stated bound."""
+    direct = radix._direct_table(build)
+    if direct is None:
+        return None
+    assert len(direct[0]) <= radix.DIRECT_SLOTS_PER_ROW * len(build) + 1
+    return len(direct[0])
+
+
+@st.composite
+def direct_sides(draw):
+    """Unique build keys ``base + slot << s`` whose slots fill at least a
+    ``1 / DIRECT_SLOTS_PER_ROW`` share of their range, so the table path
+    runs, with any stride ``2**s`` and any base, negative included; probe
+    keys mix build keys with keys below, above and between them (not
+    aligned to the stride) and the int64 extremes."""
+    n = draw(st.integers(1, 40))
+    slots = draw(st.lists(st.integers(0, radix.DIRECT_SLOTS_PER_ROW * n - 1),
+                          min_size=n, max_size=n, unique=True))
+    stride_bits = draw(st.integers(0, 54))  # the span stays below 2**62
+    stride = 1 << stride_bits
+    top = radix.DIRECT_SLOTS_PER_ROW * n * stride
+    base = draw(st.integers(INT64_RANGE[0], INT64_RANGE[1] - top))
+    build = [base + slot * stride for slot in slots]
+    near = st.sampled_from(build).flatmap(lambda k: st.sampled_from([
+        k - stride, k + stride, k + stride // 2, k + 1, k - 1, k + stride - 1,
+    ]))
+    probe_key = st.one_of(
+        st.sampled_from(build), near, st.integers(*INT64_RANGE),
+        st.sampled_from([INT64_RANGE[0], INT64_RANGE[1], base - 1, build[-1]]),
+    )
+    probe = [k for k in draw(st.lists(probe_key, max_size=60)) if INT64_RANGE[0] <= k <= INT64_RANGE[1]]
+    return np.array(build, dtype=np.int64), np.array(probe, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sides=direct_sides())
+def test_direct_table_equals_merge(sides):
+    build, probe = sides
+    assert table_rows(build) is not None
+    assert kernel_pairs(build, probe) == merge_pairs(build, probe)
+
+
+@st.composite
+def fallback_sides(draw):
+    """Build keys the table refuses: a repeated key, a span of 2**62 or
+    more (the guard; 2**62 itself would make a two-slot table), the int64
+    extremes, or unique keys too sparse for the table."""
+    kind = draw(st.sampled_from(["repeat", "guard", "extremes", "sparse"]))
+    lo = draw(st.integers(INT64_RANGE[0], INT64_RANGE[1] - (1 << 62)))
+    if kind == "repeat":
+        keys = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
+        build = keys + [draw(st.sampled_from(keys))]
+    elif kind == "guard":
+        hi = draw(st.integers(lo + (1 << 62), INT64_RANGE[1]))
+        build = [lo, hi] + draw(st.lists(st.sampled_from([lo, hi]), max_size=4))
+    elif kind == "extremes":
+        build = list(INT64_RANGE) + draw(st.lists(st.integers(*INT64_RANGE), max_size=10))
+    else:
+        n = draw(st.integers(2, 30))  # lo and lo + 1: no common low bits
+        build = [lo + i for i in range(n)] + [lo + radix.DIRECT_SLOTS_PER_ROW * (n + 1)]
+    build = np.array(draw(st.permutations(build)), dtype=np.int64)
+    probe_key = st.one_of(st.sampled_from(build.tolist()), st.integers(*INT64_RANGE),
+                          st.sampled_from(list(INT64_RANGE)))
+    return build, np.array(draw(st.lists(probe_key, max_size=60)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sides=fallback_sides())
+def test_sort_merge_fallback_equals_merge(sides):
+    build, probe = sides
+    assert table_rows(build) is None
+    assert kernel_pairs(build, probe) == merge_pairs(build, probe)
+
+
 class TestJoinIndices:
     def test_duplicates_on_both_sides(self):
         build = np.array([5, 1, 5, 5, 2])
@@ -177,6 +253,13 @@ class TestJoinIndices:
         wide = np.concatenate([small, [INT64_RANGE[0], INT64_RANGE[1]]])
         bi, pi = radix.join_indices(wide, wide[::-1].copy())
         assert Counter(zip(bi.tolist(), pi.tolist())) == merge_pairs(wide, wide[::-1])
+
+    def test_table_bound_is_inclusive(self):
+        """Three rows may address 3 * DIRECT_SLOTS_PER_ROW slots, not one
+        more."""
+        top = 3 * radix.DIRECT_SLOTS_PER_ROW
+        assert table_rows(np.array([0, 1, top - 1])) == top + 1  # + the miss slot
+        assert table_rows(np.array([0, 1, top])) is None
 
     def test_rejects_non_integer_keys(self):
         # no atom is unsigned: uint64 keys raise too, instead of wrapping to int64
