@@ -28,8 +28,8 @@ MpiExchange                a ``Project``: ``selectExpr`` of its wire columns
                            collect = AllReduce)
 RowScan over NestedMap     the shuffle induced by grouping on ``__pid``,
 over Zip(MpiExchange...)   and a pandas UDF that runs the *actual nested
-or one MpiExchange         plan* per network partition through the
-                           vectorized evaluator: ``groupBy().applyInPandas``
+or one MpiExchange         plan* per network partition through
+                           ``Plan.invoke``: ``groupBy().applyInPandas``
                            (one side), ``cogroup().applyInPandas`` (two) or
                            a tagged union (more)
 a chain of Filter/Map      one fused ``mapInPandas`` stage
@@ -45,7 +45,8 @@ Every Spark schema comes from the plan's static types (paper Section 3.2):
 the input relations' Spark schemas seed the type propagation of the rank
 plan and of the driver plan (``Plan.op_types``), and each stage's schema
 is its operator's type (an exchange's is its collection type, plus
-``__pid``). Neither lowering nor ``Lowered.result()`` runs a Spark job.
+``__pid``). ``lower_distributed_plan(...).result()`` is the plan's result
+DataFrame; neither lowering nor ``result()`` runs a Spark job.
 Typing is total, so a plan with an untyped operator (a ``Map`` without
 ``declared_type``, in any nested plan) raises at ``Plan.op_types``, naming
 that plan and the operator, before anything is lowered.
@@ -152,16 +153,6 @@ def lower_distributed_plan(
     lowering = _Lowering(plan, types, relations, batch_size)
     root = lowering(plan.root)
     return Lowered(pre=lowering.pre, inner=lowering.inner, root=root)
-
-
-def run_distributed_on_spark(
-    spark: SparkSession,
-    plan: Plan,
-    relations: Dict[str, DataFrame],
-    batch_size: Optional[int] = None,
-) -> DataFrame:
-    """One-call convenience: lower and produce the final DataFrame."""
-    return lower_distributed_plan(spark, plan, relations, batch_size).result()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ sub-operators can be reused at any nesting level.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.core.ops.base import ExecContext, SubOperator
 from repro.core.types import RowVector, TupleType, concat
@@ -16,17 +16,14 @@ class ParameterLookup(SubOperator):
     """Returns the plan input (the parameter tuple of the enclosing scope).
 
     The only operator aware of plan inputs; has no upstreams and produces a
-    single tuple of arbitrary type (paper Section 3.3.1).
+    single tuple of arbitrary type (paper Section 3.3.1). Its type is its
+    plan's parameter type, which ``Plan.op_types`` gives it.
     """
 
     op_name = "PL"
 
-    def __init__(self, declared_type: Optional[TupleType] = None) -> None:
-        super().__init__(())
-        self.declared_type = declared_type
-
-    def out_type(self, in_types) -> Optional[TupleType]:
-        return self.declared_type
+    def __init__(self) -> None:
+        super().__init__()
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         if ctx.params is None:

@@ -1,16 +1,19 @@
 """Plan DAG: validation, type propagation, and evaluation.
 
-A plan is a DAG of sub-operators rooted at one operator. ``Plan`` owns its
-evaluation: each operator's ``batches`` kernel pulls from its upstreams'
-iterators (the iterator model, paper Section 3.2), and an operator with
-several consumers is materialized once per run, its batches replayed to
-every consumer. The multi-consumer set is computed once per plan; the
-cache of materialized results lives for one run.
+A plan is a DAG of sub-operators rooted at one operator. ``Plan`` is the
+evaluator's one entry point: each operator's ``batches`` kernel pulls from
+its upstreams' iterators (the iterator model, paper Section 3.2), and an
+operator with several consumers is materialized once per run, its batches
+replayed to every consumer. The multi-consumer set is computed once per
+plan; the cache of materialized results lives for one run.
 
-A nested plan (of ``NestedMap``, ``MpiExecutor``, or the Spark lowering's
-nested-plan UDF) is called through ``invoke``: it runs on the one-tuple
-batch ``ctx.params`` and returns its one result tuple as a one-tuple batch,
-so parameters and results keep their column dtypes.
+``run`` streams the root's batches and ``collect`` concatenates them; both
+take the plan's parameter tuple as a dict, boxed once into the one-tuple
+batch ``ParameterLookup`` returns. A nested plan (of ``NestedMap``,
+``MpiExecutor``, or the Spark lowering's nested-plan UDF) is called
+through ``invoke``: it runs on the one-tuple batch ``ctx.params`` and
+returns its one result tuple as a one-tuple batch, so parameters and
+results keep their column dtypes.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.core.ops.base import ExecContext, SubOperator
 from repro.core.ops.orchestration import ParameterLookup
-from repro.core.types import INT64, RowVector, TupleType, concat
+from repro.core.types import INT64, RowVector, TupleType, concat, one_tuple
 
 
 class Plan:
@@ -36,15 +39,24 @@ class Plan:
         """All operators of this plan (not nested plans), topological order."""
         return list(self._ops)
 
-    def run(self, ctx: ExecContext) -> Iterator[RowVector]:
-        """The root's batches, evaluated on ``ctx``."""
+    def run(self, ctx: Optional[ExecContext] = None, params: Optional[dict] = None) -> Iterator[RowVector]:
+        """The root's batches, evaluated on ``ctx`` (default: a fresh
+        context) with the parameter tuple ``params`` (field name to value)
+        if given, else on ``ctx.params``."""
+        ctx = ctx or ExecContext()
+        if params is not None:
+            ctx = ctx.child(one_tuple(params))
         return _stream(self.root, ctx, self._shared, {})
+
+    def collect(self, ctx: Optional[ExecContext] = None, params: Optional[dict] = None) -> RowVector:
+        """All result tuples of ``run`` as one batch."""
+        return concat(list(self.run(ctx, params)))
 
     def invoke(self, ctx: ExecContext, owner: str) -> RowVector:
         """Run this plan as the nested plan of ``owner`` on the one-tuple
         batch ``ctx.params``; return its one result tuple as a one-tuple
         batch."""
-        out = concat(list(self.run(ctx)))
+        out = self.collect(ctx)
         if len(out) != 1:
             raise RuntimeError(
                 f"nested plan of {owner} must produce exactly one "
@@ -55,25 +67,25 @@ class Plan:
 
     def op_types(self, param_type: Optional[TupleType] = None) -> Dict[SubOperator, TupleType]:
         """Static output type of every operator of this plan, nested plans
-        typed through their operators' ``out_type``. ``param_type`` types
-        the ParameterLookups that declare none. An operator whose type is
-        unknown (a Map or ParametrizedMap without ``declared_type``, or a
-        ParameterLookup with neither type) raises ``TypeError`` naming the
-        plan and the operator."""
+        typed through their operators' ``out_type``. Every ParameterLookup
+        has the type of the plan's one parameter tuple, ``param_type``. An
+        operator whose type is unknown (a Map or ParametrizedMap without
+        ``declared_type``, or a ParameterLookup of a plan typed without
+        ``param_type``) raises ``TypeError`` naming the plan and the
+        operator."""
         types: Dict[SubOperator, TupleType] = {}
         for op in self._ops:
             if isinstance(op, ParameterLookup):
-                types[op] = op.declared_type or param_type
+                types[op] = param_type
             else:
                 in_types = [types[u] for u in op.upstreams]
                 if in_types:
                     _check_reads(op, in_types[0])
                 types[op] = op.out_type(in_types)
             if types[op] is None:
-                raise TypeError(
-                    f"plan {self.name!r}: its {type(op).__name__} has no static "
-                    "output type (give it a declared_type)"
-                )
+                fix = ("type the plan with its param_type" if isinstance(op, ParameterLookup)
+                       else "give it a declared_type")
+                raise TypeError(f"plan {self.name!r}: its {type(op).__name__} has no static output type ({fix})")
         return types
 
     def out_type(self, param_type: Optional[TupleType] = None) -> TupleType:

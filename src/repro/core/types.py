@@ -10,17 +10,20 @@ The paper extends First-Normal-Form tuples with *collections*:
 nested ``TupleType``. ``RowVector`` is the physical collection format used
 throughout this reproduction and the batch passed between sub-operators:
 named 1-D numpy columns of one length (the batch analogue of the paper's
-C-array-of-C-structs); pandas frames exist only at the program's edges.
+C-array-of-C-structs). A batch has no row-dict form; pandas frames exist
+only at the program's edges (``RowVector.to_pandas``).
 
 Typing is *total*, as in the paper, whose JIT compiler knows every
 pipeline's types before the plan runs: ``Plan.op_types`` gives every
 operator, nested plans included, a static output type, or raises
-``TypeError`` naming the plan and the operator whose type is unknown.
-Operators that run an opaque user function (``Map``, ``ParametrizedMap``)
-take their output type as ``declared_type``. It is optional at
-construction, because evaluation never reads types, so a plan with an
-untyped ``Map`` runs on the simulator but cannot be typed. The Spark
-lowering derives its schemas from these types.
+``TypeError`` naming the plan and the operator whose type is unknown. A
+plan has one parameter tuple, so every ``ParameterLookup`` takes the
+plan's one parameter type. Operators that run an opaque user function
+(``Map``, ``ParametrizedMap``) take their output type as
+``declared_type``. It is optional at construction, because evaluation
+never reads types, so a plan with an untyped ``Map`` runs on the
+simulator but cannot be typed. The Spark lowering derives its schemas
+from these types.
 """
 from __future__ import annotations
 
@@ -167,10 +170,6 @@ class RowVector:
         for start in range(0, self._len, size):
             yield self.take(slice(start, start + size))
 
-    def iter_rows(self) -> Iterator[dict]:
-        for i in range(self._len):
-            yield {c: _unbox(a[i]) for c, a in self._cols.items()}
-
     def to_pandas(self) -> pd.DataFrame:
         """The tuples as a DataFrame, for callers outside the operator layer
         (results, Spark UDF frames, the oracle)."""
@@ -221,16 +220,3 @@ def _column(values: Any) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError(f"a column must be 1-D, got shape {a.shape}")
     return a.astype(object) if a.dtype.kind in "US" else a
-
-
-def _unbox(v):
-    """Convert numpy scalars to plain Python so row dicts compare cleanly.
-
-    datetime64 needs care: ``.item()`` on nanosecond precision returns a
-    raw integer, so box timestamps as pandas Timestamps instead.
-    """
-    if isinstance(v, np.datetime64):
-        return pd.Timestamp(v)
-    if isinstance(v, np.generic):
-        return v.item()
-    return v

@@ -8,7 +8,7 @@ evaluator and Spark stages as the Modularis lowering, at one tuple per
 batch (``batch_size=1``): every scan hands each operator kernel one-tuple
 batches, in the pre-exchange ``mapInPandas`` stages and inside the
 nested-plan UDFs alike. The gap to the lowering at its default batch size
-is therefore exactly "per-tuple dispatch vs vectorized sub-operator
+is therefore exactly "per-tuple dispatch vs batch-at-a-time sub-operator
 kernels", with no second evaluator whose semantics could drift.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.lower import run_distributed_on_spark
+from repro.core.lower import lower_distributed_plan
 from repro.modular.common import JoinConfig
 from repro.queries.tpch import TpchQuery
 
@@ -31,4 +31,4 @@ def run_presto_sim(
     """Execute a TPC-H query one tuple per batch; ``tables`` maps
     synthetic table names (lineitem/orders/part) to DataFrames."""
     relations = {field: tables[name] for field, name in query.table_map.items()}
-    return run_distributed_on_spark(spark, query.build_plan(cfg), relations, batch_size=1)
+    return lower_distributed_plan(spark, query.build_plan(cfg), relations, batch_size=1).result()

@@ -8,15 +8,17 @@ be diffed side by side (recorded in EXPERIMENTS.md).
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import DataFrame
 
 from repro import sloc
 from repro.core import profiling
-from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
+from repro.core.lower import lower_distributed_plan
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
@@ -47,6 +49,19 @@ def timeit(*fns: Callable[[], object], repeat: int = 3, warmup: int = 1) -> List
             fn()
             secs[i, j] = perf_counter() - t0
     return np.median(secs, axis=0).tolist()
+
+
+@contextmanager
+def cached(relations: Dict[str, DataFrame]) -> Iterator[Dict[str, DataFrame]]:
+    """``relations``, each cached and counted before the body runs (so no
+    timed query pays its creation), and unpersisted after it."""
+    for df in relations.values():
+        df.cache().count()
+    try:
+        yield relations
+    finally:
+        for df in relations.values():
+            df.unpersist()
 
 
 def format_table(rows: List[dict], title: str = "") -> str:
@@ -164,25 +179,20 @@ def fig6b_totals(
 ) -> List[dict]:
     r = dense_kv_pdf(n_rows, value_field="vr", seed=82)
     s = dense_kv_pdf(n_rows, value_field="vs", seed=83)
-    r_df = spark.createDataFrame(r).cache()
-    s_df = spark.createDataFrame(s).cache()
-    r_df.count(), s_df.count()
     rows = []
-    try:
+    with cached({"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}) as rels:
         for m in machines:
             cfg = JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27)
             plan = distributed_join_plan(cfg)
             t_mono, t_mod = timeit(
-                lambda: run_monolithic_join_spark(spark, r_df, s_df, cfg).count(),
-                lambda: run_distributed_on_spark(spark, plan, {"R": r_df, "S": s_df}).count(),
+                lambda: run_monolithic_join_spark(spark, rels["R"], rels["S"], cfg).count(),
+                lambda: lower_distributed_plan(spark, plan, rels).result().count(),
                 repeat=repeat,
             )
             rows.append({
                 "machines": m, "monolithic_s": t_mono, "modularis_s": t_mod,
                 "overhead_pct": 100.0 * (t_mod - t_mono) / t_mono,
             })
-    finally:
-        r_df.unpersist(), s_df.unpersist()
     return rows
 
 
@@ -198,35 +208,19 @@ def fig7_groupby(
     repeat: int = 2,
 ) -> List[dict]:
     rows = []
+
+    def sweep(name: str, t: pd.DataFrame, multiplicity: int, cluster_sizes: Sequence[int]) -> None:
+        with cached({"T": spark.createDataFrame(t)}) as rels:
+            for m in cluster_sizes:
+                plan = distributed_groupby_plan(JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27))
+                [secs] = timeit(lambda: lower_distributed_plan(spark, plan, rels).result().count(), repeat=repeat)
+                rows.append({"sweep": name, "machines": m, "multiplicity": multiplicity, "seconds": secs})
+
     # left plot: vary machines, every key once
-    t = dense_kv_pdf(n_rows, seed=84)
-    t_df = spark.createDataFrame(t).cache()
-    t_df.count()
-    try:
-        for m in machines:
-            cfg = JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27)
-            plan = distributed_groupby_plan(cfg)
-            [secs] = timeit(
-                lambda: run_distributed_on_spark(spark, plan, {"T": t_df}).count(), repeat=repeat
-            )
-            rows.append({"sweep": "machines", "machines": m, "multiplicity": 1, "seconds": secs})
-    finally:
-        t_df.unpersist()
+    sweep("machines", dense_kv_pdf(n_rows, seed=84), 1, machines)
     # right plot: vary key multiplicity for several cluster sizes
     for mult in multiplicities:
-        t = dense_kv_pdf(n_rows, multiplicity=mult, seed=85)
-        t_df = spark.createDataFrame(t).cache()
-        t_df.count()
-        try:
-            for m in (2, 4, 8):
-                cfg = JoinConfig(n_net=m, loc_bits=3, compress=True, p_bits=27)
-                plan = distributed_groupby_plan(cfg)
-                [secs] = timeit(
-                    lambda: run_distributed_on_spark(spark, plan, {"T": t_df}).count(), repeat=repeat
-                )
-                rows.append({"sweep": "multiplicity", "machines": m, "multiplicity": mult, "seconds": secs})
-        finally:
-            t_df.unpersist()
+        sweep("multiplicity", dense_kv_pdf(n_rows, multiplicity=mult, seed=85), mult, (2, 4, 8))
     return rows
 
 
@@ -332,40 +326,33 @@ def fig9_tpch(spark, sf: float = 0.1, repeat: int = 3, queries: Optional[Sequenc
     from repro.queries import QUERIES
     from repro.synth_data import lineitem, orders, part
 
-    tables = {
-        "lineitem": lineitem(spark, sf=sf).cache(),
-        "orders": orders(spark, sf=sf).cache(),
-        "part": part(spark, sf=sf).cache(),
-    }
-    for df in tables.values():
-        df.count()
     cfg = JoinConfig(n_net=8, loc_bits=3)
-    memsql = MemSqlSim(spark, tables)
     rows = []
-    try:
-        for q in QUERIES:
-            if queries and q.name not in queries:
-                continue
-            relations = {f: tables[t] for f, t in q.table_map.items()}
-            plan = q.build_plan(cfg)
-            t_mod, t_memsql = timeit(
-                lambda: run_distributed_on_spark(spark, plan, relations).collect(),
-                lambda: memsql.run(q.sql),
-                repeat=repeat,
-            )
-            # the interpreted engine is 1-2 orders of magnitude slower; a
-            # single cold run suffices (variance is tiny relative to the gap)
-            [t_presto] = timeit(
-                lambda: run_presto_sim(spark, q, tables, cfg).collect(), repeat=1, warmup=0
-            )
-            rows.append({
-                "query": q.name, "modularis_s": t_mod, "presto_sim_s": t_presto,
-                "memsql_sim_s": t_memsql,
-                "speedup_vs_presto": t_presto / t_mod,
-                "slowdown_vs_memsql": t_mod / t_memsql,
-            })
-    finally:
-        memsql.close()
-        for df in tables.values():
-            df.unpersist()
+    with cached({"lineitem": lineitem(spark, sf=sf), "orders": orders(spark, sf=sf),
+                 "part": part(spark, sf=sf)}) as tables:
+        memsql = MemSqlSim(spark, tables)
+        try:
+            for q in QUERIES:
+                if queries and q.name not in queries:
+                    continue
+                relations = {f: tables[t] for f, t in q.table_map.items()}
+                plan = q.build_plan(cfg)
+                t_mod, t_memsql = timeit(
+                    lambda: lower_distributed_plan(spark, plan, relations).result().collect(),
+                    lambda: memsql.run(q.sql),
+                    repeat=repeat,
+                )
+                # the interpreted engine is 1-2 orders of magnitude slower; a
+                # single cold run suffices (variance is tiny relative to the gap)
+                [t_presto] = timeit(
+                    lambda: run_presto_sim(spark, q, tables, cfg).collect(), repeat=1, warmup=0
+                )
+                rows.append({
+                    "query": q.name, "modularis_s": t_mod, "presto_sim_s": t_presto,
+                    "memsql_sim_s": t_memsql,
+                    "speedup_vs_presto": t_presto / t_mod,
+                    "slowdown_vs_memsql": t_mod / t_memsql,
+                })
+        finally:
+            memsql.close()
     return rows

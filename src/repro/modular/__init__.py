@@ -5,6 +5,6 @@
 * ``groupby`` — the distributed GROUP BY of Fig. 5.
 
 Each builder returns a ``Plan`` of sub-operators that runs unchanged on the
-simulated MPI cluster (vectorized evaluator + SimCluster) and is the input
+simulated MPI cluster (``Plan.collect`` + SimCluster) and is the input
 to the Spark lowering in ``repro.core.lower``.
 """

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import pandas as pd
 
-from repro.core import Plan, RowVector, vectorized
+from repro.core import Plan, RowVector
 from repro.core.types import concat
 from repro.core.ops import (
     BuildProbe,
@@ -29,8 +29,7 @@ from repro.mpi.thread_backend import run_spmd
 
 
 def _run(plan_root, params, comm=None) -> RowVector:
-    ctx = ExecContext(comm=comm)
-    return concat(list(vectorized.iter_batches(Plan(plan_root), ctx, params=params)))
+    return Plan(plan_root).collect(ExecContext(comm=comm), params)
 
 
 def _rank_model(

@@ -18,7 +18,6 @@ import pandas as pd
 from repro.core import Plan, RowVector
 from repro.core.ops.base import ExecContext
 from repro.core.profiling import Profiler
-from repro.core import vectorized
 from repro.core.types import object_column
 from repro.mpi.simcluster import SimCluster
 
@@ -54,7 +53,7 @@ def run_on_sim(
     profiler = Profiler() if profile else None
     ctx = ExecContext(profiler=profiler)
     params = make_rank_inputs(n_ranks, **relations)
-    out = vectorized.run_to_pdf(plan, ctx, params=params)
+    out = plan.collect(ctx, params).to_pandas()
     return out, sim_info(ctx.extra["last_cluster"], profiler.breakdown() if profile else {})
 
 

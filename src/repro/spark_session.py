@@ -1,9 +1,10 @@
 """SparkSession factory for the spark-submit jobs.
 
 ``session_conf()`` is the one list of settings this program's Spark
-sessions run with, SQL and worker ones: the jobs in ``jobs/`` and perfbench
-get them through ``get_session``, the tests through conftest.py's ``spark``
-fixture.
+sessions run with, driver, SQL and worker ones: the jobs in ``jobs/`` and
+perfbench get them through ``get_session``, the tests through conftest.py's
+``spark`` fixture. Only what the driver JVM reads at launch (master, driver
+memory) is set outside it.
 
 Input relations enter Spark RDD-backed: with the local-relation threshold
 at 0, ``createDataFrame(pandas)`` builds a ``LogicalRDD`` over Arrow batches
@@ -31,12 +32,14 @@ from pyspark.sql import DataFrame, SparkSession
 
 
 def session_conf() -> Dict[str, str]:
-    """The settings of every session: shuffle partitions
-    (``SPARK_SHUFFLE_PARTITIONS``, default 64), Arrow for pandas
-    conversions, no broadcast joins (so joins take the shuffle path the
-    papers measure), RDD-backed input relations, and the Python worker
-    daemon ``repro.spark_daemon``."""
+    """The settings of every session: a loopback driver without a web
+    UI, shuffle partitions (``SPARK_SHUFFLE_PARTITIONS``, default 64),
+    Arrow for pandas conversions, no broadcast joins (so joins take the
+    shuffle path the papers measure), RDD-backed input relations, and the
+    Python worker daemon ``repro.spark_daemon``."""
     return {
+        "spark.driver.host": "127.0.0.1",
+        "spark.ui.enabled": "false",
         "spark.sql.shuffle.partitions": os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         "spark.sql.execution.arrow.pyspark.enabled": "true",
         "spark.sql.autoBroadcastJoinThreshold": "-1",
@@ -56,8 +59,6 @@ def get_session(app: str = "repro-job") -> SparkSession:
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
         .config(map=session_conf())
         .getOrCreate()
     )

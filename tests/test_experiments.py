@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.experiments import (
+    cached,
     fig6a_breakdown,
     fig6a_fixed_cost,
     fig8a_machines,
@@ -96,3 +97,21 @@ def test_job_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_cached_relations_are_counted_and_unpersisted_on_error(spark):
+    """``cached`` caches and materializes every relation before its body,
+    and unpersists them all when the body raises."""
+    def persisted():
+        return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+    rels = {name: spark.createDataFrame(pd.DataFrame({"k": [1, 2]})) for name in ("R", "S")}
+    before = persisted()
+    with pytest.raises(RuntimeError, match="body"):
+        with cached(rels) as got:
+            assert got is rels
+            assert all(df.is_cached for df in rels.values())
+            assert persisted() == before + 2
+            raise RuntimeError("body")
+    assert not any(df.is_cached for df in rels.values())
+    assert persisted() == before

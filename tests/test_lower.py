@@ -6,9 +6,9 @@ import pandas as pd
 import pytest
 from pyspark.sql.types import StructType
 
-from repro.core import Plan, RowVector, vectorized
+from repro.core import Plan, RowVector
 from repro.core.expr import col
-from repro.core.lower import _run_inner, lower_distributed_plan, run_distributed_on_spark
+from repro.core.lower import _run_inner, lower_distributed_plan
 from repro.core.ops import (
     ExecContext,
     Filter,
@@ -60,9 +60,9 @@ class TestJoinLowering:
         r, s = kv_frames
         cfg = JoinConfig(n_net=4, loc_bits=2)
         plan = distributed_join_plan(cfg)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
-        )
+        ).result()
         assert_equivalent(
             out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r, s=s
         )
@@ -71,9 +71,9 @@ class TestJoinLowering:
         r, s = kv_frames
         cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
         plan = distributed_join_plan(cfg)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
-        )
+        ).result()
         assert_equivalent(
             out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r, s=s
         )
@@ -82,9 +82,9 @@ class TestJoinLowering:
         r, s = kv_frames
         cfg = JoinConfig(n_net=2, loc_bits=1)
         plan = distributed_join_plan(cfg)
-        spark_out = run_distributed_on_spark(
+        spark_out = lower_distributed_plan(
             spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
-        ).toPandas()
+        ).result().toPandas()
         sim_out, _ = run_on_sim(plan, 2, {"R": r, "S": s})
         cols = ["k", "vr", "vs"]
         a = spark_out[cols].sort_values(cols).reset_index(drop=True).astype("int64")
@@ -96,10 +96,10 @@ class TestJoinLowering:
         r_half = r.iloc[: N // 2]
         cfg = JoinConfig(n_net=4, loc_bits=2)
         plan = distributed_join_plan(cfg, join_type="semi")
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, plan,
             {"R": spark.createDataFrame(r_half), "S": spark.createDataFrame(s)},
-        )
+        ).result()
         assert_equivalent(
             out,
             "SELECT k, vs FROM s WHERE EXISTS (SELECT 1 FROM r WHERE r.k = s.k)",
@@ -142,17 +142,17 @@ class TestGroupByLowering:
     def test_groupby_matches_duckdb(self, spark):
         t = dense_kv_pdf(N, multiplicity=4, seed=62)
         cfg = JoinConfig(n_net=4, loc_bits=2)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, distributed_groupby_plan(cfg), {"T": spark.createDataFrame(t)}
-        )
+        ).result()
         assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t)
 
     def test_compressed_groupby(self, spark):
         t = dense_kv_pdf(N, multiplicity=4, seed=63)
         cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, distributed_groupby_plan(cfg), {"T": spark.createDataFrame(t)}
-        )
+        ).result()
         assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t)
 
 
@@ -231,10 +231,10 @@ class TestCompressionAtWordLimit:
 
     def test_spark_matches_duckdb(self, spark):
         r, s = _top_bit_kv()
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, distributed_join_plan(self.CFG),
             {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
-        )
+        ).result()
         assert_equivalent(out, JOIN_SQL, r=r, s=s)
 
     def test_sim_cluster_matches_duckdb(self):
@@ -259,7 +259,7 @@ def _sim_global_histograms(plan, n_ranks, frames):
     def rank_fn(comm, *slices):
         params = dict(zip(names, map(RowVector, slices)))
         ctx = ExecContext(comm=comm)
-        return [vectorized.run_to_pdf(Plan(h), ctx, params=params) for h in hists], {}
+        return [Plan(h).collect(ctx, params=params).to_pandas() for h in hists], {}
 
     outs, _ = run_spmd(n_ranks, rank_fn, *frames.values())
     return [{int(b): int(c) for b, c in zip(h["bucket_id"], h["count"]) if c} for h in outs[0]]
@@ -311,7 +311,7 @@ class TestNativeExchange:
             run_on_sim(plan, 2, {"R": r, "S": s})
         relations = {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
         with pytest.raises(Exception, match="key outside dense 22-bit domain"):
-            run_distributed_on_spark(spark, plan, relations).collect()
+            lower_distributed_plan(spark, plan, relations).result().collect()
 
 
 #: the Python nodes of each plan's root-most nested stage, inputs included
@@ -425,11 +425,11 @@ class TestInterpretedEngine:
         r = dense_kv_pdf(256, value_field="vr", seed=66)
         s = dense_kv_pdf(256, value_field="vs", seed=67)
         cfg = JoinConfig(n_net=2, loc_bits=1)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, distributed_join_plan(cfg),
             {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
             batch_size=1,
-        )
+        ).result()
         assert_equivalent(
             out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r, s=s
         )
@@ -461,7 +461,7 @@ class TestInterpretedEngine:
         assert_equivalent(run_presto_sim(spark, query, tables, cfg), sql, r=r, s=s)
         relations = {"R": tables["r"], "S": tables["s"]}
         with pytest.raises(Exception, match="per-tuple Map saw a"):
-            run_distributed_on_spark(spark, build(cfg), relations).collect()
+            lower_distributed_plan(spark, build(cfg), relations).result().collect()
 
 
 JOIN_SQL = "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k"
@@ -485,9 +485,9 @@ class TestEmptyRelations:
             lambda op: Filter(op, lambda b: b["k"] >= 0)
         )
         plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2), driver_post=post)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, plan, {"R": _empty(spark, r), "S": spark.createDataFrame(s)}
-        )
+        ).result()
         assert python_nodes(out)["MapInPandas"] == (0 if driver_post is None else 1)
         assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s)
 
@@ -495,9 +495,9 @@ class TestEmptyRelations:
     def test_join_with_both_sides_empty(self, spark, kv_frames, compress):
         r, s = kv_frames
         cfg = JoinConfig(n_net=4, loc_bits=2, compress=compress, p_bits=22)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, distributed_join_plan(cfg), {"R": _empty(spark, r), "S": _empty(spark, s)}
-        )
+        ).result()
         assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s.iloc[:0])
 
     def test_outer_join_with_empty_build_side(self, spark, kv_frames):
@@ -508,23 +508,23 @@ class TestEmptyRelations:
         sql = "SELECT s.k AS k, vr, vs FROM s LEFT JOIN r ON r.k = s.k"
         sim_out, _ = run_on_sim(plan, 2, {"R": r.iloc[:0], "S": s})
         assert_equivalent(sim_out, sql, r=r.iloc[:0], s=s)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, plan, {"R": _empty(spark, r), "S": spark.createDataFrame(s)}
-        )
+        ).result()
         assert_equivalent(out, sql, r=r.iloc[:0], s=s)
 
     def test_groupby_over_empty_t(self, spark):
         t = dense_kv_pdf(64, seed=68)
-        out = run_distributed_on_spark(
+        out = lower_distributed_plan(
             spark, distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2)),
             {"T": _empty(spark, t)},
-        )
+        ).result()
         assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t.iloc[:0])
 
     def test_compressed_groupby_over_empty_t(self, spark):
         t = dense_kv_pdf(64, seed=69)
         cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
-        out = run_distributed_on_spark(spark, distributed_groupby_plan(cfg), {"T": _empty(spark, t)})
+        out = lower_distributed_plan(spark, distributed_groupby_plan(cfg), {"T": _empty(spark, t)}).result()
         assert_equivalent(out, "SELECT k, SUM(v) AS v FROM t GROUP BY k", t=t.iloc[:0])
 
 
@@ -681,9 +681,7 @@ class TestStaticSchemas:
         ])
         types = _all_types(plan, TupleType([("rank_inputs", RowVectorType(rank_inputs))]))
         checker = _DeclaredTypeCheck(types)
-        out = vectorized.run_to_pdf(
-            plan, ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)
-        )
+        out = plan.collect(ExecContext(profiler=checker), params=make_rank_inputs(2, **frames)).to_pandas()
         assert set(_declared_ops(plan)) <= checker.checked
         assert checker.checked == set(types)
         assert checker.batches > 0

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.lower import run_distributed_on_spark
+from repro.core.lower import lower_distributed_plan
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.mpi.thread_backend import run_on_sim
@@ -114,6 +114,6 @@ def test_null_values_and_every_aggregate_match_duckdb(request, substrate, n):
     else:
         spark = request.getfixturevalue("spark")
         df = spark.createDataFrame(t, schema="k long, a double, b double, c long")
-        out = run_distributed_on_spark(spark, plan, {"T": df})
+        out = lower_distributed_plan(spark, plan, {"T": df}).result()
         assert out.columns == ["k", "a", "b", "c"]
     assert_equivalent(out, GROUPBY_SQL, t=t)

@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.core.lower import run_distributed_on_spark
+from repro.core.lower import lower_distributed_plan
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
 from repro.monolithic.spark import monolithic_join_stages, run_monolithic_join_spark
@@ -34,9 +34,9 @@ def test_monolithic_and_modular_same_result_on_spark(spark, frames):
     cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)
     r_df, s_df = spark.createDataFrame(r), spark.createDataFrame(s)
     mono = run_monolithic_join_spark(spark, r_df, s_df, cfg).toPandas()
-    mod = run_distributed_on_spark(
+    mod = lower_distributed_plan(
         spark, distributed_join_plan(cfg), {"R": r_df, "S": s_df}
-    ).toPandas()
+    ).result().toPandas()
     cols = ["k", "vr", "vs"]
     pd.testing.assert_frame_equal(
         mono[cols].sort_values(cols).reset_index(drop=True).astype("int64"),

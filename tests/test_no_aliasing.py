@@ -8,7 +8,7 @@ must agree."""
 import numpy as np
 import pytest
 
-from repro.core import RowVector, vectorized
+from repro.core import RowVector
 from repro.core.ops.base import ExecContext
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
@@ -55,7 +55,7 @@ def test_two_runs_leave_inputs_unchanged(case):
     originals = {name: pdf.copy(deep=True) for name, pdf in rels.items()}
     params = make_rank_inputs(4, **rels)
     before = deep_copy(params["rank_inputs"])
-    outs = [vectorized.run_to_pdf(plan, ExecContext(), params=params) for _ in range(2)]
+    outs = [plan.collect(ExecContext(), params=params).to_pandas() for _ in range(2)]
     # RowVector equality compares every column, nested RowVectors too
     assert params["rank_inputs"] == before
     for name, pdf in rels.items():

@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 
 from repro.core import Plan, RowVector
-from repro.core import vectorized
 from repro.core.compression import CompressionSpec
 from repro.core.expr import col, pmod
 from repro.core.ops import (
@@ -39,9 +38,9 @@ class TestMpiHistogram:
     def test_single_rank_equals_local(self):
         plan = Plan(MpiHistogram(hist_plan(4), 4))
         data = kv(100)
-        rows = vectorized.run_rows(plan, params=params_of(T=data))
+        out = plan.collect(params=params_of(T=data))
         expect = np.bincount(data["k"] % 4, minlength=4)
-        assert [r["count"] for r in rows] == list(expect)
+        assert out["count"].tolist() == list(expect)
 
     def test_allreduce_across_ranks(self):
         data = kv(100)
@@ -51,7 +50,7 @@ class TestMpiHistogram:
         def prog(comm, pdf):
             ctx = ExecContext(comm=comm)
             plan = Plan(MpiHistogram(hist_plan(8), 8))
-            return vectorized.run_to_pdf(plan, ctx, params=params_of(T=pdf))
+            return plan.collect(ctx, params=params_of(T=pdf)).to_pandas()
 
         outs = cluster.run(prog, parts)
         expect = list(np.bincount(data["k"] % 8, minlength=8))
@@ -61,7 +60,7 @@ class TestMpiHistogram:
     def test_wrong_histogram_size_rejected(self):
         plan = Plan(MpiHistogram(hist_plan(4), 8))
         with pytest.raises(RuntimeError, match="exactly 8"):
-            vectorized.run_rows(plan, params=params_of(T=kv(10)))
+            plan.collect(params=params_of(T=kv(10)))
 
 
 def exchange_plan(n_parts, compression=None):
@@ -80,46 +79,42 @@ class TestMpiExchange:
 
         def prog(comm, pdf):
             ctx = ExecContext(comm=comm)
-            return vectorized.run_rows(
-                exchange_plan(n_parts, compression), ctx, params=params_of(T=pdf)
-            )
+            return exchange_plan(n_parts, compression).collect(ctx, params=params_of(T=pdf))
 
         return cluster.run(prog, parts), cluster
 
     def test_partitions_land_on_owner(self):
         data = kv(200)
         outs, _ = self.run_exchange(4, 8, data)
-        for rank, rows in enumerate(outs):
-            assert [r["partition_id"] for r in rows] == [p for p in range(8) if owner_of(p, 4) == rank]
+        for rank, out in enumerate(outs):
+            assert out["partition_id"].tolist() == [p for p in range(8) if owner_of(p, 4) == rank]
 
     def test_no_tuples_lost_and_keys_match_partition(self):
         data = kv(333)
         outs, _ = self.run_exchange(3, 5, data)
         total = 0
-        for rows in outs:
-            for r in rows:
-                ks = r["partition_data"]["k"]
-                total += len(ks)
-                assert (ks % 5 == r["partition_id"]).all()
+        for out in outs:
+            for pid, part in zip(out["partition_id"], out["partition_data"]):
+                total += len(part)
+                assert (part["k"] % 5 == pid).all()
         assert total == len(data)
 
     def test_single_rank_local_fallback(self):
         data = kv(50)
-        rows = vectorized.run_rows(exchange_plan(4), params=params_of(T=data))
-        assert [r["partition_id"] for r in rows] == [0, 1, 2, 3]
-        assert sum(len(r["partition_data"]) for r in rows) == 50
+        out = exchange_plan(4).collect(params=params_of(T=data))
+        assert out["partition_id"].tolist() == [0, 1, 2, 3]
+        assert sum(len(part) for part in out["partition_data"]) == 50
 
     def test_compressed_wire_format(self):
         spec = CompressionSpec(p_bits=20, f_bits=2, key_field="k", value_field="v")
         data = kv(100)
         outs, cluster = self.run_exchange(2, 4, data, compression=spec)
         seen = []
-        for rows in outs:
-            for r in rows:
-                part = r["partition_data"]
+        for out in outs:
+            for pid, part in zip(out["partition_id"], out["partition_data"]):
                 assert part.columns == ("kv",)
-                k, v = spec.decompress(part["kv"], r["partition_id"])
-                assert (k % 4 == r["partition_id"]).all()
+                k, v = spec.decompress(part["kv"], pid)
+                assert (k % 4 == pid).all()
                 seen.append(pd.DataFrame({"k": k, "v": v}))
         merged = pd.concat(seen).sort_values(["k", "v"]).reset_index(drop=True)
         expect = data.sort_values(["k", "v"]).reset_index(drop=True)
@@ -139,7 +134,7 @@ class TestMpiExchange:
         ex = MpiExchange(data, lh, MpiHistogram(lh, 4), 4, pmod(col("k"), 4))
         T = pd.DataFrame({"k": np.arange(8), "v": np.arange(8)})
         with pytest.raises(RuntimeError, match=r"local histogram \[4, 4, 0, 0\] does not match"):
-            vectorized.run_rows(Plan(ex), params=params_of(T=T))
+            Plan(ex).collect(params=params_of(T=T))
 
     @pytest.mark.parametrize("n_ranks", [1, 2])
     @pytest.mark.parametrize("global_counts", [[3, 1], [1, 3]])
@@ -154,7 +149,7 @@ class TestMpiExchange:
         G = pd.DataFrame({"bucket_id": [0, 1], "count": global_counts})
 
         def prog(comm, t):
-            return vectorized.run_rows(Plan(ex), ExecContext(comm=comm), params=params_of(T=t, G=G))
+            return Plan(ex).collect(ExecContext(comm=comm), params=params_of(T=t, G=G))
 
         want = rf"global histogram \[{global_counts[0]}, {global_counts[1]}\] is not the sum \[2, 2\]"
         with pytest.raises(RuntimeError, match=want):
@@ -172,7 +167,7 @@ class TestMpiExchange:
         })
         outs, cluster = self.run_exchange(2, 4, data)
         assert cluster.total_bytes_put() == 8 * 3 * n + sum(len(v) for v in data["s"])
-        got = pd.concat([r["partition_data"].to_pandas() for rows in outs for r in rows])
+        got = pd.concat([part.to_pandas() for out in outs for part in out["partition_data"]])
         pd.testing.assert_frame_equal(got.sort_values("k").reset_index(drop=True), data)
 
     def test_fanout_mismatch_rejected(self):
@@ -197,8 +192,8 @@ class TestMpiExecutor:
         plan = Plan(RowScan(me, "rank_result"))
         data = kv(100)
         params = make_rank_inputs(4, T=data)
-        rows = vectorized.run_rows(plan, params=params)
-        assert len(rows) == 4 and sum(r["one"] for r in rows) == 100
+        out = plan.collect(params=params)
+        assert len(out) == 4 and out["one"].sum() == 100
 
     def test_nested_plan_must_return_one_tuple(self):
         from repro.core.ops import ParameterLookup, Projection
@@ -207,7 +202,7 @@ class TestMpiExecutor:
         nested = Plan(scan)
         me = MpiExecutor(source("rank_inputs"), nested)
         with pytest.raises(RuntimeError, match="exactly one"):
-            vectorized.run_rows(Plan(me), params=make_rank_inputs(2, T=kv(10)))
+            Plan(me).collect(params=make_rank_inputs(2, T=kv(10)))
 
 
 @pytest.mark.parametrize("impl", ["modular", "monolithic"])

@@ -1,9 +1,9 @@
 """Unit tests for ParameterLookup and NestedMap."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import Plan, RowVector
-from repro.core import vectorized
 from repro.core.ops import (
     MaterializeRowVector,
     NestedMap,
@@ -18,19 +18,31 @@ from tests.helpers import params_of, source
 
 class TestParameterLookup:
     def test_returns_the_parameter_tuple(self):
-        rows = vectorized.run_rows(Plan(ParameterLookup()), params={"a": 1, "b": "x"})
-        assert rows == [{"a": 1, "b": "x"}]
+        out = Plan(ParameterLookup()).collect(params={"a": 1, "b": "x"})
+        assert out.columns == ("a", "b")
+        assert out["a"].tolist() == [1]
+        assert out["b"].tolist() == ["x"]
 
-    def test_vectorized_matches(self):
-        """A collection parameter comes back as the same object."""
+    def test_collect_boxes_a_dict_once(self):
+        """``collect`` boxes a dict of parameters once: a scalar keeps its
+        numpy dtype, and a collection parameter is one object cell holding
+        the same object."""
         rv = RowVector(pd.DataFrame({"k": [1]}))
-        assert vectorized.run_rows(Plan(ParameterLookup()), params={"a": 1, "d": rv}) == [
-            {"a": 1, "d": rv}
-        ]
+        out = Plan(ParameterLookup()).collect(params={"a": np.int32(7), "x": 2.5, "d": rv})
+        assert [out[c].dtype for c in ("a", "x", "d")] == [np.dtype(np.int32), np.dtype(np.float64), object]
+        assert out["a"].tolist() == [7] and out["x"].tolist() == [2.5]
+        assert out["d"].shape == (1,) and out["d"][0] is rv
+
+    def test_takes_no_arguments(self):
+        """Its type is its plan's parameter type and it has no upstreams,
+        so it takes neither a declared type nor an upstream."""
+        assert ParameterLookup().upstreams == []
+        with pytest.raises(TypeError):
+            ParameterLookup(None)
 
     def test_without_params_raises(self):
         with pytest.raises(RuntimeError, match="without plan parameters"):
-            vectorized.run_rows(Plan(ParameterLookup()))
+            Plan(ParameterLookup()).collect()
 
 
 def sum_per_partition_plan():
@@ -52,17 +64,17 @@ class TestNestedMap:
         return pd.DataFrame({"data": pd.Series([p0, p1], dtype=object)})
 
     def test_runs_nested_plan_per_input_tuple(self):
-        rows = vectorized.run_rows(self.make_outer(), params=params_of(parts=self.parts_frame()))
-        assert sorted(rows, key=lambda t: t["k"]) == [
-            {"k": 1, "v": 30}, {"k": 2, "v": 5}, {"k": 3, "v": 7}
-        ]
+        out = self.make_outer().collect(params=params_of(parts=self.parts_frame()))
+        assert out.columns == ("k", "v")
+        assert out["k"].tolist() == [1, 2, 3]
+        assert out["v"].tolist() == [30, 5, 7]
 
     def test_nested_plan_must_yield_single_tuple(self):
         scan = RowScan(Projection(ParameterLookup(), ["data"]), "data")
         bad_nested = Plan(scan)  # yields many tuples, not one materialized
         nm = NestedMap(source("parts"), bad_nested)
         with pytest.raises(RuntimeError, match="exactly one"):
-            vectorized.run_rows(Plan(nm), params=params_of(parts=self.parts_frame()))
+            Plan(nm).collect(params=params_of(parts=self.parts_frame()))
 
     def test_two_nesting_levels(self):
         # inner: sum all v; middle: run inner per sub-partition
@@ -83,7 +95,7 @@ class TestNestedMap:
             pd.DataFrame({"data": pd.Series([RowVector(p0), RowVector(p1)], dtype=object)})
         )
         frame = pd.DataFrame({"outer_data": pd.Series([outer_rv], dtype=object)})
-        out = vectorized.run_to_pdf(top, params=params_of(top=frame))
+        out = top.collect(params=params_of(top=frame)).to_pandas()
         # the inner plan aggregates each partition on its own
         assert_equivalent(
             out,
@@ -97,14 +109,14 @@ class TestMaterializeRowScanRoundtrip:
     def test_materialize_then_scan_is_identity(self):
         df = pd.DataFrame({"a": [1, 2, 3]})
         root = RowScan(MaterializeRowVector(source("t"), field="d"), "d")
-        out = vectorized.run_to_pdf(Plan(root), params=params_of(t=df))
+        out = Plan(root).collect(params=params_of(t=df)).to_pandas()
         assert_equivalent(out, "SELECT a FROM t", t=df)
 
     def test_materialize_empty_stream_with_columns(self):
         """An empty stream materializes with its upstream's columns."""
         df = pd.DataFrame({"a": pd.Series([], dtype="int64")})
         root = MaterializeRowVector(source("t"), field="d")
-        rows = vectorized.run_rows(Plan(root), params=params_of(t=df))
-        assert len(rows) == 1
-        assert rows[0]["d"].columns == ("a",)
-        assert len(rows[0]["d"]) == 0
+        out = Plan(root).collect(params=params_of(t=df))
+        assert len(out) == 1
+        assert out["d"][0].columns == ("a",)
+        assert len(out["d"][0]) == 0

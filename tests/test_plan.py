@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import Plan, RowVector, vectorized
+from repro.core import Plan, RowVector
 from repro.core.expr import col, pmod
 from repro.core.types import FLOAT64, INT64, RowVectorType, TupleType
 from repro.core.ops import (
@@ -84,7 +84,7 @@ class TestEvaluation:
         plan = Plan(CartesianProduct(hist, Projection(probe, ["v"])))
         prof = _CountingProfiler()
         for run, keys in enumerate([[1, 2, 3], [4, 6]], start=1):
-            out = vectorized.run_to_pdf(plan, ExecContext(profiler=prof), params=params_of(t=_kv(keys, keys)))
+            out = plan.collect(ExecContext(profiler=prof), params_of(t=_kv(keys, keys))).to_pandas()
             assert prof.calls[m] == run
             assert len(out) == 2 * len(keys)
             assert sorted(set(out["v"])) == keys
@@ -107,17 +107,20 @@ class TestEvaluation:
         })
         prof = _CountingProfiler()
         plan = Plan(RowScan(NestedMap(source("parts"), nested), "out"))
-        out = vectorized.run_to_pdf(plan, ExecContext(profiler=prof), params=params_of(parts=outer))
+        out = plan.collect(ExecContext(profiler=prof), params_of(parts=outer)).to_pandas()
         assert prof.calls[pl] == 3
         assert_equivalent(out, "SELECT * FROM p0 UNION ALL SELECT * FROM p1 UNION ALL SELECT * FROM p2",
                           p0=parts[0], p1=parts[1], p2=parts[2])
 
 
+def kv_collection_type(value_field, value_type):
+    return RowVectorType(TupleType([("k", INT64), (value_field, value_type)]))
+
+
 class TestTyping:
     def test_projection_type(self):
-        pl = ParameterLookup(declared_type=kv_type())
-        plan = Plan(Projection(pl, ["v"]))
-        assert plan.out_type() == TupleType([("v", INT64)])
+        plan = Plan(Projection(ParameterLookup(), ["v"]))
+        assert plan.out_type(kv_type()) == TupleType([("v", INT64)])
 
     def test_param_type_flows_through(self):
         plan = Plan(Projection(ParameterLookup(), ["k"]))
@@ -126,40 +129,63 @@ class TestTyping:
     def test_rowscan_unnests_collection_type(self):
         inner = kv_type()
         outer = TupleType([("data", RowVectorType(inner))])
-        pl = ParameterLookup(declared_type=outer)
-        plan = Plan(RowScan(Projection(pl, ["data"]), "data"))
-        assert plan.out_type() == inner
+        plan = Plan(RowScan(Projection(ParameterLookup(), ["data"]), "data"))
+        assert plan.out_type(outer) == inner
 
     def test_materialize_wraps_type(self):
-        pl = ParameterLookup(declared_type=kv_type())
-        plan = Plan(MaterializeRowVector(pl, field="d"))
-        assert plan.out_type() == TupleType([("d", RowVectorType(kv_type()))])
+        plan = Plan(MaterializeRowVector(ParameterLookup(), field="d"))
+        assert plan.out_type(kv_type()) == TupleType([("d", RowVectorType(kv_type()))])
 
     def test_buildprobe_type_order(self):
-        lt = TupleType([("k", INT64), ("lv", FLOAT64)])
-        rt = TupleType([("k", INT64), ("rv", INT64)])
-        bp = BuildProbe(ParameterLookup(declared_type=lt), ParameterLookup(declared_type=rt), key="k")
-        assert Plan(bp).out_type().names == ("k", "lv", "rv")
+        """A join of two relations of one parameter tuple: its static type
+        lists the key, then the build side's values, then the probe
+        side's, and running it yields those columns."""
+        param = TupleType([("l", kv_collection_type("lv", FLOAT64)), ("r", kv_collection_type("rv", INT64))])
+        plan = Plan(BuildProbe(source("l"), source("r"), key="k"))
+        assert plan.out_type(param) == TupleType([("k", INT64), ("lv", FLOAT64), ("rv", INT64)])
+        left = pd.DataFrame({"k": np.array([1, 2], dtype=np.int64), "lv": [0.5, 1.5]})
+        right = _kv([2, 2, 3], [7, 8, 9]).rename(columns={"v": "rv"})
+        out = plan.collect(params=params_of(l=left, r=right))
+        assert out.columns == ("k", "lv", "rv")
+        assert [out[c].dtype for c in out.columns] == [np.int64, np.float64, np.int64]
+        assert (out["k"].tolist(), out["lv"].tolist(), sorted(out["rv"].tolist())) == ([2, 2], [1.5, 1.5], [7, 8])
+
+    def test_every_nested_parameter_lookup_takes_the_input_type(self):
+        """A nested plan's ParameterLookups all return its one parameter
+        tuple, an input tuple of the enclosing operator: typing through
+        NestedMap gives each of them that tuple's type."""
+        parts = TupleType([("l", kv_collection_type("lv", FLOAT64)), ("r", kv_collection_type("rv", INT64))])
+        nested = Plan(MaterializeRowVector(BuildProbe(source("l"), source("r"), key="k"), field="out"))
+        lookups = [op for op in nested.operators() if isinstance(op, ParameterLookup)]
+        assert len(lookups) == 2
+        outer = Plan(NestedMap(source("parts"), nested))
+        joined = TupleType([("k", INT64), ("lv", FLOAT64), ("rv", INT64)])
+        assert outer.out_type(TupleType([("parts", RowVectorType(parts))])) == TupleType(
+            [("out", RowVectorType(joined))]
+        )
+        nested_types = nested.op_types(parts)
+        assert [nested_types[pl] for pl in lookups] == [parts, parts]
 
     def test_untyped_map_raises(self):
         """Typing is total: a Map without declared_type fails at typing,
         naming the operator and its plan."""
-        m = Map(ParameterLookup(declared_type=kv_type()), lambda pdf: pdf)
+        m = Map(ParameterLookup(), lambda pdf: pdf)
         plan = Plan(Filter(m, lambda pdf: np.ones(len(pdf), dtype=bool)), name="untyped")
-        with pytest.raises(TypeError, match="plan 'untyped': its Map has no static output type"):
-            plan.out_type()
+        with pytest.raises(TypeError, match=r"plan 'untyped': its Map has no static output type "
+                                            r"\(give it a declared_type\)"):
+            plan.out_type(kv_type())
 
     def test_untyped_parameter_lookup_raises(self):
-        """A ParameterLookup with no declared type, typed without
-        ``param_type``, has no type: typing raises naming it."""
+        """A plan typed without ``param_type`` has no type for its
+        ParameterLookup: typing raises naming it."""
         plan = Plan(Projection(ParameterLookup(), ["k"]), name="no-params")
-        with pytest.raises(TypeError, match="plan 'no-params': its ParameterLookup has no static output type"):
+        with pytest.raises(TypeError, match=r"plan 'no-params': its ParameterLookup has no static output type "
+                                            r"\(type the plan with its param_type\)"):
             plan.op_types()
 
     def test_reduce_by_key_preserves_type(self):
-        pl = ParameterLookup(declared_type=kv_type())
-        rk = ReduceByKey(pl, ["k"], {"v": "sum"})
-        assert Plan(rk).out_type() == kv_type()
+        rk = ReduceByKey(ParameterLookup(), "k", {"v": "sum"})
+        assert Plan(rk).out_type(kv_type()) == kv_type()
 
     @pytest.mark.parametrize("typ, problem", [
         (TupleType([("v", INT64)]), "which its input .* lacks"),

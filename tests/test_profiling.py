@@ -4,7 +4,7 @@ import time
 import pandas as pd
 import pytest
 
-from repro.core import Plan, vectorized
+from repro.core import Plan
 from repro.core.expr import col, pmod
 from repro.core.ops import Filter, LocalHistogram, Map
 from repro.core.ops.base import ExecContext
@@ -30,15 +30,15 @@ class TestProfiler:
         hist = LocalHistogram(source("t"), 4, bucket=pmod(col("k"), 4))
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
-        vectorized.run_rows(Plan(hist), ctx, params=params_of(t=df))
+        Plan(hist).collect(ctx, params=params_of(t=df))
         assert "local_histogram" in prof.breakdown()
 
-    def test_vectorized_profile_covers_other(self):
+    def test_profile_covers_other(self):
         df = pd.DataFrame({"k": range(100)})
         m = Map(source("t"), lambda p: p)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
-        vectorized.run_to_pdf(Plan(m), ctx, params=params_of(t=df))
+        Plan(m).collect(ctx, params=params_of(t=df))
         assert prof.breakdown().get("other", 0) >= 0
 
     def test_raising_operator_pops_its_phase(self):
@@ -51,7 +51,7 @@ class TestProfiler:
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         with pytest.raises(ValueError, match="boom"):
-            vectorized.run_to_pdf(Plan(m), ctx, params=params_of(t=df))
+            Plan(m).collect(ctx, params=params_of(t=df))
         assert prof._state().stack == []
 
     def test_phase_names_are_known(self):

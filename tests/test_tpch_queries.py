@@ -5,7 +5,7 @@ import duckdb
 import pandas as pd
 import pytest
 
-from repro.core.lower import run_distributed_on_spark
+from repro.core.lower import lower_distributed_plan
 from repro.engines import MemSqlSim, run_presto_sim
 from repro.modular.common import JoinConfig
 from repro.mpi.thread_backend import run_on_sim
@@ -70,7 +70,7 @@ class TestOnSpark:
     def test_query_matches_oracle(self, spark, name, tables_pdf, tables_spark):
         q = QUERY[name]
         relations = {f: tables_spark[t] for f, t in q.table_map.items()}
-        out = run_distributed_on_spark(spark, q.build_plan(CFG), relations)
+        out = lower_distributed_plan(spark, q.build_plan(CFG), relations).result()
         assert_equivalent(out, q.sql, **tables_pdf)
 
 
@@ -93,7 +93,7 @@ class TestEmptyLineitem:
         q = QUERY[name]
         tables = dict(tables_spark, lineitem=tables_spark["lineitem"].limit(0))
         relations = {f: tables[t] for f, t in q.table_map.items()}
-        out = run_distributed_on_spark(spark, q.build_plan(CFG), relations)
+        out = lower_distributed_plan(spark, q.build_plan(CFG), relations).result()
         assert_equivalent(out, q.sql, **dict(tables_pdf, lineitem=tables_pdf["lineitem"].iloc[:0]))
 
 
@@ -135,5 +135,5 @@ def test_null_group_keys_form_no_group_on_sim_and_spark(spark):
     out, _ = run_on_sim(q4_plan(CFG), 2, {"L": lineitem, "O": orders})
     assert_equivalent(out, sql, orders=orders, lineitem=lineitem)
     relations = {"L": spark.createDataFrame(lineitem), "O": spark.createDataFrame(orders)}
-    assert_equivalent(run_distributed_on_spark(spark, q4_plan(CFG), relations), sql,
+    assert_equivalent(lower_distributed_plan(spark, q4_plan(CFG), relations).result(), sql,
                       orders=orders, lineitem=lineitem)

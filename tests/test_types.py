@@ -82,12 +82,6 @@ class TestRowVector:
         with pytest.raises(TypeError):
             RowVector([{"a": 1}])
 
-    def test_iter_rows_plain_python(self):
-        rv = RowVector(pd.DataFrame({"a": [1, 2], "b": [0.5, 1.5]}))
-        rows = list(rv.iter_rows())
-        assert rows == [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.5}]
-        assert all(type(r["a"]) is int for r in rows)
-
     def test_equality(self):
         a = RowVector(pd.DataFrame({"a": [1]}))
         b = RowVector(pd.DataFrame({"a": [1]}))
@@ -96,8 +90,8 @@ class TestRowVector:
     def test_nested_rowvector_cells(self):
         inner = RowVector(pd.DataFrame({"k": [1]}))
         outer = RowVector(pd.DataFrame({"pid": [0], "data": pd.Series([inner], dtype=object)}))
-        (row,) = outer.iter_rows()
-        assert row["data"] == inner
+        assert outer["data"].shape == (1,)
+        assert outer["data"][0] == inner
 
     def test_one_tuple_keeps_scalar_dtypes(self):
         """A parameter dict becomes one tuple: scalars in columns of their
@@ -107,4 +101,4 @@ class TestRowVector:
         assert len(t) == 1
         assert [t[c].dtype.kind for c in t.columns] == ["i", "O", "O"]
         assert t["data"][0] is inner
-        assert list(t.iter_rows()) == [{"pid": 3, "name": "x", "data": inner}]
+        assert (t["pid"].tolist(), t["name"].tolist()) == ([3], ["x"])
