@@ -47,9 +47,9 @@ plan and of the driver plan (``Plan.op_types``), and each stage's schema
 is its operator's type (an exchange's is its collection type, plus
 ``__pid``). ``lower_distributed_plan(...).result()`` is the plan's result
 DataFrame; neither lowering nor ``result()`` runs a Spark job.
-Typing is total, so a plan with an untyped operator (a ``Map`` without
-``declared_type``, in any nested plan) raises at ``Plan.op_types``, naming
-that plan and the operator, before anything is lowered.
+Typing is total, so a plan that cannot be typed (an operator reading a
+column its input lacks, in any nested plan) raises at ``Plan.op_types``,
+naming the operator, before anything is lowered.
 
 ``batch_size`` is the evaluator's scan batch size in every stage (None: a
 whole partition per batch). At ``batch_size=1`` the same kernels dispatch
@@ -129,10 +129,9 @@ def lower_distributed_plan(
 
     Every schema comes from the plan's static types, seeded with the input
     relations' Spark schemas, so lowering runs no Spark job. A plan
-    without exactly one ``MpiExecutor``, an operator without a static type
-    (a ``Map`` without ``declared_type``; ``Plan.op_types`` names its plan),
-    or an operator no lowering rule covers, raises ``TypeError`` naming the
-    operator.
+    without exactly one ``MpiExecutor``, a plan that fails typing
+    (``Plan.op_types``), or an operator no lowering rule covers, raises
+    ``TypeError`` naming the operator.
     ``batch_size`` is the evaluator's scan batch size in every stage (1:
     per-tuple dispatch)."""
     mes = [op for op in plan.operators() if isinstance(op, MpiExecutor)]

@@ -12,8 +12,9 @@ Four categories:
 
 Every operator has one execution semantics, its batch kernel
 (``batches``); user code enters each as one callable over a batch, or an
-aggregate spec. Network operators require an MPI-style communicator in the
-execution context. Every operator exported here is used by at least one
+aggregate spec. Network operators always run on the rank's communicator
+in the execution context (``MpiExecutor`` sets it; one rank is
+``SimCluster(1)``). Every operator exported here is used by at least one
 plan in ``repro.modular`` or ``repro.queries``.
 """
 from repro.core.ops.base import ExecContext, SubOperator  # noqa: F401

@@ -31,11 +31,12 @@ class ExecContext:
     """Per-execution state threaded through operator iterators.
 
     ``params`` is the plan's parameter tuple as a one-tuple batch, which
-    ``ParameterLookup`` returns; ``comm`` is the MPI-style communicator
-    required by network operators (None for local plans); ``batch_size``
-    bounds the batches a scan emits (None: a collection is scanned as one
-    batch); ``profiler`` wraps every operator's iterator; ``extra`` is
-    shared by a run and all its nested invocations.
+    ``ParameterLookup`` returns; ``comm`` is the rank's communicator, which
+    ``MpiExecutor`` sets and the network operators always run on (None
+    outside a rank); ``batch_size`` bounds the batches a scan emits (None:
+    a collection is scanned as one batch); ``profiler`` wraps every
+    operator's iterator; ``extra`` is shared by a run and all its nested
+    invocations.
     """
 
     params: Optional[RowVector] = None
@@ -64,8 +65,8 @@ class SubOperator:
 
     # -- static typing -----------------------------------------------------
     def out_type(self, in_types: Sequence[TupleType]) -> TupleType:
-        """Output tuple type given the upstreams' types. ``Plan.op_types``
-        calls it on every operator and rejects an unknown (None) result."""
+        """Output tuple type given the upstreams' types; ``Plan.op_types``
+        calls it on every operator but ``ParameterLookup``."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement out_type"
         )

@@ -4,11 +4,14 @@ operators.
 On the simulated MPI substrate (``repro.mpi.simcluster``) they execute the
 exact RDMA protocol of Barthels et al.: histogram-driven offset computation
 (exscan over ranks), collective window registration, synchronization-free
-one-sided puts, and a fence epoch. The protocol is written once, over numpy
-columns, in ``rma_exchange``; ``MpiExchange`` and the monolithic baselines
-both call it. On Spark, ``repro.core.lower`` replaces these operators with
-Catalyst stages (aggregate + collect = AllReduce; shuffle = exchange) — same
-plan, different platform, which is the paper's whole point.
+one-sided puts, and a fence epoch. ``MpiHistogram`` and ``MpiExchange``
+always run on the rank's communicator, ``ctx.comm``, which ``MpiExecutor``
+sets (a single rank is ``SimCluster(1)``). The protocol is written once,
+over numpy columns, in ``rma_exchange``; ``MpiExchange`` and the
+monolithic baselines both call it. On Spark, ``repro.core.lower``
+replaces these operators with Catalyst stages (aggregate + collect =
+AllReduce; shuffle = exchange) — same plan, different platform, which is
+the paper's whole point.
 """
 from __future__ import annotations
 
@@ -44,9 +47,9 @@ def window_layout(global_hist: np.ndarray, n_ranks: int) -> Tuple[np.ndarray, np
 def dense_counts(hist: RowVector, n: int, who: str) -> np.ndarray:
     """Validate and read a dense ``<bucket_id, count>`` histogram batch of
     exactly ``n`` buckets (``histogram_batch``'s format: a
-    ``LocalHistogram`` upstream of ``MpiHistogram``, a local and a global
-    histogram upstream of ``MpiExchange``) into a count array indexed by
-    bucket id; ``who`` names the reader in the error."""
+    ``LocalHistogram`` upstream of ``MpiHistogram``, a global histogram
+    upstream of ``MpiExchange``) into a count array indexed by bucket id;
+    ``who`` names the reader in the error."""
     if len(hist) != n:
         raise RuntimeError(f"{who} histogram has {len(hist)} buckets, expected exactly {n}")
     counts = np.zeros(n, dtype=np.int64)
@@ -55,41 +58,36 @@ def dense_counts(hist: RowVector, n: int, who: str) -> np.ndarray:
 
 
 def rma_exchange(
-    comm, columns: Dict[str, np.ndarray], pids: np.ndarray,
-    local_hist: np.ndarray, global_hist: np.ndarray,
+    comm, columns: Dict[str, np.ndarray], pids: np.ndarray, global_hist: np.ndarray,
 ) -> List[Tuple[int, Dict[str, np.ndarray]]]:
     """Barthels et al.'s exchange: sends row ``i`` of ``columns`` to
     partition ``pids[i]`` and returns this rank's partitions as
     ``(partition_id, {column: view into the window})``, in increasing id.
 
-    Each partition's region in its owner's window is sized by the global
-    histogram (``window_layout``), and each rank writes at the exscan of
-    the local histograms inside it, so the one-sided puts need no
-    synchronization until the fence; each put gathers a partition's rows
-    straight into the window. The global histogram must be the sum of the
-    local ones, and each local one the partition sizes of its rank's rows:
-    together, every slot of every region is written exactly once. Both
-    checks raise instead of leaving window slots unwritten."""
-    total = comm.allreduce_sum(local_hist)
-    if not np.array_equal(total, global_hist):
-        raise RuntimeError(
-            f"exchange global histogram {global_hist.tolist()} is not the sum "
-            f"{total.tolist()} of the local histograms"
-        )
-    owners, base = window_layout(global_hist, comm.size)
-    my_parts = np.flatnonzero(owners == comm.rank)
-    win = comm.win_create(int(global_hist[my_parts].sum()), {c: a.dtype for c, a in columns.items()})
-    offsets = comm.exscan_sum(local_hist)  # this rank's offset inside each region
+    This rank's partition sizes come from its stable sort of the ids and
+    serve both collectives: their allreduce must equal the global
+    histogram, which sizes each partition's region in its owner's window
+    (``window_layout``), and their exscan is this rank's write offset
+    inside each region. So the one-sided puts need no synchronization
+    until the fence, each put gathers a partition's rows straight into the
+    window, and every slot of every region is written exactly once. A
+    global histogram that is not the sum of the ranks' partition sizes
+    raises instead of leaving window slots unwritten."""
     if any(len(a) != len(pids) for a in columns.values()):
         lengths = [len(a) for a in columns.values()]
         raise ValueError(f"{len(pids)} partition ids for columns of {lengths} rows")
     order, bounds = radix.partition_order(pids, len(global_hist))
     sizes = np.diff(bounds)
-    if not np.array_equal(sizes, local_hist):
+    total = comm.allreduce_sum(sizes)
+    if not np.array_equal(total, global_hist):
         raise RuntimeError(
-            f"exchange local histogram {local_hist.tolist()} does not match "
-            f"the partition sizes {sizes.tolist()} of the data"
+            f"exchange global histogram {global_hist.tolist()} is not the sum "
+            f"{total.tolist()} of the ranks' partition sizes"
         )
+    owners, base = window_layout(global_hist, comm.size)
+    my_parts = np.flatnonzero(owners == comm.rank)
+    win = comm.win_create(int(global_hist[my_parts].sum()), {c: a.dtype for c, a in columns.items()})
+    offsets = comm.exscan_sum(sizes)  # this rank's offset inside each region
     for p in np.flatnonzero(sizes):
         rows = order[bounds[p] : bounds[p + 1]]
         comm.put(win, int(owners[p]), int(base[p] + offsets[p]), columns, rows)
@@ -145,21 +143,20 @@ class MpiHistogram(SubOperator):
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         counts = dense_counts(concat(list(ups[0])), self.n_buckets, "MpiHistogram")
-        if ctx.comm is not None:
-            counts = ctx.comm.allreduce_sum(counts)
-        yield histogram_batch(counts)
+        yield histogram_batch(ctx.comm.allreduce_sum(counts))
 
 
 class MpiExchange(SubOperator):
     """Partitions tuples across ranks through registered RMA windows.
 
     The integer expression ``bucket`` gives each tuple's partition.
-    Consumes (1) this rank's local histogram and (2) the global histogram
-    from two dedicated upstreams, computes synchronization-free write
-    offsets (region base from the global sizes, intra-region offset from an
-    exscan of the local counts — exactly Barthels et al.), writes each
-    partition's tuples into its owner's window with one-sided puts, fences,
-    and returns this rank's ``<partition_id, partition_data>`` pairs.
+    Consumes the global histogram from a second upstream and counts this
+    rank's partition sizes itself (``rma_exchange``), computes
+    synchronization-free write offsets (region base from the global sizes,
+    intra-region offset from an exscan of the local sizes — exactly
+    Barthels et al.), writes each partition's tuples into its owner's
+    window with one-sided puts, fences, and returns this rank's
+    ``<partition_id, partition_data>`` pairs.
 
     The wire carries the input columns as they are, or, with a
     ``CompressionSpec``, only its ``word`` expression: the <key,value>
@@ -175,7 +172,6 @@ class MpiExchange(SubOperator):
     def __init__(
         self,
         data_upstream: SubOperator,
-        local_hist_upstream: SubOperator,
         global_hist_upstream: SubOperator,
         n_partitions: int,
         bucket: Expr,
@@ -183,7 +179,7 @@ class MpiExchange(SubOperator):
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
     ) -> None:
-        super().__init__([data_upstream, local_hist_upstream, global_hist_upstream])
+        super().__init__([data_upstream, global_hist_upstream])
         if compression is not None and compression.fanout != n_partitions:
             raise ValueError(
                 f"compression fan-out {compression.fanout} != n_partitions {n_partitions}"
@@ -217,13 +213,9 @@ class MpiExchange(SubOperator):
         return self.bucket.eval(data), wire
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
-        from repro.mpi.simcluster import LocalComm
-
-        n = self.n_partitions
-        local_hist = dense_counts(concat(list(ups[1])), n, "MpiExchange local")
-        global_hist = dense_counts(concat(list(ups[2])), n, "MpiExchange global")
+        global_hist = dense_counts(concat(list(ups[1])), self.n_partitions, "MpiExchange global")
         pids, wire = self.to_wire(concat(list(ups[0])))
-        parts = rma_exchange(ctx.comm or LocalComm(), wire, pids, local_hist, global_hist)
+        parts = rma_exchange(ctx.comm, wire, pids, global_hist)
         yield RowVector({
             self.pid_field: np.array([p for p, _ in parts], dtype=np.int64),
             self.data_field: object_column([RowVector(cols) for _, cols in parts]),

@@ -7,7 +7,7 @@ whole batch.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -20,7 +20,8 @@ from repro.core.types import INT64, RowVector, TupleType, concat
 
 class Map(SubOperator):
     """Applies a function to every input tuple: ``fn(RowVector) ->
-    RowVector`` maps a batch of tuples to the batch of their images."""
+    RowVector`` maps a batch of tuples to the batch of their images, of
+    type ``declared_type``."""
 
     op_name = "MP"
 
@@ -28,13 +29,13 @@ class Map(SubOperator):
         self,
         upstream: SubOperator,
         fn: Callable[[RowVector], RowVector],
-        declared_type: Optional[TupleType] = None,
+        declared_type: TupleType,
     ) -> None:
         super().__init__([upstream])
         self.fn = fn
         self.declared_type = declared_type
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         return self.declared_type
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -46,7 +47,7 @@ class ParametrizedMap(SubOperator):
     """Map that additionally receives one parameter tuple from a second
     upstream, passed to every function call as a one-tuple batch (used
     e.g. to restore bits dropped by the exchange compression):
-    ``fn(RowVector, RowVector) -> RowVector``."""
+    ``fn(RowVector, RowVector) -> RowVector``, of type ``declared_type``."""
 
     op_name = "PM"
 
@@ -55,13 +56,13 @@ class ParametrizedMap(SubOperator):
         param_upstream: SubOperator,
         data_upstream: SubOperator,
         fn: Callable[[RowVector, RowVector], RowVector],
-        declared_type: Optional[TupleType] = None,
+        declared_type: TupleType,
     ) -> None:
         super().__init__([param_upstream, data_upstream])
         self.fn = fn
         self.declared_type = declared_type
 
-    def out_type(self, in_types) -> Optional[TupleType]:
+    def out_type(self, in_types) -> TupleType:
         return self.declared_type
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -146,6 +147,7 @@ class Reduce(SubOperator):
         self.aggs = _checked(aggs)
 
     def out_type(self, in_types) -> TupleType:
+        in_types[0].check_fields(type(self).__name__, self.aggs)
         return TupleType([
             (c, INT64 if a == "count" else in_types[0].field_type(c)) for c, a in self.aggs.items()
         ])
@@ -176,6 +178,7 @@ class ReduceByKey(SubOperator):
         self.aggs = _checked(aggs)
 
     def out_type(self, in_types) -> TupleType:
+        in_types[0].check_fields(type(self).__name__, [self.key, *self.aggs])
         return in_types[0]
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:
@@ -262,6 +265,8 @@ class BuildProbe(SubOperator):
 
     def out_type(self, in_types) -> TupleType:
         lt, rt = in_types
+        for t in in_types:
+            t.check_fields(type(self).__name__, [self.key], INT64)
         if self.join_type in ("semi", "anti"):
             return rt
         rest_l = [n for n in lt.names if n != self.key]

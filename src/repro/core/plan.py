@@ -7,8 +7,8 @@ operator with several consumers is materialized once per run, its batches
 replayed to every consumer. The multi-consumer set is computed once per
 plan; the cache of materialized results lives for one run.
 
-``run`` streams the root's batches and ``collect`` concatenates them; both
-take the plan's parameter tuple as a dict, boxed once into the one-tuple
+``collect`` evaluates the plan and concatenates the root's batches; it
+takes the plan's parameter tuple as a dict, boxed once into the one-tuple
 batch ``ParameterLookup`` returns. A nested plan (of ``NestedMap``,
 ``MpiExecutor``, or the Spark lowering's nested-plan UDF) is called
 through ``invoke``: it runs on the one-tuple batch ``ctx.params`` and
@@ -39,18 +39,14 @@ class Plan:
         """All operators of this plan (not nested plans), topological order."""
         return list(self._ops)
 
-    def run(self, ctx: Optional[ExecContext] = None, params: Optional[dict] = None) -> Iterator[RowVector]:
-        """The root's batches, evaluated on ``ctx`` (default: a fresh
-        context) with the parameter tuple ``params`` (field name to value)
-        if given, else on ``ctx.params``."""
+    def collect(self, ctx: Optional[ExecContext] = None, params: Optional[dict] = None) -> RowVector:
+        """All result tuples as one batch, evaluated on ``ctx`` (default: a
+        fresh context) with the parameter tuple ``params`` (field name to
+        value) if given, else on ``ctx.params``."""
         ctx = ctx or ExecContext()
         if params is not None:
             ctx = ctx.child(one_tuple(params))
-        return _stream(self.root, ctx, self._shared, {})
-
-    def collect(self, ctx: Optional[ExecContext] = None, params: Optional[dict] = None) -> RowVector:
-        """All result tuples of ``run`` as one batch."""
-        return concat(list(self.run(ctx, params)))
+        return concat(list(_stream(self.root, ctx, self._shared, {})))
 
     def invoke(self, ctx: ExecContext, owner: str) -> RowVector:
         """Run this plan as the nested plan of ``owner`` on the one-tuple
@@ -65,34 +61,26 @@ class Plan:
             )
         return out
 
-    def op_types(self, param_type: Optional[TupleType] = None) -> Dict[SubOperator, TupleType]:
+    def op_types(self, param_type: TupleType) -> Dict[SubOperator, TupleType]:
         """Static output type of every operator of this plan, nested plans
         typed through their operators' ``out_type``. Every ParameterLookup
-        has the type of the plan's one parameter tuple, ``param_type``. An
-        operator whose type is unknown (a Map or ParametrizedMap without
-        ``declared_type``, or a ParameterLookup of a plan typed without
-        ``param_type``) raises ``TypeError`` naming the plan and the
-        operator."""
+        has the type of the plan's one parameter tuple, ``param_type``.
+        Every column an operator's expressions read must be an int64
+        column of its first upstream's type; otherwise typing raises
+        ``TypeError`` naming the operator and the column."""
         types: Dict[SubOperator, TupleType] = {}
         for op in self._ops:
             if isinstance(op, ParameterLookup):
                 types[op] = param_type
-            else:
-                in_types = [types[u] for u in op.upstreams]
-                if in_types:
-                    _check_reads(op, in_types[0])
-                types[op] = op.out_type(in_types)
-            if types[op] is None:
-                fix = ("type the plan with its param_type" if isinstance(op, ParameterLookup)
-                       else "give it a declared_type")
-                raise TypeError(f"plan {self.name!r}: its {type(op).__name__} has no static output type ({fix})")
+                continue
+            in_types = [types[u] for u in op.upstreams]
+            for name, e in op.exprs().items():
+                in_types[0].check_fields(f"{type(op).__name__} expression {name}={e}", e.columns(), INT64)
+            types[op] = op.out_type(in_types)
         return types
 
-    def out_type(self, param_type: Optional[TupleType] = None) -> TupleType:
-        """The root's static type (``op_types``). Every column an
-        operator's expressions read must be an int64 column of its first
-        upstream's type; otherwise typing raises ``TypeError`` naming the
-        operator and the column."""
+    def out_type(self, param_type: TupleType) -> TupleType:
+        """The root's static type (``op_types``)."""
         return self.op_types(param_type)[self.root]
 
     def render(self) -> str:
@@ -109,23 +97,6 @@ class Plan:
                 nested = " {" + op.nested_plan.render().replace("\n", "; ") + "}"
             lines.append(f"#{ids[op]} {op.op_name}({ups}){exprs}{nested}")
         return "\n".join(lines)
-
-
-def _check_reads(op: SubOperator, in_type: TupleType) -> None:
-    """Raise ``TypeError`` if an expression of ``op`` reads a column that
-    ``in_type`` lacks or that is not int64."""
-    for name, e in op.exprs().items():
-        for c in e.columns():
-            if c not in in_type.names:
-                raise TypeError(
-                    f"{type(op).__name__} expression {name}={e} reads column {c!r}, "
-                    f"which its input {in_type!r} lacks"
-                )
-            if in_type.field_type(c) != INT64:
-                raise TypeError(
-                    f"{type(op).__name__} expression {name}={e} reads column {c!r} of "
-                    f"type {in_type.field_type(c)!r}, not int64"
-                )
 
 
 Cache = Dict[SubOperator, List[RowVector]]

@@ -15,19 +15,18 @@ only at the program's edges (``RowVector.to_pandas``).
 
 Typing is *total*, as in the paper, whose JIT compiler knows every
 pipeline's types before the plan runs: ``Plan.op_types`` gives every
-operator, nested plans included, a static output type, or raises
-``TypeError`` naming the plan and the operator whose type is unknown. A
-plan has one parameter tuple, so every ``ParameterLookup`` takes the
-plan's one parameter type. Operators that run an opaque user function
-(``Map``, ``ParametrizedMap``) take their output type as
-``declared_type``. It is optional at construction, because evaluation
-never reads types, so a plan with an untyped ``Map`` runs on the
-simulator but cannot be typed. The Spark lowering derives its schemas
-from these types.
+operator, nested plans included, a static output type. A plan has one
+parameter tuple, so every ``ParameterLookup`` takes the plan's one
+parameter type, and operators that run an opaque user function (``Map``,
+``ParametrizedMap``) take their output type as a required
+``declared_type``. Typing raises ``TypeError`` naming the operator and the
+column for every column an operator cannot read: one its input lacks, or
+a partition expression's column or a join key that is not int64.
+The Spark lowering derives its schemas from these types.
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pandas as pd
@@ -98,6 +97,16 @@ class TupleType:
             if n == name:
                 return t
         raise KeyError(name)
+
+    def check_fields(self, who: str, names: Iterable[str], atom: Optional[Atom] = None) -> None:
+        """Raise ``TypeError`` naming ``who``, whose input has this type,
+        and the field, if a field of ``names`` is missing or, given
+        ``atom``, of another type."""
+        for n in names:
+            if n not in self.names:
+                raise TypeError(f"{who} reads column {n!r}, which its input {self!r} lacks")
+            if atom is not None and self.field_type(n) != atom:
+                raise TypeError(f"{who} reads column {n!r} of type {self.field_type(n)!r}, not {atom!r}")
 
     def project(self, names: Sequence[str]) -> "TupleType":
         return TupleType([(n, self.field_type(n)) for n in names])

@@ -1,12 +1,13 @@
 """Shared pieces of the modular distributed plans.
 
 All of Fig. 3/4/5 use the same skeleton per input relation:
-scan -> {LocalHistogram -> MpiHistogram} + MpiExchange (radix on the key,
+scan -> LocalHistogram -> MpiHistogram -> MpiExchange (radix on the key,
 optionally compressed), and the same local step inside the first NestedMap:
 RowScan -> LocalPartitioning -> CartesianProduct with the network partition
-id. LocalPartitioning counts its partitions itself, so only the network
-skeleton, whose RMA windows need the global sizes, holds a LocalHistogram.
-Factoring these out *is* the paper's reuse claim.
+id. MpiExchange and LocalPartitioning count their own partitions, so the
+one LocalHistogram per side only feeds MpiHistogram, whose global sizes
+the exchange's RMA windows need. Factoring these out *is* the paper's
+reuse claim.
 """
 from __future__ import annotations
 
@@ -94,10 +95,9 @@ def network_partition(
     data_field: str,
 ) -> MpiExchange:
     """The reusable histogram + exchange skeleton of one relation side."""
-    lh = LocalHistogram(data, cfg.n_net, cfg.net_pid())
-    gh = MpiHistogram(lh, cfg.n_net)
+    gh = MpiHistogram(LocalHistogram(data, cfg.n_net, cfg.net_pid()), cfg.n_net)
     return MpiExchange(
-        data, lh, gh, cfg.n_net, cfg.net_pid(),
+        data, gh, cfg.n_net, cfg.net_pid(),
         compression=cfg.spec(value_field),
         pid_field=pid_field, data_field=data_field,
     )

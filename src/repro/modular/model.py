@@ -57,13 +57,13 @@ def _rank_model(
     # network partitioning: the MpiExchange operator alone
     def ex(field, vf):
         return MpiExchange(
-            rank_input(field), rank_input("LH"), rank_input("GH"), cfg.n_net, cfg.net_pid(),
+            rank_input(field), rank_input("GH"), cfg.n_net, cfg.net_pid(),
             compression=cfg.spec(vf),
         )
 
     t0 = perf_counter()
-    parts_r = _run(ex("R", "vr"), params | {"LH": hist_r, "GH": ghist_r}, comm)
-    parts_s = _run(ex("S", "vs"), params | {"LH": hist_s, "GH": ghist_s}, comm)
+    parts_r = _run(ex("R", "vr"), params | {"GH": ghist_r}, comm)
+    parts_s = _run(ex("S", "vs"), params | {"GH": ghist_s}, comm)
     t["network_partitioning"] = perf_counter() - t0
 
     # local partitioning: the LocalPartitioning operator per partition

@@ -36,7 +36,7 @@ def _rank_groupby(comm: Comm, rel: RowVector, cfg: JoinConfig) -> Tuple[RowVecto
     t["global_histogram"] = perf_counter() - t0
 
     t0 = perf_counter()
-    parts = _exchange(comm, cfg, keys, vals, hist, ghist, spec)
+    parts = _exchange(comm, cfg, keys, vals, ghist, spec)
     t["network_partitioning"] = perf_counter() - t0
 
     t0 = perf_counter()

@@ -38,11 +38,11 @@ def _np_hash_join(bk, bv, pk, pv):
     return pk[pi], bv[bi], pv[pi]
 
 
-def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, local_hist, global_hist, spec):
+def _exchange(comm: Comm, cfg: JoinConfig, keys, vals, global_hist, spec):
     """Network-partitioning phase: compress, then the shared RMA exchange;
     returns this rank's ``(partition_id, columns)`` pairs."""
     cols = {"kv": spec.compress(keys, vals)} if spec else {"k": keys, "v": vals}
-    parts = rma_exchange(comm, cols, cfg.net_pid().eval({cfg.key: keys}), local_hist, global_hist)
+    parts = rma_exchange(comm, cols, cfg.net_pid().eval({cfg.key: keys}), global_hist)
     return [(p, tuple(data.values())) for p, data in parts]
 
 
@@ -70,8 +70,8 @@ def _rank_join(
 
     # -- phase 2: network partitioning (compressed wire format) ------------
     t0 = perf_counter()
-    parts_r = _exchange(comm, cfg, rk, rv, hist_r, ghist_r, spec_r)
-    parts_s = _exchange(comm, cfg, sk, sv, hist_s, ghist_s, spec_s)
+    parts_r = _exchange(comm, cfg, rk, rv, ghist_r, spec_r)
+    parts_s = _exchange(comm, cfg, sk, sv, ghist_s, spec_s)
     t["network_partitioning"] = perf_counter() - t0
 
     # -- phase 3: local radix re-partitioning -------------------------------

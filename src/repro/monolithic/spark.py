@@ -4,18 +4,16 @@ Same Catalyst stage structure as the modular lowering (a native
 pre-partitioning ``Project`` computing the radix pid and the compressed
 word, shuffle on the pid, applyInPandas per partition) but the join stage
 is one hand-fused numpy kernel specialized to the 16-byte <key, value>
-workload: no sub-operator dispatch, no generic evaluator, one combined
-histogram pass. The delta between this and the lowered modular plan is the
-"cost of modularity" measured in the paper (12–28 %).
+workload: no sub-operator dispatch, no generic evaluator, and no histogram
+stage (the shuffle partitions by ``__pid`` itself). The delta between this
+and the lowered modular plan is the "cost of modularity" measured in the
+paper (12–28 %).
 """
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import radix
 from repro.modular.common import JoinConfig
@@ -66,28 +64,14 @@ def _join_fn(cfg: JoinConfig):
     return fn
 
 
-def monolithic_join_stages(
+def run_monolithic_join_spark(
     spark: SparkSession, r: DataFrame, s: DataFrame, cfg: JoinConfig
-) -> Dict[str, object]:
-    """Lowered stage handles (pre-exchange, histogram, join) for timing."""
+) -> DataFrame:
+    """The joined DataFrame: both relations' pre-exchange projections,
+    cogrouped on ``__pid`` into the fused join kernel."""
     pre_r, pre_s = _pre(r, cfg, "vr"), _pre(s, cfg, "vs")
-    # one combined histogram job for both relations (the monolithic
-    # algorithm's single MPI_Allreduce over the concatenated histograms)
-    hist = (
-        pre_r.select("__pid", F.lit(0).alias("__rel"))
-        .unionByName(pre_s.select("__pid", F.lit(1).alias("__rel")))
-        .groupBy("__rel", "__pid")
-        .count()
-    )
-    joined = (
+    return (
         pre_r.groupBy("__pid")
         .cogroup(pre_s.groupBy("__pid"))
         .applyInPandas(_join_fn(cfg), schema="k long, vr long, vs long")
     )
-    return {"pre": [pre_r, pre_s], "histogram": hist, "joined": joined}
-
-
-def run_monolithic_join_spark(
-    spark: SparkSession, r: DataFrame, s: DataFrame, cfg: JoinConfig
-) -> DataFrame:
-    return monolithic_join_stages(spark, r, s, cfg)["joined"]

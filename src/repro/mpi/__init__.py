@@ -7,4 +7,4 @@ epochs and the collectives the algorithms need (allreduce, exscan,
 barrier), plus bytes-on-the-wire accounting. ``thread_backend`` runs
 sub-operator plans and the monolithic baselines SPMD on it.
 """
-from repro.mpi.simcluster import Comm, LocalComm, SimCluster, Window  # noqa: F401
+from repro.mpi.simcluster import Comm, SimCluster, Window  # noqa: F401

@@ -179,13 +179,6 @@ class Comm:
         self.barrier()
 
 
-class LocalComm(Comm):
-    """Single-rank communicator for running SPMD code without a cluster."""
-
-    def __init__(self) -> None:
-        super().__init__(SimCluster(1), 0)
-
-
 def _wire_bytes(column: np.ndarray) -> int:
     """Wire-size estimate of one column: 8 bytes per non-object cell, the
     string length of each object cell."""

@@ -54,7 +54,7 @@ class TestRoundTrip:
     def test_wire_is_one_word(self):
         """The exchange sends the one int64 ``word`` column."""
         spec = CompressionSpec(p_bits=20, f_bits=3)
-        ex = MpiExchange(source("T"), source("H"), source("H"), 8, col("k") & 7, compression=spec)
+        ex = MpiExchange(source("T"), source("H"), 8, col("k") & 7, compression=spec)
         pdf = pd.DataFrame({"k": [1, 9], "v": [2, 3]})
         pids, wire = ex.to_wire(RowVector(pdf))
         assert list(pids) == [1, 1] and list(wire) == ["kv"]
@@ -95,7 +95,7 @@ class TestRoundTrip:
         """On the exchange's frame, and at typing, where the Spark lowering
         takes the wire type from."""
         spec = CompressionSpec(p_bits=8, f_bits=2)
-        ex = MpiExchange(source("T"), source("H"), source("H"), 4, col("k") & 3, compression=spec)
+        ex = MpiExchange(source("T"), source("H"), 4, col("k") & 3, compression=spec)
         with pytest.raises(ValueError, match="extra cols"):
             ex.to_wire(RowVector({"k": [1], "v": [2], "z": [3]}))
         with pytest.raises(ValueError, match=r"extra cols: \['z'\]"):

@@ -132,7 +132,7 @@ class TestJoinLowering:
         """The partition UDF checks its nested plan's result as NestedMap
         does: a plan that does not end in MaterializeRowVector yields one
         tuple per row."""
-        side = (MpiExchange(source("T"), source("H"), source("H"), 1, col("k") & 0),
+        side = (MpiExchange(source("T"), source("H"), 1, col("k") & 0),
                 pd.DataFrame({"k": [1, 2, 3]}))
         with pytest.raises(RuntimeError, match="nested plan of NestedMap must produce exactly one"):
             _run_inner(Plan(source("partition_data")), "k", 0, [side], None)
@@ -651,10 +651,10 @@ def _all_types(plan, param_type):
 class TestNetworkSkeleton:
     @pytest.mark.parametrize("name", PLANS)
     def test_local_histograms_feed_only_the_exchange(self, plans, name):
-        """Only the network skeleton counts partitions ahead of time (its
-        RMA windows need the global sizes): every LocalHistogram, nested
-        plans included, is read by an MpiHistogram or an MpiExchange, and
-        LocalPartitioning counts its own partitions."""
+        """Only the exchange's global histogram is counted ahead of time
+        (its RMA windows need the global sizes): every LocalHistogram,
+        nested plans included, is read by an MpiHistogram only, and
+        MpiExchange and LocalPartitioning count their own partitions."""
         stack, readers = [plans[name][0]], 0
         while stack:
             plan = stack.pop()
@@ -662,7 +662,7 @@ class TestNetworkSkeleton:
                 if hasattr(op, "nested_plan"):
                     stack.append(op.nested_plan)
                 if any(isinstance(u, LocalHistogram) for u in op.upstreams):
-                    assert isinstance(op, (MpiHistogram, MpiExchange)), f"{op!r} reads a LocalHistogram"
+                    assert isinstance(op, MpiHistogram), f"{op!r} reads a LocalHistogram"
                     readers += 1
         assert readers
 
@@ -706,29 +706,6 @@ class TestStaticSchemas:
         with spark_jobs(spark) as ran:
             spark.createDataFrame(r).count()
         assert ran.count >= 1
-
-    def test_untyped_map_rejected(self, spark, kv_frames):
-        r, s = kv_frames
-        plan = distributed_join_plan(
-            JoinConfig(n_net=2, loc_bits=1),
-            pre_scan=lambda field, op: Map(op, lambda pdf: pdf),
-        )
-        with pytest.raises(TypeError, match="Map has no static output type"):
-            lower_distributed_plan(
-                spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
-            )
-
-    def test_untyped_nested_map_names_nested_plan(self, spark, kv_frames):
-        """An untyped Map two nesting levels below the rank plan raises
-        naming the nested plan it sits in."""
-        r, s = kv_frames
-        plan = distributed_join_plan(
-            JoinConfig(n_net=2, loc_bits=1), probe_post=lambda op: Map(op, lambda b: b),
-        )
-        with pytest.raises(TypeError, match="plan 'join-inner2': its Map has no static output type"):
-            lower_distributed_plan(
-                spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
-            )
 
     @pytest.mark.parametrize("hook", ["rank_post", "driver_post"])
     def test_operator_without_rule_rejected(self, spark, kv_frames, hook):

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.core import RowVector
+from repro.core.types import INT64, TupleType
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
 from repro.mpi.thread_backend import run_on_sim
@@ -133,7 +134,8 @@ def test_rank_and_driver_post_hooks():
     def to_count(op):
         from repro.core.ops import Map
 
-        return Reduce(Map(op, lambda b: RowVector({"n": np.ones(len(b), dtype=int)})), {"n": "sum"})
+        n = TupleType([("n", INT64)])
+        return Reduce(Map(op, lambda b: RowVector({"n": np.ones(len(b), dtype=np.int64)}), n), {"n": "sum"})
 
     r = dense_kv_pdf(128, value_field="vr", seed=13)
     s = dense_kv_pdf(128, value_field="vs", seed=14)

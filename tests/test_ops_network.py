@@ -16,6 +16,7 @@ from repro.core.ops import (
 )
 from repro.core.ops.base import ExecContext
 from repro.core.ops.network import owner_of
+from repro.core.types import INT64, TupleType
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
 from repro.monolithic import run_monolithic_join
@@ -34,11 +35,18 @@ def hist_plan(n_buckets):
     return LocalHistogram(source("T"), n_buckets, pmod(col("k"), n_buckets))
 
 
+def on_one_rank(plan, **frames):
+    """``plan``'s result on a one-rank cluster, the parameter tuple holding
+    ``frames``."""
+    return SimCluster(1).run(lambda comm, p: plan.collect(ExecContext(comm=comm), params=p),
+                             [params_of(**frames)])[0]
+
+
 class TestMpiHistogram:
     def test_single_rank_equals_local(self):
         plan = Plan(MpiHistogram(hist_plan(4), 4))
         data = kv(100)
-        out = plan.collect(params=params_of(T=data))
+        out = on_one_rank(plan, T=data)
         expect = np.bincount(data["k"] % 4, minlength=4)
         assert out["count"].tolist() == list(expect)
 
@@ -60,16 +68,14 @@ class TestMpiHistogram:
     def test_wrong_histogram_size_rejected(self):
         plan = Plan(MpiHistogram(hist_plan(4), 8))
         with pytest.raises(RuntimeError, match="exactly 8"):
-            plan.collect(params=params_of(T=kv(10)))
+            on_one_rank(plan, T=kv(10))
 
 
 def exchange_plan(n_parts, compression=None):
     data = source("T")
     pid = pmod(col("k"), n_parts)
-    lh = LocalHistogram(data, n_parts, pid)
-    gh = MpiHistogram(lh, n_parts)
-    ex = MpiExchange(data, lh, gh, n_parts, pid, compression=compression)
-    return Plan(ex)
+    gh = MpiHistogram(LocalHistogram(data, n_parts, pid), n_parts)
+    return Plan(MpiExchange(data, gh, n_parts, pid, compression=compression))
 
 
 class TestMpiExchange:
@@ -101,7 +107,7 @@ class TestMpiExchange:
 
     def test_single_rank_local_fallback(self):
         data = kv(50)
-        out = exchange_plan(4).collect(params=params_of(T=data))
+        out = on_one_rank(exchange_plan(4), T=data)
         assert out["partition_id"].tolist() == [0, 1, 2, 3]
         assert sum(len(part) for part in out["partition_data"]) == 50
 
@@ -128,13 +134,16 @@ class TestMpiExchange:
         assert c_comp.total_bytes_put() * 2 == c_plain.total_bytes_put()
 
     def test_histogram_disagreeing_with_pids_raises(self):
-        # the local histogram buckets by k // 4 % 4, the exchange by k % 4
+        """The local histogram buckets by k // 4 % 4, the exchange by
+        k % 4: the global histogram is not the sum of the partition sizes
+        the exchange counts."""
         data = source("T")
         lh = LocalHistogram(data, 4, (col("k") >> 2) & 3)
-        ex = MpiExchange(data, lh, MpiHistogram(lh, 4), 4, pmod(col("k"), 4))
+        ex = MpiExchange(data, MpiHistogram(lh, 4), 4, pmod(col("k"), 4))
         T = pd.DataFrame({"k": np.arange(8), "v": np.arange(8)})
-        with pytest.raises(RuntimeError, match=r"local histogram \[4, 4, 0, 0\] does not match"):
-            Plan(ex).collect(params=params_of(T=T))
+        want = r"global histogram \[4, 4, 0, 0\] is not the sum \[2, 2, 2, 2\]"
+        with pytest.raises(RuntimeError, match=want):
+            on_one_rank(Plan(ex), T=T)
 
     @pytest.mark.parametrize("n_ranks", [1, 2])
     @pytest.mark.parametrize("global_counts", [[3, 1], [1, 3]])
@@ -144,7 +153,7 @@ class TestMpiExchange:
         return an unwritten slot as a row, with no error."""
         data = source("T")
         pid = pmod(col("k"), 2)
-        ex = MpiExchange(data, LocalHistogram(data, 2, pid), source("G"), 2, pid)
+        ex = MpiExchange(data, source("G"), 2, pid)
         T = pd.DataFrame({"k": np.arange(4), "v": np.arange(4) * 10})  # counts [2, 2]
         G = pd.DataFrame({"bucket_id": [0, 1], "count": global_counts})
 
@@ -182,7 +191,8 @@ class TestMpiExecutor:
 
         # nested plan: count rows of this rank's slice
         scan = RowScan(Projection(ParameterLookup(), ["T"]), "T")
-        cnt = Map(scan, lambda b: RowVector({"one": np.ones(len(b), dtype=np.int64)}))
+        cnt = Map(scan, lambda b: RowVector({"one": np.ones(len(b), dtype=np.int64)}),
+                  TupleType([("one", INT64)]))
         from repro.core.ops import Reduce
 
         red = Reduce(cnt, {"one": "sum"})

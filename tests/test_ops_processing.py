@@ -22,11 +22,18 @@ from repro.core.ops import (
     ReduceByKey,
     Zip,
 )
+from repro.core.types import FLOAT64, INT64, STR, TupleType
 from repro.oracle import assert_equivalent
 from tests.helpers import params_of, source
 
 
 KV = pd.DataFrame({"k": [1, 2, 3, 2, 1], "v": [10, 20, 30, 40, 50]})
+KV_TYPE = TupleType([("k", INT64), ("v", INT64)])
+
+
+def atom(values):
+    """The atom of a fixture column's values."""
+    return {"i": INT64, "f": FLOAT64, "O": STR}[values.dtype.kind]
 
 NAN = np.nan
 #: aggregation inputs pinned against DuckDB: NULL values are skipped,
@@ -61,7 +68,8 @@ def run_plan(root, **frames) -> dict:
 
 class TestMap:
     def test_row_and_batch_agree(self):
-        root = Map(source("t"), lambda b: RowVector({"k": b["k"], "v2": b["v"] * 2}))
+        root = Map(source("t"), lambda b: RowVector({"k": b["k"], "v2": b["v"] * 2}),
+                   TupleType([("k", INT64), ("v2", INT64)]))
         assert run_plan(root, t=KV) == {"k": [1, 1, 2, 2, 3], "v2": [20, 100, 40, 80, 60]}
 
 
@@ -69,16 +77,17 @@ class TestParametrizedMap:
     def test_parameter_passed_to_every_call(self):
         from repro.core.ops import ParameterLookup
 
-        param = Map(ParameterLookup(), lambda b: RowVector({"shift": [100]}))
+        param = Map(ParameterLookup(), lambda b: RowVector({"shift": [100]}), TupleType([("shift", INT64)]))
         root = ParametrizedMap(
             param,
             source("t"),
             lambda b, p: RowVector({"k": b["k"] + p["shift"], "v": b["v"]}),
+            KV_TYPE,
         )
         assert run_plan(root, t=KV)["k"] == [101, 101, 102, 102, 103]
 
     def test_multiple_parameter_tuples_is_error(self):
-        root = ParametrizedMap(source("t"), source("t"), lambda pdf, p: pdf)
+        root = ParametrizedMap(source("t"), source("t"), lambda pdf, p: pdf, KV_TYPE)
         with pytest.raises(RuntimeError, match="exactly one parameter"):
             Plan(root).collect(params=params_of(t=KV))
 
@@ -120,9 +129,8 @@ class TestReduce:
         """Over no tuples there is nothing to fold, so SQL semantics give
         one tuple: COUNT is 0, SUM/MIN/MAX are NULL."""
         aggs = {"v": "sum", "n": "count", "lo": "min", "hi": "max"}
-        root = Reduce(
-            Map(source("t"), lambda b: RowVector({c: b["v"] for c in aggs})), aggs
-        )
+        typ = TupleType([(c, INT64) for c in aggs])
+        root = Reduce(Map(source("t"), lambda b: RowVector({c: b["v"] for c in aggs}), typ), aggs)
         out = run_plan(root, t=KV.iloc[:0])
         assert out["n"] == [0]
         assert all(len(out[c]) == 1 and pd.isna(out[c][0]) for c in ("v", "lo", "hi"))
@@ -130,7 +138,8 @@ class TestReduce:
     def test_all_aggregates_match_duckdb(self):
         t = pd.DataFrame({"v": [3.0, None, 1.0, 7.0]})
         root = Reduce(
-            Map(source("t"), lambda b: RowVector({c: b["v"] for c in ("s", "n", "lo", "hi")})),
+            Map(source("t"), lambda b: RowVector({c: b["v"] for c in ("s", "n", "lo", "hi")}),
+                TupleType([(c, FLOAT64) for c in ("s", "n", "lo", "hi")])),
             {"s": "sum", "n": "count", "lo": "min", "hi": "max"},
         )
         for rel in (t, t.iloc[:0], t.iloc[1:2]):  # values, no tuples, only NULL
@@ -143,7 +152,8 @@ class TestReduce:
     def test_matches_duckdb_over_null_keys_and_values(self, case):
         """One tuple always, over the NULL-keyed tuples too."""
         t = AGG_CASES[case]
-        root = Reduce(Map(source("t"), lambda b: RowVector({c: b["v"] for c in AGGS})), AGGS)
+        typ = TupleType([(c, atom(t["v"])) for c in AGGS])
+        root = Reduce(Map(source("t"), lambda b: RowVector({c: b["v"] for c in AGGS}), typ), AGGS)
         out = Plan(root).collect(params=params_of(t=t)).to_pandas()
         assert len(out) == 1
         assert_equivalent(out, f"SELECT {', '.join(AGG_SQL.values())} FROM t", t=t)
@@ -165,7 +175,8 @@ class TestReduceByKey:
         t = AGG_CASES[case]
         # SUM is not defined over strings
         aggs = {c: a for c, a in AGGS.items() if not (case == "string-values" and a == "sum")}
-        up = Map(source("t"), lambda b: RowVector({"k": b["k"], **{c: b["v"] for c in aggs}}))
+        typ = TupleType([("k", atom(t["k"])), *[(c, atom(t["v"])) for c in aggs]])
+        up = Map(source("t"), lambda b: RowVector({"k": b["k"], **{c: b["v"] for c in aggs}}), typ)
         out = Plan(ReduceByKey(up, "k", aggs)).collect(params=params_of(t=t)).to_pandas()
         assert list(out.columns) == ["k", *aggs]
         select = ", ".join(AGG_SQL[c] for c in aggs)

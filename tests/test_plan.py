@@ -19,6 +19,7 @@ from repro.core.ops import (
     NestedMap,
     ParameterLookup,
     Projection,
+    Reduce,
     ReduceByKey,
     RowScan,
     Zip,
@@ -78,7 +79,7 @@ class TestEvaluation:
         """An operator read by three consumers is evaluated once per plan
         run and its batches replayed to each; a second run evaluates it
         again, on its own parameters."""
-        m = Map(source("t"), lambda b: b)
+        m = Map(source("t"), lambda b: b, kv_type())
         hist = LocalHistogram(m, 2, pmod(col("k"), 2))
         probe = BuildProbe(Projection(m, ["k"]), m, key="k")  # m: three consumers
         plan = Plan(CartesianProduct(hist, Projection(probe, ["v"])))
@@ -166,26 +167,36 @@ class TestTyping:
         nested_types = nested.op_types(parts)
         assert [nested_types[pl] for pl in lookups] == [parts, parts]
 
-    def test_untyped_map_raises(self):
-        """Typing is total: a Map without declared_type fails at typing,
-        naming the operator and its plan."""
-        m = Map(ParameterLookup(), lambda pdf: pdf)
-        plan = Plan(Filter(m, lambda pdf: np.ones(len(pdf), dtype=bool)), name="untyped")
-        with pytest.raises(TypeError, match=r"plan 'untyped': its Map has no static output type "
-                                            r"\(give it a declared_type\)"):
-            plan.out_type(kv_type())
-
-    def test_untyped_parameter_lookup_raises(self):
-        """A plan typed without ``param_type`` has no type for its
-        ParameterLookup: typing raises naming it."""
-        plan = Plan(Projection(ParameterLookup(), ["k"]), name="no-params")
-        with pytest.raises(TypeError, match=r"plan 'no-params': its ParameterLookup has no static output type "
-                                            r"\(type the plan with its param_type\)"):
-            plan.op_types()
-
     def test_reduce_by_key_preserves_type(self):
         rk = ReduceByKey(ParameterLookup(), "k", {"v": "sum"})
         assert Plan(rk).out_type(kv_type()) == kv_type()
+
+    @pytest.mark.parametrize("make, column", [
+        (lambda pl: ReduceByKey(pl, "nope", {"zz": "sum"}), "nope"),
+        (lambda pl: ReduceByKey(pl, "k", {"zz": "sum"}), "zz"),
+        (lambda pl: Reduce(pl, {"v": "sum", "zz": "max"}), "zz"),
+    ])
+    def test_aggregated_columns_checked(self, make, column):
+        """A key or aggregate column the input lacks fails at typing,
+        naming the operator and the column (evaluation would raise
+        ``KeyError`` in ReduceByKey, and aggregate no values in Reduce)."""
+        op = make(ParameterLookup())
+        with pytest.raises(TypeError, match=f"{type(op).__name__} reads column '{column}', "
+                                            r"which its input <k: int64, v: int64> lacks"):
+            Plan(op).op_types(kv_type())
+
+    def test_buildprobe_key_must_be_int64(self):
+        """A float64 join key fails at typing, as the build/probe kernel
+        would fail on it."""
+        fk = RowVectorType(TupleType([("k", FLOAT64), ("rv", INT64)]))
+        param = TupleType([("l", kv_collection_type("lv", INT64)), ("r", fk)])
+        plan = Plan(BuildProbe(source("l"), source("r"), key="k"))
+        with pytest.raises(TypeError, match="BuildProbe reads column 'k' of type float64, not int64"):
+            plan.op_types(param)
+        left = _kv([1, 2], [3, 4]).rename(columns={"v": "lv"})
+        right = pd.DataFrame({"k": [1.0, 2.0], "rv": np.array([5, 6], dtype=np.int64)})
+        with pytest.raises(TypeError, match="join keys must be signed integers"):
+            plan.collect(params=params_of(l=left, r=right))
 
     @pytest.mark.parametrize("typ, problem", [
         (TupleType([("v", INT64)]), "which its input .* lacks"),
@@ -216,7 +227,7 @@ class TestRender:
         cfg = JoinConfig(n_net=8, compress=True, p_bits=20)
         text = distributed_groupby_plan(cfg).render()
         assert "LH(2)[bucket_id=pmod(k, 8)]" in text
-        assert ("EX(2,3,4)[pid=pmod(k, 8); kv=(((in_range(k, 0, 1048575) >> 3) << 20) | "
+        assert ("EX(2,4)[pid=pmod(k, 8); kv=(((in_range(k, 0, 1048575) >> 3) << 20) | "
                 "in_range(v, 0, 1048575))]") in text
         assert "LP(3)[pid=(((kv >> 20) & 17592186044415) & 7)]" in text
 

@@ -9,6 +9,7 @@ from repro.core.expr import col, pmod
 from repro.core.ops import Filter, LocalHistogram, Map
 from repro.core.ops.base import ExecContext
 from repro.core.profiling import PHASES, Profiler
+from repro.core.types import INT64, TupleType
 from tests.helpers import params_of, source
 
 
@@ -35,7 +36,7 @@ class TestProfiler:
 
     def test_profile_covers_other(self):
         df = pd.DataFrame({"k": range(100)})
-        m = Map(source("t"), lambda p: p)
+        m = Map(source("t"), lambda p: p, TupleType([("k", INT64)]))
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         Plan(m).collect(ctx, params=params_of(t=df))
@@ -47,7 +48,7 @@ class TestProfiler:
         def boom(pdf):
             raise ValueError("boom")
 
-        m = LocalHistogram(Map(source("t"), boom), 2, bucket=col("k") & 0)
+        m = LocalHistogram(Map(source("t"), boom, TupleType([("k", INT64)])), 2, bucket=col("k") & 0)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         with pytest.raises(ValueError, match="boom"):

@@ -261,6 +261,18 @@ class TestJoinIndices:
         assert table_rows(np.array([0, 1, top - 1])) == top + 1  # + the miss slot
         assert table_rows(np.array([0, 1, top])) is None
 
+    def test_sparse_repeat_falls_back(self):
+        """Build keys that repeat one key but still span at least one slot
+        per row (the radix stride 2, 22 rows over 22 slots) pass the
+        slot-count test, so the table is built, then refused for the
+        repeat; the sort-merge joins both copies of the key."""
+        build = np.concatenate([np.arange(0, 40, 2), [42, 10]])
+        assert (build.max() - build.min()) // 2 + 1 >= len(build)
+        assert radix._direct_table(build) is None
+        probe = np.arange(-2, 46)
+        assert kernel_pairs(build, probe) == merge_pairs(build, probe)
+        assert sum(kernel_pairs(build, probe).values()) == len(build)
+
     def test_rejects_non_integer_keys(self):
         # no atom is unsigned: uint64 keys raise too, instead of wrapping to int64
         top = np.array([(1 << 64) - 1], dtype=np.uint64)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi.simcluster import LocalComm, SimCluster
+from repro.mpi.simcluster import SimCluster
 
 
 class TestCollectives:
@@ -127,7 +127,7 @@ class TestWindows:
             "s": np.array(["x" * int(k) for k in g.integers(0, 5, n)], dtype=object),
         }
         pieces = [g.permutation(n)[:m] for m in (7, 0, 13)]
-        comm = LocalComm()
+        comm = SimCluster(1).comm(0)
         win = comm.win_create(20, {c: a.dtype for c, a in columns.items()})
         offset = 0
         for rows in pieces:
@@ -141,15 +141,3 @@ class TestWindows:
         assert comm.stats.bytes_put == 3 * 8 * 20 + strings
         assert comm.stats.puts == 2
 
-
-class TestLocalComm:
-    def test_single_rank_semantics(self):
-        comm = LocalComm()
-        assert comm.size == 1 and comm.rank == 0
-        assert list(comm.allreduce_sum(np.array([3]))) == [3]
-        assert list(comm.exscan_sum(np.array([3]))) == [0]
-        win = comm.win_create(2, {"v": np.int64})
-        comm.put(win, 0, 0, {"v": np.array([1, 2])}, np.array([0, 1]))
-        comm.fence(win)
-        assert list(win.local(0)["v"]) == [1, 2]
-        assert list(win.local(0, 1, 2)["v"]) == [2]
