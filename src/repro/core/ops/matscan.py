@@ -33,6 +33,7 @@ class RowScan(SubOperator):
         self.field = field
 
     def out_type(self, in_types) -> TupleType:
+        in_types[0].check_fields(type(self).__name__, [self.field])
         item = in_types[0].field_type(self.field)
         if not isinstance(item, RowVectorType):
             raise TypeError(f"RowScan field {self.field!r} is not a collection: {item!r}")

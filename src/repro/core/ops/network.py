@@ -57,6 +57,14 @@ def dense_counts(hist: RowVector, n: int, who: str) -> np.ndarray:
     return counts
 
 
+def rank_comm(ctx: ExecContext, who: str):
+    """The rank communicator a network operator runs on; ``RuntimeError``
+    naming the operator ``who`` outside an ``MpiExecutor``."""
+    if ctx.comm is None:
+        raise RuntimeError(f"{who} has no rank communicator: evaluate it inside an MpiExecutor")
+    return ctx.comm
+
+
 def rma_exchange(
     comm, columns: Dict[str, np.ndarray], pids: np.ndarray, global_hist: np.ndarray,
 ) -> List[Tuple[int, Dict[str, np.ndarray]]]:
@@ -143,7 +151,7 @@ class MpiHistogram(SubOperator):
 
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         counts = dense_counts(concat(list(ups[0])), self.n_buckets, "MpiHistogram")
-        yield histogram_batch(ctx.comm.allreduce_sum(counts))
+        yield histogram_batch(rank_comm(ctx, "MpiHistogram").allreduce_sum(counts))
 
 
 class MpiExchange(SubOperator):
@@ -215,7 +223,7 @@ class MpiExchange(SubOperator):
     def batches(self, ctx: ExecContext, ups) -> Iterator[RowVector]:
         global_hist = dense_counts(concat(list(ups[1])), self.n_partitions, "MpiExchange global")
         pids, wire = self.to_wire(concat(list(ups[0])))
-        parts = rma_exchange(ctx.comm, wire, pids, global_hist)
+        parts = rma_exchange(rank_comm(ctx, "MpiExchange"), wire, pids, global_hist)
         yield RowVector({
             self.pid_field: np.array([p for p, _ in parts], dtype=np.int64),
             self.data_field: object_column([RowVector(cols) for _, cols in parts]),

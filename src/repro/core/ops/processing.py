@@ -85,6 +85,7 @@ class Projection(SubOperator):
         self.fields = list(fields)
 
     def out_type(self, in_types) -> TupleType:
+        in_types[0].check_fields(type(self).__name__, self.fields)
         return in_types[0].project(self.fields)
 
     def batches(self, ctx, ups) -> Iterator[RowVector]:

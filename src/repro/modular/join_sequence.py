@@ -18,7 +18,7 @@ from repro.core import Plan
 from repro.core.ops import MaterializeRowVector, MpiExecutor, NestedMap, RowScan, Zip
 from repro.core.ops.base import SubOperator
 from repro.modular.common import JoinConfig, network_partition, rank_input
-from repro.modular.join import join_inner1_plan
+from repro.modular.join import Skeleton, distributed_join_plan, probe_step
 
 
 def relation_fields(n_joins: int) -> List[str]:
@@ -35,8 +35,6 @@ def optimized_sequence_plan(cfg: JoinConfig, n_joins: int) -> Plan:
     for every side in the first NestedMap, chained BuildProbes in the
     second — exactly Fig. 4 (right). This is just the N-ary instantiation
     of the generic join plan."""
-    from repro.modular.join import distributed_join_plan
-
     if cfg.compress:
         raise ValueError("sequences are evaluated on uncompressed tuples")
     return distributed_join_plan(
@@ -58,7 +56,10 @@ def naive_rank_plan(cfg: JoinConfig, n_joins: int) -> Plan:
             cfg, rank_input(fields[i]), vals[i], f"net_pid_{sfx_r}", f"net_data_{sfx_r}"
         )
         zp = Zip([ex_l, ex_r])
-        nm1 = NestedMap(zp, join_inner1_plan(cfg, [sfx_l, sfx_r], [vals[i - 1], vals[i]]))
+        pair = [vals[i - 1], vals[i]]
+        # the shared first nested level, its sides named by their suffixes
+        inner1 = Skeleton(cfg, [sfx_l, sfx_r], pair, probe_step(pair)).inner1_plan()
+        nm1 = NestedMap(zp, inner1)
         cur = RowScan(nm1, "pair_result")
     return Plan(MaterializeRowVector(cur, field="rank_result"), name="naive-seq-rank")
 

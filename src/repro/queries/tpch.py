@@ -7,9 +7,10 @@ join result. Each query here carries
 * ``sql`` — the query text, executed verbatim by the DuckDB oracle and by
   the MemSQL stand-in (Spark SQL);
 * ``build_plan(cfg)`` — the sub-operator plan: per-side filter/projection
-  chains (``pre_scan``), the generic distributed join of Fig. 3, and the
-  query's post-aggregation inserted at every nesting level via the
-  ``probe_post``/``pair_post``/``rank_post``/``driver_post`` hooks;
+  chains (``pre_scan``), the generic distributed join of Fig. 3, the
+  query's projection/aggregation of each local join result
+  (``probe_post``), and its re-aggregation at the pair, rank and driver
+  levels (``post``); Q14 computes its ratio over the returned root;
 * ``table_map`` — which input relation feeds which plan field.
 
 Every ``Map`` declares its output type, so the Spark lowering derives all
@@ -99,8 +100,7 @@ def q4_plan(cfg: JoinConfig) -> Plan:
 
     return distributed_join_plan(
         cfg, fields=("L", "O"), value_fields=("_", "_"), join_type="semi",
-        pre_scan=pre_scan, probe_post=count_rows,
-        pair_post=_rk, rank_post=_rk, driver_post=_rk,
+        pre_scan=pre_scan, probe_post=count_rows, post=_rk,
     )
 
 
@@ -163,8 +163,7 @@ def q12_plan(cfg: JoinConfig) -> Plan:
 
     return distributed_join_plan(
         cfg, fields=("O", "L"), value_fields=("_", "_"),
-        pre_scan=pre_scan, probe_post=classify,
-        pair_post=_rk, rank_post=_rk, driver_post=_rk,
+        pre_scan=pre_scan, probe_post=classify, post=_rk,
     )
 
 
@@ -208,20 +207,16 @@ def q14_plan(cfg: JoinConfig) -> Plan:
             Map(op, kernel, TupleType([("promo_rev", FLOAT64), ("total_rev", FLOAT64)]))
         )
 
-    def ratio(op: SubOperator) -> SubOperator:
-        return Map(
-            _sum("promo_rev", "total_rev")(op),
-            lambda b: RowVector({"promo_revenue": 100.0 * b["promo_rev"] / b["total_rev"]}),
-            TupleType([("promo_revenue", FLOAT64)]),
-        )
-
-    return distributed_join_plan(
+    plan = distributed_join_plan(
         cfg, fields=("P", "L"), value_fields=("_", "_"),
-        pre_scan=pre_scan, probe_post=split_revenue,
-        pair_post=_sum("promo_rev", "total_rev"),
-        rank_post=_sum("promo_rev", "total_rev"),
-        driver_post=ratio,
+        pre_scan=pre_scan, probe_post=split_revenue, post=_sum("promo_rev", "total_rev"),
     )
+    ratio = Map(
+        plan.root,
+        lambda b: RowVector({"promo_revenue": 100.0 * b["promo_rev"] / b["total_rev"]}),
+        TupleType([("promo_revenue", FLOAT64)]),
+    )
+    return Plan(ratio, name=plan.name)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +297,7 @@ def q19_plan(cfg: JoinConfig) -> Plan:
 
     return distributed_join_plan(
         cfg, fields=("P", "L"), value_fields=("_", "_"),
-        pre_scan=pre_scan, probe_post=residual,
-        pair_post=_sum("revenue"), rank_post=_sum("revenue"), driver_post=_sum("revenue"),
+        pre_scan=pre_scan, probe_post=residual, post=_sum("revenue"),
     )
 
 

@@ -6,13 +6,14 @@ per-operator SLOC table and its three headline numbers: modular total vs
 monolithic total, and the platform-specific share (MpiExecutor +
 MpiHistogram + MpiExchange). The Spark port is measured the same way: the
 lowering (``core/lower.py``) against the monolithic Spark join
-(``monolithic/spark.py``).
+(``monolithic/spark.py``). ``src_total`` is the whole package's size.
 """
 from __future__ import annotations
 
 import ast
 import inspect
 import textwrap
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 
@@ -77,8 +78,14 @@ def operator_sloc() -> List[Tuple[str, str, int, int]]:
     return rows
 
 
+def src_sloc() -> int:
+    """SLOC of every module of the ``repro`` package (``src/repro/**/*.py``)."""
+    return sum(count_sloc(p.read_text()) for p in Path(__file__).parent.rglob("*.py"))
+
+
 def summary() -> Dict[str, float]:
-    """The Table 1 headline comparison over *our* code base."""
+    """The Table 1 headline comparison over *our* code base, and the
+    package's total size."""
     from repro.core import lower
     from repro.monolithic import groupby as mono_groupby
     from repro.monolithic import join as mono_join
@@ -101,4 +108,5 @@ def summary() -> Dict[str, float]:
         "portability_factor": monolithic_total / platform,
         "spark_port_sloc": spark_port,
         "spark_portability_factor": sloc_of(mono_spark) / spark_port,
+        "src_total": src_sloc(),
     }

@@ -447,14 +447,14 @@ class TestInterpretedEngine:
                 return op
             return Map(op, _per_tuple(lambda b: RowVector({**b, "vs": 2 * b["vs"]})), kv)
 
-        def pair_post(op):
+        def post(op):  # runs at the pair, rank and driver levels
             typ = TupleType([("k", INT64), ("vr", INT64), ("vs", INT64)])
             return Map(op, _per_tuple(lambda b: RowVector({**b, "vr": b["vr"] + 1})), typ)
 
         def build(cfg):
-            return distributed_join_plan(cfg, pre_scan=pre_scan, pair_post=pair_post)
+            return distributed_join_plan(cfg, pre_scan=pre_scan, post=post)
 
-        sql = "SELECT r.k AS k, vr + 1 AS vr, 2 * vs AS vs FROM r JOIN s ON r.k = s.k"
+        sql = "SELECT r.k AS k, vr + 3 AS vr, 2 * vs AS vs FROM r JOIN s ON r.k = s.k"
         query = TpchQuery("per-tuple", sql, {"R": "r", "S": "s"}, build)
         tables = {"r": spark.createDataFrame(r), "s": spark.createDataFrame(s)}
         cfg = JoinConfig(n_net=2, loc_bits=1)
@@ -476,19 +476,19 @@ def _empty(spark, pdf):
 class TestEmptyRelations:
     """Lowering needs no rows to type its stages, so empty inputs run."""
 
-    @pytest.mark.parametrize("driver_post", [None, "filter"])
-    def test_join_with_empty_r(self, spark, kv_frames, driver_post):
+    @pytest.mark.parametrize("driver_filter", [None, "filter"])
+    def test_join_with_empty_r(self, spark, kv_frames, driver_filter):
         r, s = kv_frames
-        # a driver Filter runs as one more mapInPandas stage, whose schema
-        # comes from the plan's types: its empty output still has columns
-        post = None if driver_post is None else (
-            lambda op: Filter(op, lambda b: b["k"] >= 0)
-        )
-        plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2), driver_post=post)
+        # a driver Filter over the root runs as one more mapInPandas stage,
+        # whose schema comes from the plan's types: its empty output still
+        # has columns
+        plan = distributed_join_plan(JoinConfig(n_net=4, loc_bits=2))
+        if driver_filter is not None:
+            plan = Plan(Filter(plan.root, lambda b: b["k"] >= 0), name=plan.name)
         out = lower_distributed_plan(
             spark, plan, {"R": _empty(spark, r), "S": spark.createDataFrame(s)}
         ).result()
-        assert python_nodes(out)["MapInPandas"] == (0 if driver_post is None else 1)
+        assert python_nodes(out)["MapInPandas"] == (0 if driver_filter is None else 1)
         assert_equivalent(out, JOIN_SQL, r=r.iloc[:0], s=s)
 
     @pytest.mark.parametrize("compress", [False, True])
@@ -709,11 +709,20 @@ class TestStaticSchemas:
 
     @pytest.mark.parametrize("hook", ["rank_post", "driver_post"])
     def test_operator_without_rule_rejected(self, spark, kv_frames, hook):
+        """An operator without a lowering rule at the root of the rank plan
+        or of the driver plan. ``post`` runs at the pair, rank and driver
+        levels in that order; it injects the operator at one of them only,
+        since a LocalHistogram's output has no ``k`` to histogram again."""
         r, s = kv_frames
-        plan = distributed_join_plan(
-            JoinConfig(n_net=2, loc_bits=1),
-            **{hook: lambda op: LocalHistogram(op, 2, col("k") & 1)},
-        )
+        level = {"rank_post": 2, "driver_post": 3}[hook]
+        calls = []
+
+        def post(op):
+            calls.append(op)
+            return LocalHistogram(op, 2, col("k") & 1) if len(calls) == level else op
+
+        plan = distributed_join_plan(JoinConfig(n_net=2, loc_bits=1), post=post)
+        assert len(calls) == 3
         with pytest.raises(TypeError, match="no Spark lowering rule for LocalHistogram"):
             lower_distributed_plan(
                 spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}

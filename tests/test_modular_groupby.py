@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.ops import MaterializeRowVector, Map, ParametrizedMap, ReduceByKey
 from repro.core.lower import lower_distributed_plan
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
@@ -24,6 +25,22 @@ def check(out, t):
     expect = reference(t).sort_values("k").reset_index(drop=True)
     got = out.sort_values("k").reset_index(drop=True)[["k", "v"]]
     pd.testing.assert_frame_equal(got.astype("int64"), expect.astype("int64"))
+
+
+def test_compressed_groupby_aggregates_before_restoring_the_key():
+    """The join's innermost shape with ReduceByKey in BuildProbe's place:
+    the compressed GROUP BY aggregates the stored key-high bits ``k_hi``
+    of the split words, and one ParametrizedMap above restores the key."""
+    plan = distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22))
+    nested = [plan]
+    while nested:
+        plan = nested[0]
+        nested = [op.nested_plan for op in plan.operators() if hasattr(op, "nested_plan")]
+    restore = plan.root.upstreams[0]
+    assert isinstance(plan.root, MaterializeRowVector) and isinstance(restore, ParametrizedMap)
+    reduce = restore.upstreams[1]
+    assert isinstance(reduce, ReduceByKey) and reduce.key == "k_hi"
+    assert isinstance(reduce.upstreams[0], Map)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])

@@ -126,20 +126,20 @@ def test_profiling_covers_all_phases():
 
 
 def test_rank_and_driver_post_hooks():
-    from repro.core.ops import Reduce
+    """``probe_post`` counts each local join result; ``post`` sums the
+    counts at the pair, rank and driver levels."""
+    from repro.core.ops import Map, Reduce
 
     def count_hook(op):
         return Reduce(op, {"n": "sum"})
 
     def to_count(op):
-        from repro.core.ops import Map
-
         n = TupleType([("n", INT64)])
         return Reduce(Map(op, lambda b: RowVector({"n": np.ones(len(b), dtype=np.int64)}), n), {"n": "sum"})
 
     r = dense_kv_pdf(128, value_field="vr", seed=13)
     s = dense_kv_pdf(128, value_field="vs", seed=14)
     cfg = JoinConfig(n_net=2, loc_bits=1)
-    plan = distributed_join_plan(cfg, rank_post=to_count, driver_post=count_hook)
+    plan = distributed_join_plan(cfg, probe_post=to_count, post=count_hook)
     out, _ = run_on_sim(plan, 2, {"R": r, "S": s})
     assert list(out["n"]) == [128]

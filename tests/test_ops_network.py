@@ -70,6 +70,11 @@ class TestMpiHistogram:
         with pytest.raises(RuntimeError, match="exactly 8"):
             on_one_rank(plan, T=kv(10))
 
+    def test_without_communicator_fails_by_name(self):
+        plan = Plan(MpiHistogram(hist_plan(2), 2))
+        with pytest.raises(RuntimeError, match="MpiHistogram has no rank communicator"):
+            plan.collect(params=params_of(T=kv(10)))
+
 
 def exchange_plan(n_parts, compression=None):
     data = source("T")
@@ -178,6 +183,14 @@ class TestMpiExchange:
         assert cluster.total_bytes_put() == 8 * 3 * n + sum(len(v) for v in data["s"])
         got = pd.concat([part.to_pandas() for out in outs for part in out["partition_data"]])
         pd.testing.assert_frame_equal(got.sort_values("k").reset_index(drop=True), data)
+
+    def test_without_communicator_fails_by_name(self):
+        """Fed a histogram that needs no communicator, the exchange itself
+        names the missing one."""
+        data, pid = source("T"), pmod(col("k"), 2)
+        plan = Plan(MpiExchange(data, LocalHistogram(data, 2, pid), 2, pid))
+        with pytest.raises(RuntimeError, match="MpiExchange has no rank communicator"):
+            plan.collect(params=params_of(T=kv(10)))
 
     def test_fanout_mismatch_rejected(self):
         spec = CompressionSpec(p_bits=20, f_bits=2)

@@ -175,11 +175,14 @@ class TestTyping:
         (lambda pl: ReduceByKey(pl, "nope", {"zz": "sum"}), "nope"),
         (lambda pl: ReduceByKey(pl, "k", {"zz": "sum"}), "zz"),
         (lambda pl: Reduce(pl, {"v": "sum", "zz": "max"}), "zz"),
+        (lambda pl: Projection(pl, ["zz"]), "zz"),
+        (lambda pl: RowScan(pl, "zz"), "zz"),
     ])
     def test_aggregated_columns_checked(self, make, column):
-        """A key or aggregate column the input lacks fails at typing,
-        naming the operator and the column (evaluation would raise
-        ``KeyError`` in ReduceByKey, and aggregate no values in Reduce)."""
+        """A key, aggregate, projected or scanned column the input lacks
+        fails at typing, naming the operator and the column (evaluation
+        would raise ``KeyError`` in ReduceByKey, Projection and RowScan,
+        and aggregate no values in Reduce)."""
         op = make(ParameterLookup())
         with pytest.raises(TypeError, match=f"{type(op).__name__} reads column '{column}', "
                                             r"which its input <k: int64, v: int64> lacks"):

@@ -52,6 +52,12 @@ class TestTable1:
         expect = sum(rows[n] for n in sloc.PLATFORM_SPECIFIC)
         assert sloc.summary()["platform_specific"] == expect
 
+    def test_src_total_is_the_per_file_sum(self):
+        package = Path(__file__).resolve().parent.parent / "src" / "repro"
+        files = sorted(package.glob("**/*.py"))
+        assert len(files) > 20 and package / "modular" / "join.py" in files
+        assert sloc.summary()["src_total"] == sum(sloc.count_sloc(f.read_text()) for f in files)
+
 
 def _committed_table1():
     """``{first cell: first integer of the "ours" cell}`` for the rows of
